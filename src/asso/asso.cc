@@ -7,14 +7,13 @@
 #include "common/bitspan.h"
 #include "common/kernels/kernels.h"
 #include "common/random.h"
+#include "common/rank.h"
 #include "common/timer.h"
 
 namespace dbtf {
 
 Status AssoConfig::Validate() const {
-  if (rank < 1 || rank > 64) {
-    return Status::InvalidArgument("ASSO rank must be in [1, 64]");
-  }
+  DBTF_RETURN_IF_ERROR(ValidateRank(rank, "ASSO rank"));
   if (threshold <= 0.0 || threshold > 1.0) {
     return Status::InvalidArgument("ASSO threshold must be in (0, 1]");
   }

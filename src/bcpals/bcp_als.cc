@@ -5,6 +5,7 @@
 
 #include "common/bitspan.h"
 #include "common/kernels/kernels.h"
+#include "common/rank.h"
 #include "common/timer.h"
 #include "tensor/boolean_ops.h"
 #include "tensor/unfold.h"
@@ -12,9 +13,7 @@
 namespace dbtf {
 
 Status BcpAlsConfig::Validate() const {
-  if (rank < 1 || rank > 64) {
-    return Status::InvalidArgument("rank must be in [1, 64]");
-  }
+  DBTF_RETURN_IF_ERROR(ValidateRank(rank, "rank"));
   if (max_iterations < 1) {
     return Status::InvalidArgument("max_iterations must be >= 1");
   }

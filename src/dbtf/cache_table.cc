@@ -6,6 +6,7 @@
 #include "common/bitspan.h"
 #include "common/check.h"
 #include "common/kernels/kernels.h"
+#include "common/rank.h"
 
 namespace dbtf {
 namespace {
@@ -22,7 +23,7 @@ void MarkBuilt(std::vector<BitWord>* built, std::uint64_t sub) {
 
 Result<CacheTable> CacheTable::Build(const BitMatrix& ms_t, int v,
                                      bool enabled) {
-  if (ms_t.rows() > 64) {
+  if (ms_t.rows() > kMaxRank) {
     return Status::InvalidArgument("cache table rank must be <= 64");
   }
   if (v < 1 || v > 24) {
@@ -66,7 +67,7 @@ const BitWord* CacheTable::Materialize(const Group& g,
   if (IsBuilt(g.built, sub)) return EntrySlot(g, sub);
   // Collect the chain of missing ancestors (each clears the lowest bit),
   // then build top-down: entry m = entry(m & (m-1)) OR one ms_t row.
-  std::uint64_t chain[64];
+  std::uint64_t chain[kMaxRank];
   int depth = 0;
   std::uint64_t cursor = sub;
   while (!IsBuilt(g.built, cursor)) {
@@ -93,7 +94,7 @@ BitSpan CacheTable::Lookup(std::uint64_t key, std::int64_t word_begin,
                            MutableBitSpan scratch) const {
   // Lemmas 1-2: a key is an R-bit row-subset mask; bits at or above the rank
   // select rows that do not exist. Debug-only — Lookup is the hot path.
-  DBTF_DCHECK(rank_ >= 64 || (key >> rank_) == 0,
+  DBTF_DCHECK(rank_ >= kMaxRank || (key >> rank_) == 0,
               "cache key has bits above rank %d", rank_);
   DBTF_DCHECK_LE(0, word_begin);
   DBTF_DCHECK_LE(word_begin + word_count, words_per_row_);

@@ -2,14 +2,13 @@
 
 #include <memory>
 
+#include "common/rank.h"
 #include "dbtf/session.h"
 
 namespace dbtf {
 
 Status DbtfConfig::Validate() const {
-  if (rank < 1 || rank > 64) {
-    return Status::InvalidArgument("rank must be in [1, 64]");
-  }
+  DBTF_RETURN_IF_ERROR(ValidateRank(rank, "rank"));
   if (max_iterations < 1) {
     return Status::InvalidArgument("max_iterations must be >= 1");
   }

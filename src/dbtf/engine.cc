@@ -204,10 +204,10 @@ Result<UpdateFactorStats> RunFactorUpdate(
   const FactorDelta broadcast =
       bstate->Plan(roles, mode, rows, mf, ms, config);
   const auto send_broadcast = [cluster, &broadcast]() {
-    // The routing layer copies the message into the fan-out and charges
-    // broadcast.WireBytes() per machine at enqueue; re-sends of a committed
-    // plan are idempotent at the workers (generation match), so recovery
-    // can re-invoke this closure freely.
+    // BroadcastFactors takes its own copy of the message and charges
+    // broadcast.WireBytes() per machine before delivery; re-sends of a
+    // committed plan are idempotent at the workers (generation match), so
+    // recovery can re-invoke this closure freely.
     return cluster->BroadcastFactors(broadcast);
   };
 
@@ -253,7 +253,7 @@ Result<UpdateFactorStats> RunFactorUpdate(
                                               : UpdateFactorStats{};
 
   // Snapshot of the factor's row masks; the workers see it through each
-  // column's task closure, updated with the driver's previous decisions.
+  // column's RunUpdateColumn, updated with the driver's previous decisions.
   std::vector<std::uint64_t> row_masks(static_cast<std::size_t>(rows));
   for (std::int64_t r = 0; r < rows; ++r) {
     row_masks[static_cast<std::size_t>(r)] = factor->RowMask64(r);
@@ -269,8 +269,8 @@ Result<UpdateFactorStats> RunFactorUpdate(
     // serial mailboxes: each machine runs its compute task then its
     // collect, in order, without the driver waiting for the slowest machine
     // between the two steps — a fast machine's collect overlaps a slow
-    // machine's compute. The fused fan-out is awaited before the attempt
-    // returns, so a failed attempt never leaves tasks racing a retry.
+    // machine's compute. RunColumn blocks until every delivery is done, so
+    // a failed attempt never leaves tasks racing a retry.
     const auto run_column = [&]() -> Status {
       errors = CollectErrorsResponse();
 

@@ -19,8 +19,6 @@
 
 namespace dbtf {
 
-class Worker;  // dist/worker.h — owns per-machine partitions and caches
-
 /// Configuration of the simulated cluster.
 struct ClusterConfig {
   /// Number of simulated machines (Spark executors in the paper's setup).
@@ -67,27 +65,22 @@ struct ClusterConfig {
 /// because per-task CPU time is independent of interleaving.
 ///
 /// Beyond the clocks and the ledger, the cluster is the *message router* of
-/// the driver/worker runtime: one `Worker` endpoint may be attached per
+/// the driver/worker runtime: one transport endpoint may be attached per
 /// machine, and the driver reaches worker state exclusively through
-/// `BroadcastToWorkers` / `DispatchToWorkers` / `CollectFromWorkers`. The
-/// routing methods do the Lemma 6–7 ledger charging themselves, so any byte
-/// that crosses the driver/worker boundary is priced by construction: a
-/// broadcast charges its wire size once per machine before delivery, and a
-/// collect charges the workers' summed payload as one driver-side event.
+/// `BroadcastFactors` / `RunColumn` / `QueryWorker`. The routing methods do
+/// the Lemma 6–7 ledger charging themselves, so any byte that crosses the
+/// driver/worker boundary is priced by construction: a broadcast charges its
+/// wire size once per machine before delivery, a column charges the workers'
+/// summed error payload as one driver-side collect event, and a query
+/// charges its request + response as one query event.
 ///
 /// Locking discipline (machine-checked under Clang `-Wthread-safety`): the
-/// worker registry and both virtual clocks are guarded by `mu_`; the
+/// endpoint registry and both virtual clocks are guarded by `mu_`; the
 /// `CommStats` ledger is internally atomic and needs no lock. Routing never
 /// holds `mu_` while running handlers — it iterates over a snapshot of the
-/// registry that also pins cluster-owned workers alive (see WorkerSnapshot).
+/// registry that also pins the endpoints alive (see RoutingSnapshot).
 class Cluster {
  public:
-  /// Invoked on (or gathered from) one worker during message routing.
-  using WorkerFn = std::function<Status(Worker&)>;
-  /// Gather callback: consumes one worker's payload at the driver and
-  /// returns the wire bytes that payload occupied.
-  using WorkerGatherFn = std::function<Result<std::int64_t>(Worker&)>;
-
   /// Creates a cluster after validating the configuration.
   static Result<std::unique_ptr<Cluster>> Create(const ClusterConfig& config);
 
@@ -105,41 +98,24 @@ class Cluster {
   void RunTasks(std::int64_t n, const std::function<void(std::int64_t)>& fn)
       DBTF_EXCLUDES(mu_);
 
-  // --- Worker registry -----------------------------------------------------
+  // --- Endpoint registry ---------------------------------------------------
 
-  /// Attaches `worker` as machine `machine`'s message endpoint. The worker
-  /// is owned by the caller and must outlive routing. At most one worker may
-  /// be attached per machine.
-  Status AttachWorker(int machine, Worker* worker) DBTF_EXCLUDES(mu_);
-
-  /// Attaches `worker`, transferring ownership to the cluster: the worker
-  /// lives until DetachWorkers (routing in flight keeps it alive via its
-  /// snapshot, so a concurrent detach cannot free a worker under a handler).
-  /// This is how the provisioning seam (dist/provision.h) creates endpoints.
-  Status AttachWorker(int machine, std::shared_ptr<Worker> worker)
-      DBTF_EXCLUDES(mu_);
-
-  /// Attaches a transport endpoint as machine `machine`'s message target.
-  /// This is the seam every driver<->worker byte crosses: typed routing
-  /// delivers wire messages through the endpoint's virtual interface, so the
-  /// same call sites drive an in-process Worker or a dbtf-worker OS process.
-  /// When the endpoint fronts an in-process worker (local_worker() non-null)
-  /// the legacy WorkerFn routing keeps working over it too.
+  /// Attaches a transport endpoint as machine `machine`'s message target,
+  /// sharing ownership of it until DetachWorkers (routing in flight keeps it
+  /// alive via its snapshot, so a concurrent detach cannot free an endpoint
+  /// under a handler). This is the seam every driver<->worker byte crosses:
+  /// routing delivers wire messages through the endpoint's virtual
+  /// interface, so the same call sites drive an in-process Worker or a
+  /// dbtf-worker OS process. At most one endpoint may be attached per
+  /// machine, and never one to a dead machine.
   Status AttachEndpoint(int machine, std::shared_ptr<WorkerEndpoint> endpoint)
       DBTF_EXCLUDES(mu_);
 
-  /// Detaches every worker (e.g. when a session is torn down), dropping the
-  /// cluster's ownership of workers attached via the owning overload.
+  /// Detaches every endpoint (e.g. when a session is torn down).
   void DetachWorkers() DBTF_EXCLUDES(mu_);
 
-  /// Number of currently attached workers.
+  /// Number of currently attached endpoints.
   int num_attached_workers() const DBTF_EXCLUDES(mu_);
-
-  /// Endpoint attached to `machine`, or null. For the dist-layer
-  /// provisioning helpers (dist/provision.h); driver code must go through
-  /// the routing methods instead — tools/dbtf_lint.py enforces that no
-  /// driver translation unit can even name a Worker member.
-  Worker* AttachedWorkerOn(int machine) const DBTF_EXCLUDES(mu_);
 
   /// Transport endpoint attached to `machine`, or null. For the
   /// provisioning/recovery seam (dist/provision.h), which stores partitions
@@ -149,15 +125,13 @@ class Cluster {
 
   // --- Message routing (the only driver <-> worker data path) --------------
   //
-  // The routing core is asynchronous: each Async* method enqueues one
-  // delivery per attached worker onto that machine's *mailbox* (a serial
-  // FIFO queue on the pool, dist/async.h) and returns a future that resolves
-  // when every delivery has completed. Per-machine mailbox order is the
-  // determinism anchor: the FaultInjector's per-(machine, message-kind)
-  // delivery counters advance in enqueue order, and a worker's handlers are
-  // never invoked concurrently, no matter how many routed messages are in
-  // flight at once. The blocking methods are thin shims over the Async*
-  // variants (enqueue, then Get()).
+  // Each routing call takes a wire message from dist/messages.h, posts one
+  // delivery per target machine onto that machine's *mailbox* (a serial FIFO
+  // queue on the pool, dist/async.h), and blocks until every delivery has
+  // completed. Per-machine mailbox order is the determinism anchor: the
+  // FaultInjector's per-(machine, message-kind) delivery counters advance in
+  // post order, and a worker's handlers are never invoked concurrently, even
+  // when several threads route at once (serving reads racing a broadcast).
   //
   // Every delivery goes through the retry policy in `config().retry`:
   // retryable failures (IsRetryable — kUnavailable, kDeadlineExceeded) are
@@ -168,116 +142,49 @@ class Cluster {
   // kUnavailable — recovery (re-provisioning the lost partitions onto a
   // survivor, dist/provision.h) is the driver's job, not the router's.
   //
-  // All Lemma 6–7 ledger charging stays at this layer, at enqueue or at
-  // completion: a broadcast charges its wire size once per machine at
-  // enqueue (before any delivery runs), a collect charges the summed payload
-  // as one driver-side event when every gather has succeeded, and a failed
-  // collect charges nothing. The future's status is picked
-  // deterministically: fatal (non-retryable) codes outrank retryable ones,
-  // ties break by snapshot (attach) order — never by thread interleaving.
+  // Wire sizes come from the message's own WireBytes(), so the ledger
+  // charges identical quantities no matter which transport carries the
+  // bytes; worker compute is charged from the endpoint-reported handler CPU
+  // seconds for the same reason. A transport failure (kIoError: dead worker
+  // process, corrupt frame) marks the machine lost and surfaces as
+  // kUnavailable, exactly like an injected crash. A fan-out's status is
+  // picked deterministically: fatal (non-retryable) codes outrank retryable
+  // ones, ties break by snapshot (attach) order — never by thread
+  // interleaving.
 
-  // The typed variants below are the only data path the engine uses: each
-  // takes a wire message from dist/messages.h by value (the fan-out owns its
-  // payload — no lifetime coupling to the caller) and delivers it through
-  // each machine's transport endpoint. Wire sizes come from the message's
-  // own WireBytes(), so the ledger charges identical quantities no matter
-  // which transport carries the bytes; worker compute is charged from the
-  // endpoint-reported handler CPU seconds for the same reason. A transport
-  // failure (kIoError: dead worker process, corrupt frame) marks the machine
-  // lost and surfaces as kUnavailable, exactly like an injected crash.
-
-  /// Asynchronously broadcasts a factor update: charges msg.WireBytes() per
-  /// machine at enqueue (Lemma 7), then delivers through every endpoint.
-  Future<Unit> AsyncBroadcastFactors(FactorDelta msg) DBTF_EXCLUDES(mu_);
-
-  /// Asynchronously dispatches one column-update command to every endpoint.
-  /// Commands ride the task scheduler, which the paper's analysis prices at
-  /// zero wire bytes; only the handler CPU is charged.
-  Future<Unit> AsyncDispatchColumn(RunUpdateColumn msg) DBTF_EXCLUDES(mu_);
-
-  /// Asynchronously collects per-column error counts: every endpoint's
-  /// response is merged into `*response` (int64 sums commute, so merge order
-  /// cannot affect the result), and the summed response wire bytes are
-  /// charged as one collect event (Lemma 7) once all machines succeed.
-  /// `*response` must outlive the future and is valid only on success.
-  Future<Unit> AsyncCollectErrors(const CollectErrorsRequest& msg,
-                                  CollectErrorsResponse* response)
-      DBTF_EXCLUDES(mu_);
-
-  /// Asynchronously runs one column step: dispatches `run` and collects
-  /// `req`'s error totals in a single fan-out over ONE registry snapshot,
-  /// with each machine's dispatch and collect posted back-to-back on its
-  /// serial mailbox (a fast machine's collect overlaps a slow machine's
-  /// compute). The single snapshot is what keeps the ledger deterministic
-  /// when a machine crashes mid-column: with separate fan-outs, whether the
-  /// collect still saw the machine would depend on thread timing — and hence
-  /// on the transport. Dispatch failures outrank collect failures of the
-  /// same severity; the collect bytes are charged only when every machine's
-  /// collect succeeded. `*response` must outlive the future and is valid
-  /// only on success.
-  Future<Unit> AsyncRunColumn(RunUpdateColumn run,
-                              const CollectErrorsRequest& req,
-                              CollectErrorsResponse* response)
-      DBTF_EXCLUDES(mu_);
-
-  /// Asynchronously routes one serving query point-to-point to `machine`.
-  /// The delivery rides that machine's serial mailbox, so it is ordered
-  /// against any factor broadcast in flight — a query observes either all of
-  /// a multi-slot FactorDelta's updates or none of them, never a torn
-  /// generation. Request + response wire bytes are charged as one query
-  /// event on the ledger when the answer arrives; a failed query charges
-  /// nothing. A machine that is dead (or was never attached) surfaces
-  /// kUnavailable — failover to a surviving replica is the serving engine's
-  /// job, not the router's. `*response` must outlive the future and is
-  /// valid only on success.
-  Future<Unit> AsyncQueryWorker(int machine, QueryRequest msg,
-                                QueryResponse* response) DBTF_EXCLUDES(mu_);
-
-  /// Blocking shims over the typed async variants (enqueue + Get()).
-  Status QueryWorker(int machine, QueryRequest msg, QueryResponse* response)
-      DBTF_EXCLUDES(mu_);
+  /// Broadcasts a factor update to every attached endpoint. Charges
+  /// msg.WireBytes() per machine (Lemma 7) before any delivery runs, whether
+  /// or not a delivery later fails — but only when some endpoint is
+  /// attached: routing to an empty registry charges nothing.
   Status BroadcastFactors(FactorDelta msg) DBTF_EXCLUDES(mu_);
-  Status DispatchColumn(RunUpdateColumn msg) DBTF_EXCLUDES(mu_);
-  Status CollectErrors(const CollectErrorsRequest& msg,
-                       CollectErrorsResponse* response) DBTF_EXCLUDES(mu_);
+
+  /// Runs one column step over ONE registry snapshot: dispatches `run` and
+  /// collects `req`'s error totals into `*response`, with each machine's
+  /// dispatch and collect posted back-to-back on its serial mailbox (a fast
+  /// machine's collect overlaps a slow machine's compute). Dispatch rides
+  /// the task scheduler, which the paper prices at zero wire bytes. Collect
+  /// responses merge into `*response` (int64 sums commute, so merge order
+  /// cannot affect the result), and their summed wire bytes are charged as
+  /// one collect event (Lemma 7) only when every machine's collect
+  /// succeeded. The single snapshot keeps the ledger deterministic when a
+  /// machine crashes mid-column: with separate fan-outs, whether the collect
+  /// still saw the machine would depend on thread timing — and hence on the
+  /// transport. Dispatch failures outrank collect failures of the same
+  /// severity. `*response` is valid only on success.
   Status RunColumn(RunUpdateColumn run, const CollectErrorsRequest& req,
                    CollectErrorsResponse* response) DBTF_EXCLUDES(mu_);
 
-  /// Asynchronously routes one driver->worker broadcast: charges
-  /// `wire_bytes` to every machine on the ledger (Lemma 7) at enqueue, then
-  /// delivers to each attached worker through its mailbox, charging each
-  /// delivery's CPU time to the receiving machine's virtual clock. `deliver`
-  /// is copied; everything it references must outlive the returned future's
-  /// completion (await the future before releasing the payload). Requires
-  /// in-process workers (endpoints with a non-null local_worker()); the
-  /// typed variants above work over any transport.
-  Future<Unit> AsyncBroadcastToWorkers(std::int64_t wire_bytes,
-                                       const WorkerFn& deliver)
+  /// Routes one serving query point-to-point to `machine`. The delivery
+  /// rides that machine's serial mailbox, so it is ordered against any
+  /// factor broadcast in flight — a query observes either all of a
+  /// multi-slot FactorDelta's updates or none of them, never a torn
+  /// generation. Request + response wire bytes are charged as one query
+  /// event; a failed query charges nothing. A machine that is dead (or was
+  /// never attached) surfaces kUnavailable — failover to a surviving replica
+  /// is the serving engine's job, not the router's. `*response` is valid
+  /// only on success.
+  Status QueryWorker(int machine, QueryRequest msg, QueryResponse* response)
       DBTF_EXCLUDES(mu_);
-
-  /// Asynchronously routes a control-plane command to every attached worker
-  /// (CPU charged to each machine's virtual clock). Dispatch closures ride
-  /// the task scheduler, which the paper's shuffle analysis prices at zero;
-  /// data-plane payloads must use the broadcast / collect primitives.
-  Future<Unit> AsyncDispatchToWorkers(const WorkerFn& fn) DBTF_EXCLUDES(mu_);
-
-  /// Asynchronously routes a worker->driver collect: invokes `gather` on
-  /// every attached worker (serialized across machines — the gathers mutate
-  /// the driver's accumulators, exactly like the old sequential driver-side
-  /// reduce), sums the returned wire bytes, and charges the total as one
-  /// collect event (Lemma 7) once all gathers have succeeded.
-  Future<Unit> AsyncCollectFromWorkers(const WorkerGatherFn& gather)
-      DBTF_EXCLUDES(mu_);
-
-  /// Blocking shim over AsyncBroadcastToWorkers (enqueue + Get()).
-  Status BroadcastToWorkers(std::int64_t wire_bytes, const WorkerFn& deliver)
-      DBTF_EXCLUDES(mu_);
-
-  /// Blocking shim over AsyncDispatchToWorkers (enqueue + Get()).
-  Status DispatchToWorkers(const WorkerFn& fn) DBTF_EXCLUDES(mu_);
-
-  /// Blocking shim over AsyncCollectFromWorkers (enqueue + Get()).
-  Status CollectFromWorkers(const WorkerGatherFn& gather) DBTF_EXCLUDES(mu_);
 
   // --- Failure tracking and recovery charging ------------------------------
 
@@ -380,62 +287,39 @@ class Cluster {
 
   struct AttachedWorker {
     int machine;
-    /// In-process worker, when the endpoint has one (null over the socket
-    /// transport — worker state then lives in another OS process, and only
-    /// the typed routing methods can reach it).
-    Worker* worker;
-    /// Set when the cluster owns the worker. Copies of this struct (in
-    /// routing snapshots) share ownership, which is what keeps an owned
-    /// worker alive while a handler still runs on it.
-    std::shared_ptr<Worker> owned;
-    /// Transport endpoint for typed routing; snapshots share ownership so a
-    /// delivery in flight keeps the endpoint (and its worker process) alive
-    /// across a concurrent detach.
+    /// Snapshots share ownership, so a delivery in flight keeps the endpoint
+    /// (and its worker) alive across a concurrent detach.
     std::shared_ptr<WorkerEndpoint> endpoint;
   };
 
-  /// Per-endpoint delivery of one typed fan-out (runs on the machine's
-  /// mailbox, possibly several times under retry).
-  using RouteFn = std::function<Status(const AttachedWorker&)>;
-  /// Per-endpoint gather of one typed collect: returns the wire bytes the
-  /// machine's payload occupied; merges into driver accumulators under
-  /// `reduce_mu` (and only on success, so a retried gather never
-  /// double-counts).
-  using GatherFn =
-      std::function<Result<std::int64_t>(const AttachedWorker&, Mutex&)>;
+  /// One message of a fan-out, delivered to every snapshot endpoint: the
+  /// injector/retry key plus one delivery attempt, which adds the handler's
+  /// worker CPU seconds into `*compute_seconds`.
+  struct Step {
+    MessageKind kind;
+    std::function<Status(WorkerEndpoint&, double* compute_seconds)> deliver;
+  };
 
-  /// Shared attach path of AttachWorker / AttachEndpoint.
-  Status AttachWorkerImpl(int machine, Worker* worker,
-                          std::shared_ptr<Worker> owned,
-                          std::shared_ptr<WorkerEndpoint> endpoint)
+  struct FanOutOp;  // shared state of one fan-out
+  struct QueryOp;   // shared state of one point-to-point query delivery
+
+  /// Snapshot of the attached endpoints, for lock-free iteration on the
+  /// pool; it shares their ownership, so they outlive any routing that
+  /// started before a DetachWorkers. An empty registry is an error:
+  /// kUnavailable once machines have died (the driver may re-provision),
+  /// kFailedPrecondition when nothing was ever attached (a usage error).
+  Result<std::vector<AttachedWorker>> RoutingSnapshot() const
       DBTF_EXCLUDES(mu_);
 
-  /// Snapshot of the attached workers, for lock-free iteration on the pool.
-  /// The snapshot shares ownership of cluster-owned workers, so they outlive
-  /// any routing that started before a DetachWorkers.
-  std::vector<AttachedWorker> WorkerSnapshot() const DBTF_EXCLUDES(mu_);
-
-  struct RouteOp;    // shared state of one async broadcast/dispatch fan-out
-  struct CollectOp;  // shared state of one async collect fan-out
-  struct ColumnOp;   // shared state of one fused dispatch+collect fan-out
-  struct QueryOp;    // shared state of one point-to-point query delivery
-
-  /// Shared fan-out path of every broadcast/dispatch variant (typed or
-  /// legacy): posts one delivery of `fn` per attached worker onto that
-  /// machine's mailbox, each through the retry policy; the last delivery to
-  /// finish resolves the future with CombineStatuses over all per-machine
-  /// outcomes.
-  Future<Unit> AsyncRouteToWorkers(MessageKind kind, RouteFn fn)
-      DBTF_EXCLUDES(mu_);
-
-  /// Shared fan-out path of every collect variant: like AsyncRouteToWorkers,
-  /// plus the summed gathered bytes are charged as one collect event when
-  /// (and only when) every machine succeeded.
-  Future<Unit> AsyncGatherFromWorkers(GatherFn gather) DBTF_EXCLUDES(mu_);
-
-  /// Adapts a legacy in-process WorkerFn into a RouteFn that times the
-  /// handler and charges its CPU to the machine's virtual clock.
-  RouteFn AdaptWorkerFn(const WorkerFn& fn);
+  /// Posts every step to every endpoint of `workers` — per machine, the
+  /// steps back-to-back on its mailbox, each through the retry policy — and
+  /// blocks until all have run. Returns the per-delivery statuses
+  /// step-major (entry s * n + i is step s on snapshot entry i), so
+  /// CombineStatuses ranks an earlier step's failure ahead of a later
+  /// step's of the same severity. The snapshot is released before this
+  /// returns.
+  std::vector<Status> FanOut(std::vector<AttachedWorker> workers,
+                             std::vector<Step> steps) DBTF_EXCLUDES(mu_);
 
   /// Deterministic error selection over a fan-out's per-machine statuses:
   /// fatal codes outrank retryable ones, ties break by snapshot (attach)

@@ -11,8 +11,9 @@
 
 namespace dbtf {
 
-/// The routed message kinds a fault can target — one per Cluster routing
-/// primitive (BroadcastToWorkers / DispatchToWorkers / CollectFromWorkers).
+/// The routed message kinds a fault can target: the FactorDelta of
+/// Cluster::BroadcastFactors, and the dispatch and collect halves of
+/// Cluster::RunColumn (Cluster::QueryWorker shares the collect kind).
 enum class MessageKind { kBroadcast = 0, kDispatch = 1, kCollect = 2 };
 
 const char* MessageKindToString(MessageKind kind);

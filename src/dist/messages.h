@@ -21,11 +21,11 @@ namespace dbtf {
 // the routing layer instead of at call sites:
 //
 //   FactorDelta          -> Cluster::BroadcastFactors   (charged per machine)
-//   RunUpdateColumn      -> Cluster::DispatchColumn     (task closure; priced
-//                           at zero, as the paper's shuffle analysis prices
-//                           task dispatch)
-//   CollectErrorsRequest -> Cluster::CollectErrors      (response bytes
-//                           charged once, summed over machines)
+//   RunUpdateColumn +    -> Cluster::RunColumn          (one fan-out per
+//   CollectErrorsRequest    column: the dispatch is priced at zero, as the
+//                           paper's shuffle analysis prices task dispatch;
+//                           the response bytes are charged once, summed
+//                           over machines)
 //   StorePartitionRequest / ListPartitions -> provisioning seam
 //                           (dist/provision.h), charged there when the move
 //                           is a recovery re-provision

@@ -12,8 +12,8 @@ namespace {
 
 class InProcessEndpoint final : public WorkerEndpoint {
  public:
-  InProcessEndpoint(Worker* worker, std::shared_ptr<Worker> owned)
-      : worker_(worker), owned_(std::move(owned)) {
+  explicit InProcessEndpoint(std::shared_ptr<Worker> worker)
+      : worker_(std::move(worker)) {
     DBTF_CHECK(worker_ != nullptr);
   }
 
@@ -60,7 +60,7 @@ class InProcessEndpoint final : public WorkerEndpoint {
     return indexes;
   }
 
-  Worker* local_worker() override { return worker_; }
+  Worker* local_worker() override { return worker_.get(); }
 
  private:
   /// Runs `handler` under the thread-CPU clock — the same quantity the
@@ -75,8 +75,7 @@ class InProcessEndpoint final : public WorkerEndpoint {
     return status;
   }
 
-  Worker* worker_;
-  std::shared_ptr<Worker> owned_;
+  std::shared_ptr<Worker> worker_;
 };
 
 class InProcessTransport final : public Transport {
@@ -90,14 +89,9 @@ class InProcessTransport final : public Transport {
 
 }  // namespace
 
-std::shared_ptr<WorkerEndpoint> MakeInProcessEndpoint(Worker* worker) {
-  return std::make_shared<InProcessEndpoint>(worker, nullptr);
-}
-
 std::shared_ptr<WorkerEndpoint> MakeInProcessEndpoint(
     std::shared_ptr<Worker> worker) {
-  Worker* raw = worker.get();
-  return std::make_shared<InProcessEndpoint>(raw, std::move(worker));
+  return std::make_shared<InProcessEndpoint>(std::move(worker));
 }
 
 std::shared_ptr<Transport> CreateInProcessTransport() {

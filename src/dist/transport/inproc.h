@@ -13,13 +13,6 @@ namespace dbtf {
 // transport's reply envelopes would carry. This is the bitwise oracle the
 // socket transport is checked against, and the configuration the sanitizer
 // presets exercise (one process means TSan sees every handler).
-//
-// Declared here (rather than only behind CreateInProcessTransport) so the
-// cluster/worker tests can wrap their own stack-owned Workers in endpoints.
-
-/// Wraps an existing worker the caller owns; `worker` must outlive the
-/// endpoint and any routing over it.
-std::shared_ptr<WorkerEndpoint> MakeInProcessEndpoint(Worker* worker);
 
 /// Wraps a shared worker, keeping it alive for the endpoint's lifetime.
 std::shared_ptr<WorkerEndpoint> MakeInProcessEndpoint(

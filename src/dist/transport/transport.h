@@ -102,8 +102,8 @@ class WorkerEndpoint {
       Mode mode, double* compute_seconds) = 0;
 
   /// The in-process worker behind this endpoint, or null for a remote one.
-  /// Only the legacy closure-routing API (Cluster::*ToWorkers) and the
-  /// borrow-based UpdateFactor entry point use it.
+  /// Only LendPartition (dist/provision.h) uses it: lending shares a
+  /// driver-side pointer, which cannot cross a process boundary.
   virtual Worker* local_worker() { return nullptr; }
 
   /// OS process id of the worker behind this endpoint. Fails with

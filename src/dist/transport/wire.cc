@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/bitspan.h"
+#include "common/rank.h"
 #include "tensor/bit_matrix.h"
 
 namespace dbtf {
@@ -109,7 +110,7 @@ Result<MatrixDelta> DecodeMatrixDelta(ByteReader* reader) {
   DBTF_ASSIGN_OR_RETURN(d.full, DecodeBool(reader));
   DBTF_ASSIGN_OR_RETURN(d.rows, reader->ReadI64());
   DBTF_ASSIGN_OR_RETURN(d.cols, reader->ReadI64());
-  if (d.rows < 0 || d.cols < 0 || d.rows > kMaxWireDim || d.cols > 64) {
+  if (d.rows < 0 || d.cols < 0 || d.rows > kMaxWireDim || d.cols > kMaxRank) {
     return Corrupt("matrix-delta shape out of range");
   }
   if (d.full) {
@@ -196,7 +197,7 @@ Result<RunUpdateColumn> DecodeRunUpdateColumn(ByteReader* reader) {
   DBTF_ASSIGN_OR_RETURN(msg.mode, DecodeMode(reader));
   DBTF_ASSIGN_OR_RETURN(msg.column, reader->ReadI64());
   DBTF_ASSIGN_OR_RETURN(msg.rows, reader->ReadI64());
-  if (msg.column < 0 || msg.column >= 64 || msg.rows < 0 ||
+  if (msg.column < 0 || msg.column >= kMaxRank || msg.rows < 0 ||
       msg.rows > kMaxWireDim) {
     return Corrupt("run-update-column header out of range");
   }
@@ -433,10 +434,10 @@ Result<QueryRequest> DecodeQueryRequest(ByteReader* reader) {
   DBTF_ASSIGN_OR_RETURN(msg.top_r, reader->ReadI64());
   // Coordinates are validated against the factor shapes by the worker; the
   // decoder only rejects values no tensor can reach. top_r is bounded by the
-  // 64-column rank cap shared with MatrixDelta.
+  // rank cap shared with MatrixDelta.
   if (msg.i < 0 || msg.j < 0 || msg.k < 0 || msg.i > kMaxWireDim ||
       msg.j > kMaxWireDim || msg.k > kMaxWireDim || msg.top_r < 0 ||
-      msg.top_r > 64) {
+      msg.top_r > kMaxRank) {
     return Corrupt("query header out of range");
   }
   DBTF_ASSIGN_OR_RETURN(PackedBits slice, DecodePackedBits(reader));
@@ -470,7 +471,7 @@ Result<QueryResponse> DecodeQueryResponse(ByteReader* reader) {
     return Corrupt("ranked concept lists disagree on length");
   }
   for (const std::int64_t concept_id : msg.concept_ids) {
-    if (concept_id < 0 || concept_id >= 64) {
+    if (concept_id < 0 || concept_id >= kMaxRank) {
       return Corrupt("ranked concept id out of range");
     }
   }

@@ -5,6 +5,7 @@
 
 #include "common/bitspan.h"
 #include "common/kernels/kernels.h"
+#include "common/rank.h"
 #include "tensor/boolean_ops.h"
 
 namespace dbtf {
@@ -80,7 +81,7 @@ Result<double> CoverageOfOnes(const SparseTensor& x, const BitMatrix& a,
   if (x.NumNonZeros() == 0) {
     return Status::InvalidArgument("CoverageOfOnes requires a non-empty tensor");
   }
-  if (a.cols() > 64) {
+  if (a.cols() > kMaxRank) {
     return Status::InvalidArgument("CoverageOfOnes: rank must be <= 64");
   }
   const BitMatrix bt = b.Transpose();
@@ -94,7 +95,7 @@ Result<double> CoverageOfOnes(const SparseTensor& x, const BitMatrix& a,
     std::uint64_t key = a.RowMask64(cell.i) & c.RowMask64(cell.k);
     if (!have_key || key != last_key) {
       std::fill(row.begin(), row.end(), BitWord{0});
-      ForEachSetBit(BitSpan(&key, 64), [&](std::size_t r) {
+      ForEachSetBit(BitSpan(&key, kBitsPerWord), [&](std::size_t r) {
         kernels.or_into(sum, bt.Row(static_cast<std::int64_t>(r)));
       });
       last_key = key;

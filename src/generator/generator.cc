@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/rank.h"
 #include "tensor/boolean_ops.h"
 
 namespace dbtf {
@@ -58,9 +59,7 @@ Result<SparseTensor> UniformRandomTensor(std::int64_t dim_i,
 }
 
 Result<PlantedTensor> GeneratePlanted(const PlantedSpec& spec) {
-  if (spec.rank < 1 || spec.rank > 64) {
-    return Status::InvalidArgument("planted rank must be in [1, 64]");
-  }
+  DBTF_RETURN_IF_ERROR(ValidateRank(spec.rank, "planted rank"));
   if (spec.dim_i <= 0 || spec.dim_j <= 0 || spec.dim_k <= 0) {
     return Status::InvalidArgument("planted dimensions must be positive");
   }

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <memory>
 
+#include "common/rank.h"
 #include "dbtf/session.h"
 #include "tensor/boolean_ops.h"
 
@@ -52,9 +53,7 @@ Result<DescriptionLength> ComputeDescriptionLength(const SparseTensor& x,
 Result<RankSelection> EstimateBooleanRank(const SparseTensor& x,
                                           std::int64_t max_rank,
                                           const DbtfConfig& base_config) {
-  if (max_rank < 1 || max_rank > 64) {
-    return Status::InvalidArgument("max_rank must be in [1, 64]");
-  }
+  DBTF_RETURN_IF_ERROR(ValidateRank(max_rank, "max_rank"));
 
   // Candidate ranks: every rank up to 8, then geometric steps.
   std::vector<std::int64_t> candidates;

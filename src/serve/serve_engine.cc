@@ -4,6 +4,7 @@
 
 #include "common/bitspan.h"
 #include "common/check.h"
+#include "common/rank.h"
 #include "dbtf/engine.h"
 #include "dist/messages.h"
 
@@ -32,10 +33,7 @@ Result<std::unique_ptr<ServeEngine>> ServeEngine::Create(Cluster* cluster,
     return Status::InvalidArgument("serve engine needs a cluster");
   }
   const std::int64_t rank = a.cols();
-  if (rank < 1 || rank > 64) {
-    return Status::InvalidArgument(
-        "serving requires a rank in [1, 64] (one-word concept masks)");
-  }
+  DBTF_RETURN_IF_ERROR(ValidateRank(rank, "serving rank"));
   if (b.cols() != rank || c.cols() != rank) {
     return Status::InvalidArgument(
         "factor matrices disagree on the rank (column counts differ)");
@@ -230,7 +228,7 @@ Status ServeEngine::TopConcepts(Mode mode, std::vector<BitWord> slice_bits,
           BitSpan(slice_bits.data(), static_cast<std::size_t>(slice_len)))) {
     return Status::InvalidArgument("query slice padding bits must be zero");
   }
-  if (top_r < 0 || top_r > 64) {
+  if (top_r < 0 || top_r > kMaxRank) {
     return Status::InvalidArgument("top_r must be in [0, 64]");
   }
   QueryRequest msg;

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/rank.h"
 
 namespace dbtf {
 
@@ -49,10 +50,8 @@ Status WorkloadOptions::Validate() const {
       return Status::InvalidArgument("workload dimensions must be >= 1");
     }
   }
-  if (rank < 1 || rank > 64) {
-    return Status::InvalidArgument("workload rank must be in [1, 64]");
-  }
-  if (top_r < 0 || top_r > 64) {
+  DBTF_RETURN_IF_ERROR(ValidateRank(rank, "workload rank"));
+  if (top_r < 0 || top_r > kMaxRank) {
     return Status::InvalidArgument("top_r must be in [0, 64]");
   }
   return Status::OK();

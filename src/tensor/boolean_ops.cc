@@ -5,6 +5,7 @@
 
 #include "common/bitspan.h"
 #include "common/kernels/kernels.h"
+#include "common/rank.h"
 
 namespace dbtf {
 
@@ -76,7 +77,7 @@ Result<BitMatrix> PointwiseVectorMatrix(std::uint64_t row_mask,
     return Status::InvalidArgument(
         "PointwiseVectorMatrix: rank does not match matrix columns");
   }
-  if (rank > 64) {
+  if (rank > kMaxRank) {
     return Status::InvalidArgument("PointwiseVectorMatrix: rank must be <= 64");
   }
   BitMatrix out(b.rows(), rank);
@@ -130,7 +131,7 @@ Result<std::int64_t> ReconstructionError(const SparseTensor& x,
     return Status::InvalidArgument(
         "ReconstructionError: factor ranks must match");
   }
-  if (a.cols() > 64) {
+  if (a.cols() > kMaxRank) {
     return Status::InvalidArgument("ReconstructionError: rank must be <= 64");
   }
   if (a.rows() != x.dim_i() || b.rows() != x.dim_j() || c.rows() != x.dim_k()) {
@@ -157,7 +158,7 @@ Result<std::int64_t> ReconstructionError(const SparseTensor& x,
     Memo m;
     m.row.assign(words, 0);
     const MutableBitSpan sum(m.row.data(), bits_j);
-    ForEachSetBit(BitSpan(&key, 64), [&](std::size_t r) {
+    ForEachSetBit(BitSpan(&key, kBitsPerWord), [&](std::size_t r) {
       kernels.or_into(sum, bt.Row(static_cast<std::int64_t>(r)));
     });
     m.nnz = kernels.popcount(sum);

@@ -11,7 +11,7 @@
 #include "common/status.h"
 #include "dist/cluster.h"
 #include "dist/thread_pool.h"
-#include "dist/worker.h"
+#include "fake_endpoint.h"
 
 namespace dbtf {
 namespace {
@@ -120,32 +120,26 @@ TEST(AsyncCluster, EmptyRegistryResolvesWithoutDeadlock) {
   config.num_threads = 2;
   auto cluster = Cluster::Create(config);
   ASSERT_TRUE(cluster.ok());
-  Future<Unit> future =
-      (*cluster)->AsyncDispatchToWorkers([](Worker&) { return Status::OK(); });
-  EXPECT_EQ(future.Get().status().code(), StatusCode::kFailedPrecondition);
+  CollectErrorsResponse response;
+  EXPECT_EQ((*cluster)
+                ->RunColumn(RunUpdateColumn{}, CollectErrorsRequest{},
+                            &response)
+                .code(),
+            StatusCode::kFailedPrecondition);
 }
 
-/// One recorded handler invocation: which round, and which message kind.
-struct Delivery {
-  int round;
-  MessageKind kind;
-  bool operator==(const Delivery& other) const {
-    return round == other.round && kind == other.kind;
-  }
-};
-
-// The determinism anchor of the whole async runtime: N machines, K fully
-// pipelined rounds of broadcast/dispatch/collect launched without any
-// waiting in between, under a fault plan with transient failures and a
-// stall. Every machine must see its deliveries in exact enqueue order
-// (mailbox FIFO), every handler must run exactly once per round (faults
-// fail *before* the handler; retries redeliver), and the ledger must charge
-// exactly once per event. Run under TSan this is also the concurrency
-// stress for mailboxes, futures, and the ledger.
-TEST(AsyncCluster, PipelinedRoundsStayFifoAndChargeExactlyOnce) {
+// The determinism anchor of the routing runtime: N machines, K rounds of
+// broadcast + column (dispatch and collect posted back-to-back per machine)
+// under a fault plan with transient failures and a stall. Every machine
+// must see its deliveries in exact post order (mailbox FIFO), every handler
+// must run exactly once per round (faults fail *before* the handler;
+// retries redeliver), and the ledger must charge exactly once per event.
+// Run under TSan this is also the concurrency stress for mailboxes,
+// futures, and the ledger.
+TEST(AsyncCluster, RoundsStayFifoAndChargeExactlyOnce) {
   constexpr int kMachines = 4;
   constexpr int kRounds = 8;
-  constexpr std::int64_t kBroadcastBytes = 64;
+  constexpr std::int64_t kBroadcastWords = 8;
 
   ClusterConfig config;
   config.num_machines = kMachines;
@@ -158,51 +152,36 @@ TEST(AsyncCluster, PipelinedRoundsStayFifoAndChargeExactlyOnce) {
   auto cluster = Cluster::Create(config);
   ASSERT_TRUE(cluster.ok());
 
-  std::vector<std::unique_ptr<Worker>> workers;
+  std::vector<std::shared_ptr<FakeEndpoint>> fakes;
   for (int m = 0; m < kMachines; ++m) {
-    workers.push_back(std::make_unique<Worker>(m));
-    ASSERT_TRUE((*cluster)->AttachWorker(m, workers.back().get()).ok());
+    fakes.push_back(std::make_shared<FakeEndpoint>(m, m * 10 + 1));
+    ASSERT_TRUE((*cluster)->AttachEndpoint(m, fakes.back()).ok());
   }
 
-  // Written only from each machine's own serial mailbox; read after every
-  // future resolved (Get is the synchronization point).
-  std::vector<std::vector<Delivery>> seen(kMachines);
-  std::vector<Future<Unit>> futures;
+  // Each message carries its round as the fake's delivery tag.
   for (int round = 0; round < kRounds; ++round) {
-    futures.push_back((*cluster)->AsyncBroadcastToWorkers(
-        kBroadcastBytes, [&seen, round](Worker& w) {
-          seen[static_cast<std::size_t>(w.machine())].push_back(
-              {round, MessageKind::kBroadcast});
-          return Status::OK();
-        }));
-    futures.push_back(
-        (*cluster)->AsyncDispatchToWorkers([&seen, round](Worker& w) {
-          seen[static_cast<std::size_t>(w.machine())].push_back(
-              {round, MessageKind::kDispatch});
-          return Status::OK();
-        }));
-    futures.push_back((*cluster)->AsyncCollectFromWorkers(
-        [&seen, round](Worker& w) -> Result<std::int64_t> {
-          seen[static_cast<std::size_t>(w.machine())].push_back(
-              {round, MessageKind::kCollect});
-          return w.machine() * 10 + 1;
-        }));
-  }
-  for (Future<Unit>& f : futures) {
-    EXPECT_TRUE(f.Get().ok());
+    ASSERT_TRUE(
+        (*cluster)->BroadcastFactors(BroadcastOfWords(kBroadcastWords, round))
+            .ok());
+    RunUpdateColumn run;
+    run.column = round;
+    CollectErrorsRequest collect;
+    collect.rows = round;
+    CollectErrorsResponse response;
+    ASSERT_TRUE((*cluster)->RunColumn(run, collect, &response).ok());
   }
 
   // Per-machine FIFO: broadcast, dispatch, collect of round r, then round
-  // r+1 — exactly the enqueue order, independent of thread scheduling.
-  for (int m = 0; m < kMachines; ++m) {
-    const std::vector<Delivery>& log = seen[static_cast<std::size_t>(m)];
+  // r+1 — exactly the post order, independent of thread scheduling.
+  for (const auto& fake : fakes) {
+    const std::vector<Delivery> log = fake->log();
     ASSERT_EQ(log.size(), static_cast<std::size_t>(3 * kRounds))
-        << "machine " << m;
+        << "machine " << fake->machine();
     for (int round = 0; round < kRounds; ++round) {
       const std::size_t base = static_cast<std::size_t>(3 * round);
-      EXPECT_EQ(log[base], (Delivery{round, MessageKind::kBroadcast}));
-      EXPECT_EQ(log[base + 1], (Delivery{round, MessageKind::kDispatch}));
-      EXPECT_EQ(log[base + 2], (Delivery{round, MessageKind::kCollect}));
+      EXPECT_EQ(log[base], (Delivery{MessageKind::kBroadcast, round}));
+      EXPECT_EQ(log[base + 1], (Delivery{MessageKind::kDispatch, round}));
+      EXPECT_EQ(log[base + 2], (Delivery{MessageKind::kCollect, round}));
     }
   }
 
@@ -211,7 +190,8 @@ TEST(AsyncCluster, PipelinedRoundsStayFifoAndChargeExactlyOnce) {
   // per-machine bytes.
   const CommSnapshot snap = (*cluster)->comm().Snapshot();
   EXPECT_EQ(snap.broadcast_events, kRounds);
-  EXPECT_EQ(snap.broadcast_bytes, kRounds * kBroadcastBytes * kMachines);
+  EXPECT_EQ(snap.broadcast_bytes,
+            kRounds * kBroadcastWords * 8 * kMachines);
   EXPECT_EQ(snap.collect_events, kRounds);
   EXPECT_EQ(snap.collect_bytes, kRounds * (1 + 11 + 21 + 31));
   // The three planned transient faults each failed one delivery attempt and

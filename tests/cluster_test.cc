@@ -4,10 +4,12 @@
 
 #include <atomic>
 #include <limits>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "dist/placement.h"
-#include "dist/worker.h"
+#include "fake_endpoint.h"
 
 namespace dbtf {
 namespace {
@@ -191,18 +193,19 @@ TEST(Cluster, ResetVirtualTimeKeepsLedger) {
 TEST(Cluster, WorkerRegistryValidatesAttachment) {
   auto cluster = Cluster::Create(SmallConfig());
   ASSERT_TRUE(cluster.ok());
-  Worker w0(0);
-  Worker w0_dup(0);
   EXPECT_EQ((*cluster)->num_attached_workers(), 0);
-  EXPECT_TRUE((*cluster)->AttachWorker(0, &w0).ok());
+  EXPECT_TRUE(
+      (*cluster)->AttachEndpoint(0, std::make_shared<FakeEndpoint>(0)).ok());
   EXPECT_EQ((*cluster)->num_attached_workers(), 1);
-  EXPECT_EQ((*cluster)->AttachWorker(0, &w0_dup).code(),
-            StatusCode::kFailedPrecondition)
+  EXPECT_EQ(
+      (*cluster)->AttachEndpoint(0, std::make_shared<FakeEndpoint>(0)).code(),
+      StatusCode::kFailedPrecondition)
       << "one endpoint per machine";
-  EXPECT_EQ((*cluster)->AttachWorker(4, &w0).code(),
-            StatusCode::kInvalidArgument)
+  EXPECT_EQ(
+      (*cluster)->AttachEndpoint(4, std::make_shared<FakeEndpoint>(4)).code(),
+      StatusCode::kInvalidArgument)
       << "machine index out of range";
-  EXPECT_EQ((*cluster)->AttachWorker(1, nullptr).code(),
+  EXPECT_EQ((*cluster)->AttachEndpoint(1, nullptr).code(),
             StatusCode::kInvalidArgument);
   (*cluster)->DetachWorkers();
   EXPECT_EQ((*cluster)->num_attached_workers(), 0);
@@ -211,34 +214,39 @@ TEST(Cluster, WorkerRegistryValidatesAttachment) {
 TEST(Cluster, RoutingRequiresWorkers) {
   auto cluster = Cluster::Create(SmallConfig());
   ASSERT_TRUE(cluster.ok());
-  const auto noop = [](Worker&) { return Status::OK(); };
-  EXPECT_EQ((*cluster)->DispatchToWorkers(noop).code(),
+  EXPECT_EQ((*cluster)->BroadcastFactors(BroadcastOfWords(8)).code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ((*cluster)->BroadcastToWorkers(64, noop).code(),
+  CollectErrorsResponse response;
+  EXPECT_EQ((*cluster)
+                ->RunColumn(RunUpdateColumn{}, CollectErrorsRequest{},
+                            &response)
+                .code(),
             StatusCode::kFailedPrecondition);
-  const auto gather = [](Worker&) -> Result<std::int64_t> { return 0; };
-  EXPECT_EQ((*cluster)->CollectFromWorkers(gather).code(),
-            StatusCode::kFailedPrecondition);
+  QueryResponse answer;
+  EXPECT_EQ((*cluster)->QueryWorker(0, QueryRequest{}, &answer).code(),
+            StatusCode::kUnavailable)
+      << "a query names its machine; an absent one is a failover case";
+  const CommSnapshot snap = (*cluster)->comm().Snapshot();
+  EXPECT_EQ(snap.broadcast_events, 0)
+      << "a broadcast that reached no endpoint is not charged";
+  EXPECT_EQ(snap.TotalBytes(), 0);
+  EXPECT_DOUBLE_EQ((*cluster)->DriverSeconds(), 0.0);
 }
 
 TEST(Cluster, BroadcastChargesPerMachineAndDeliversToAll) {
   auto cluster = Cluster::Create(SmallConfig());
   ASSERT_TRUE(cluster.ok());
-  Worker w0(0);
-  Worker w2(2);
-  ASSERT_TRUE((*cluster)->AttachWorker(0, &w0).ok());
-  ASSERT_TRUE((*cluster)->AttachWorker(2, &w2).ok());
-  std::atomic<int> delivered{0};
-  ASSERT_TRUE((*cluster)
-                  ->BroadcastToWorkers(100,
-                                       [&delivered](Worker&) {
-                                         delivered.fetch_add(1);
-                                         return Status::OK();
-                                       })
-                  .ok());
-  EXPECT_EQ(delivered.load(), 2);
+  auto w0 = std::make_shared<FakeEndpoint>(0);
+  auto w2 = std::make_shared<FakeEndpoint>(2);
+  ASSERT_TRUE((*cluster)->AttachEndpoint(0, w0).ok());
+  ASSERT_TRUE((*cluster)->AttachEndpoint(2, w2).ok());
+  const FactorDelta msg = BroadcastOfWords(12);
+  ASSERT_EQ(msg.WireBytes(), 96);
+  ASSERT_TRUE((*cluster)->BroadcastFactors(msg).ok());
+  EXPECT_EQ(w0->deliveries(MessageKind::kBroadcast), 1);
+  EXPECT_EQ(w2->deliveries(MessageKind::kBroadcast), 1);
   const CommSnapshot snap = (*cluster)->comm().Snapshot();
-  EXPECT_EQ(snap.broadcast_bytes, 100 * 4)
+  EXPECT_EQ(snap.broadcast_bytes, 96 * 4)
       << "a broadcast is priced for every machine of the cluster";
   EXPECT_EQ(snap.broadcast_events, 1);
 }
@@ -246,15 +254,21 @@ TEST(Cluster, BroadcastChargesPerMachineAndDeliversToAll) {
 TEST(Cluster, CollectSumsWorkerBytesIntoOneEvent) {
   auto cluster = Cluster::Create(SmallConfig());
   ASSERT_TRUE(cluster.ok());
-  Worker w0(0);
-  Worker w1(1);
-  ASSERT_TRUE((*cluster)->AttachWorker(0, &w0).ok());
-  ASSERT_TRUE((*cluster)->AttachWorker(1, &w1).ok());
+  auto w0 = std::make_shared<FakeEndpoint>(0, /*collect_wire_bytes=*/30);
+  auto w1 = std::make_shared<FakeEndpoint>(1, /*collect_wire_bytes=*/12);
+  ASSERT_TRUE((*cluster)->AttachEndpoint(0, w0).ok());
+  ASSERT_TRUE((*cluster)->AttachEndpoint(1, w1).ok());
+  CollectErrorsResponse response;
   ASSERT_TRUE((*cluster)
-                  ->CollectFromWorkers([](Worker& w) -> Result<std::int64_t> {
-                    return w.machine() == 0 ? 30 : 12;
-                  })
+                  ->RunColumn(RunUpdateColumn{}, CollectErrorsRequest{},
+                              &response)
                   .ok());
+  for (const auto& w : {w0, w1}) {
+    EXPECT_EQ(w->log(), (std::vector<Delivery>{{MessageKind::kDispatch, 0},
+                                               {MessageKind::kCollect, 0}}))
+        << "dispatch, then collect, on machine " << w->machine();
+  }
+  EXPECT_EQ(response.wire_bytes, 42) << "responses merge at the driver";
   const CommSnapshot snap = (*cluster)->comm().Snapshot();
   EXPECT_EQ(snap.collect_bytes, 42);
   EXPECT_EQ(snap.collect_events, 1);
@@ -263,14 +277,65 @@ TEST(Cluster, CollectSumsWorkerBytesIntoOneEvent) {
 TEST(Cluster, DispatchSurfacesWorkerErrors) {
   auto cluster = Cluster::Create(SmallConfig());
   ASSERT_TRUE(cluster.ok());
-  Worker w0(0);
-  Worker w1(1);
-  ASSERT_TRUE((*cluster)->AttachWorker(0, &w0).ok());
-  ASSERT_TRUE((*cluster)->AttachWorker(1, &w1).ok());
-  const Status status = (*cluster)->DispatchToWorkers([](Worker& w) {
-    return w.machine() == 1 ? Status::Internal("boom") : Status::OK();
-  });
+  auto w0 = std::make_shared<FakeEndpoint>(0);
+  auto w1 = std::make_shared<FakeEndpoint>(1);
+  w1->Fail(MessageKind::kDispatch, Status::Internal("boom"));
+  ASSERT_TRUE((*cluster)->AttachEndpoint(0, w0).ok());
+  ASSERT_TRUE((*cluster)->AttachEndpoint(1, w1).ok());
+  CollectErrorsResponse response;
+  const Status status = (*cluster)->RunColumn(
+      RunUpdateColumn{}, CollectErrorsRequest{}, &response);
   EXPECT_EQ(status.code(), StatusCode::kInternal);
+  EXPECT_EQ((*cluster)->comm().Snapshot().collect_events, 1)
+      << "the collect charge depends on the collects alone";
+}
+
+TEST(Cluster, DispatchFailureOutranksCollectFailureOfSameSeverity) {
+  auto cluster = Cluster::Create(SmallConfig());
+  ASSERT_TRUE(cluster.ok());
+  auto w0 = std::make_shared<FakeEndpoint>(0);
+  auto w1 = std::make_shared<FakeEndpoint>(1);
+  // Machine 0 comes first in attach order, yet its collect failure must
+  // lose to machine 1's dispatch failure: statuses are step-major.
+  w0->Fail(MessageKind::kCollect, Status::Internal("collect"));
+  w1->Fail(MessageKind::kDispatch, Status::Internal("dispatch"));
+  ASSERT_TRUE((*cluster)->AttachEndpoint(0, w0).ok());
+  ASSERT_TRUE((*cluster)->AttachEndpoint(1, w1).ok());
+  CollectErrorsResponse response;
+  const Status status = (*cluster)->RunColumn(
+      RunUpdateColumn{}, CollectErrorsRequest{}, &response);
+  EXPECT_EQ(status.code(), StatusCode::kInternal);
+  EXPECT_EQ(status.message(), "dispatch");
+  EXPECT_EQ((*cluster)->comm().Snapshot().collect_events, 0)
+      << "a column whose collect failed on any machine charges nothing";
+}
+
+TEST(Cluster, QueryRoutesToOneMachineAndChargesTheRoundTrip) {
+  auto cluster = Cluster::Create(SmallConfig());
+  ASSERT_TRUE(cluster.ok());
+  auto w0 = std::make_shared<FakeEndpoint>(0);
+  auto w1 = std::make_shared<FakeEndpoint>(1);
+  ASSERT_TRUE((*cluster)->AttachEndpoint(0, w0).ok());
+  ASSERT_TRUE((*cluster)->AttachEndpoint(1, w1).ok());
+  QueryRequest msg;
+  msg.id = 7;
+  const std::int64_t request_bytes = msg.WireBytes();
+  QueryResponse response;
+  ASSERT_TRUE((*cluster)->QueryWorker(1, msg, &response).ok());
+  EXPECT_EQ(response.id, 7u);
+  EXPECT_EQ(w0->log(), std::vector<Delivery>{});
+  EXPECT_EQ(w1->log(), (std::vector<Delivery>{{MessageKind::kCollect, 7}}));
+  EXPECT_EQ((*cluster)->comm().Snapshot().query_bytes,
+            request_bytes + response.WireBytes());
+
+  w1->Fail(MessageKind::kCollect, Status::Internal("boom"));
+  EXPECT_EQ((*cluster)->QueryWorker(1, msg, &response).code(),
+            StatusCode::kInternal);
+  EXPECT_EQ((*cluster)->QueryWorker(4, msg, &response).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*cluster)->comm().Snapshot().query_bytes,
+            request_bytes + response.WireBytes())
+      << "a failed query charges nothing";
 }
 
 TEST(Placement, RoundRobinAndBlockPolicies) {

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,7 +12,7 @@
 #include "dbtf/partition.h"
 #include "dist/cluster.h"
 #include "dist/provision.h"
-#include "dist/worker.h"
+#include "fake_endpoint.h"
 #include "generator/generator.h"
 #include "tensor/unfold.h"
 
@@ -228,22 +228,38 @@ TEST(ClusterFaults, ConfigValidatesPlanAndPolicy) {
   EXPECT_FALSE(config.Validate().ok());
 }
 
+/// Attaches one fake endpoint per listed machine.
+std::vector<std::shared_ptr<FakeEndpoint>> AttachFakes(
+    Cluster& cluster, const std::vector<int>& machines,
+    std::int64_t collect_wire_bytes = 0) {
+  std::vector<std::shared_ptr<FakeEndpoint>> fakes;
+  for (const int m : machines) {
+    fakes.push_back(std::make_shared<FakeEndpoint>(m, collect_wire_bytes));
+    EXPECT_TRUE(cluster.AttachEndpoint(m, fakes.back()).ok());
+  }
+  return fakes;
+}
+
+/// One column step (dispatch + collect) with empty messages.
+Status RunEmptyColumn(Cluster& cluster) {
+  CollectErrorsResponse response;
+  return cluster.RunColumn(RunUpdateColumn{}, CollectErrorsRequest{},
+                           &response);
+}
+
 TEST(ClusterFaults, TransientFaultIsRetriedTransparently) {
-  auto cluster = Cluster::Create(FaultyConfig("1:dispatch:transient@1"));
+  ClusterConfig config = FaultyConfig("1:dispatch:transient@1");
+  // A free network, so the only driver time is the retry backoff.
+  config.network_latency_seconds = 0.0;
+  auto cluster = Cluster::Create(config);
   ASSERT_TRUE(cluster.ok());
-  Worker w0(0);
-  Worker w1(1);
-  ASSERT_TRUE((*cluster)->AttachWorker(0, &w0).ok());
-  ASSERT_TRUE((*cluster)->AttachWorker(1, &w1).ok());
-  std::atomic<int> delivered{0};
-  ASSERT_TRUE((*cluster)
-                  ->DispatchToWorkers([&delivered](Worker&) {
-                    delivered.fetch_add(1);
-                    return Status::OK();
-                  })
-                  .ok())
+  const auto fakes = AttachFakes(**cluster, {0, 1});
+  ASSERT_TRUE(RunEmptyColumn(**cluster).ok())
       << "one transient fault is absorbed by the retry policy";
-  EXPECT_EQ(delivered.load(), 2) << "every worker saw exactly one delivery";
+  for (const auto& fake : fakes) {
+    EXPECT_EQ(fake->deliveries(MessageKind::kDispatch), 1)
+        << "every endpoint saw exactly one delivery";
+  }
   const RecoveryStats stats = (*cluster)->recovery().Snapshot();
   EXPECT_EQ(stats.failed_deliveries, 1);
   EXPECT_EQ(stats.retries, 1);
@@ -255,20 +271,14 @@ TEST(ClusterFaults, TransientFaultIsRetriedTransparently) {
 TEST(ClusterFaults, CollectRetryNeverDoubleCounts) {
   auto cluster = Cluster::Create(FaultyConfig("0:collect:transient@1"));
   ASSERT_TRUE(cluster.ok());
-  Worker w0(0);
-  Worker w1(1);
-  ASSERT_TRUE((*cluster)->AttachWorker(0, &w0).ok());
-  ASSERT_TRUE((*cluster)->AttachWorker(1, &w1).ok());
-  int gathers = 0;
-  ASSERT_TRUE((*cluster)
-                  ->CollectFromWorkers([&gathers](Worker&) -> Result<std::int64_t> {
-                    ++gathers;
-                    return 10;
-                  })
-                  .ok());
-  EXPECT_EQ(gathers, 2) << "the faulted attempt never reached the gather";
+  const auto fakes = AttachFakes(**cluster, {0, 1}, /*collect_wire_bytes=*/10);
+  ASSERT_TRUE(RunEmptyColumn(**cluster).ok());
+  for (const auto& fake : fakes) {
+    EXPECT_EQ(fake->deliveries(MessageKind::kCollect), 1)
+        << "the faulted attempt never reached the endpoint";
+  }
   EXPECT_EQ((*cluster)->comm().Snapshot().collect_bytes, 20)
-      << "each worker's payload is charged exactly once";
+      << "each endpoint's payload is charged exactly once";
   EXPECT_EQ((*cluster)->recovery().Snapshot().retries, 1);
 }
 
@@ -277,16 +287,9 @@ TEST(ClusterFaults, StallPastDeadlineIsRetried) {
   config.retry.message_deadline_seconds = 0.25;
   auto cluster = Cluster::Create(config);
   ASSERT_TRUE(cluster.ok());
-  Worker w0(0);
-  ASSERT_TRUE((*cluster)->AttachWorker(0, &w0).ok());
-  std::atomic<int> delivered{0};
-  ASSERT_TRUE((*cluster)
-                  ->DispatchToWorkers([&delivered](Worker&) {
-                    delivered.fetch_add(1);
-                    return Status::OK();
-                  })
-                  .ok());
-  EXPECT_EQ(delivered.load(), 1);
+  const auto fakes = AttachFakes(**cluster, {0});
+  ASSERT_TRUE(RunEmptyColumn(**cluster).ok());
+  EXPECT_EQ(fakes[0]->deliveries(MessageKind::kDispatch), 1);
   // The stall is charged to the machine's virtual clock even though the
   // delivery was abandoned at the deadline.
   EXPECT_GE((*cluster)->MachineComputeSeconds(0), 0.5);
@@ -298,16 +301,10 @@ TEST(ClusterFaults, StallPastDeadlineIsRetried) {
 TEST(ClusterFaults, ShortStallOnlyCostsVirtualTime) {
   auto cluster = Cluster::Create(FaultyConfig("0:dispatch:stall@1~0.01"));
   ASSERT_TRUE(cluster.ok());
-  Worker w0(0);
-  ASSERT_TRUE((*cluster)->AttachWorker(0, &w0).ok());
-  std::atomic<int> delivered{0};
-  ASSERT_TRUE((*cluster)
-                  ->DispatchToWorkers([&delivered](Worker&) {
-                    delivered.fetch_add(1);
-                    return Status::OK();
-                  })
-                  .ok());
-  EXPECT_EQ(delivered.load(), 1) << "a stall under the deadline goes through";
+  const auto fakes = AttachFakes(**cluster, {0});
+  ASSERT_TRUE(RunEmptyColumn(**cluster).ok());
+  EXPECT_EQ(fakes[0]->deliveries(MessageKind::kDispatch), 1)
+      << "a stall under the deadline goes through";
   EXPECT_GE((*cluster)->MachineComputeSeconds(0), 0.01);
   EXPECT_EQ((*cluster)->recovery().Snapshot().retries, 0);
 }
@@ -317,17 +314,13 @@ TEST(ClusterFaults, ExhaustedRetryBudgetSurfacesCleanUnavailable) {
   config.retry.max_attempts = 3;
   auto cluster = Cluster::Create(config);
   ASSERT_TRUE(cluster.ok());
-  Worker w0(0);
-  ASSERT_TRUE((*cluster)->AttachWorker(0, &w0).ok());
-  std::atomic<int> delivered{0};
-  const Status status = (*cluster)->DispatchToWorkers([&delivered](Worker&) {
-    delivered.fetch_add(1);
-    return Status::OK();
-  });
+  const auto fakes = AttachFakes(**cluster, {0});
+  const Status status = RunEmptyColumn(**cluster);
   EXPECT_EQ(status.code(), StatusCode::kUnavailable);
   EXPECT_NE(status.message().find("retry budget exhausted"), std::string::npos)
       << status.ToString();
-  EXPECT_EQ(delivered.load(), 0) << "every attempt was absorbed by the fault";
+  EXPECT_EQ(fakes[0]->deliveries(MessageKind::kDispatch), 0)
+      << "every attempt was absorbed by the fault";
   const RecoveryStats stats = (*cluster)->recovery().Snapshot();
   EXPECT_EQ(stats.failed_deliveries, 3);
   EXPECT_EQ(stats.retries, 2);
@@ -337,66 +330,52 @@ TEST(ClusterFaults, ExhaustedRetryBudgetSurfacesCleanUnavailable) {
 TEST(ClusterFaults, FatalHandlerErrorsAreNotRetried) {
   auto cluster = Cluster::Create(FaultyConfig("1:dispatch:transient@1"));
   ASSERT_TRUE(cluster.ok());
-  Worker w0(0);
-  ASSERT_TRUE((*cluster)->AttachWorker(0, &w0).ok());
-  int calls = 0;
-  const Status status = (*cluster)->DispatchToWorkers([&calls](Worker&) {
-    ++calls;
-    return Status::Internal("corrupt partition");
-  });
+  const auto fakes = AttachFakes(**cluster, {0});
+  fakes[0]->Fail(MessageKind::kDispatch, Status::Internal("corrupt partition"));
+  const Status status = RunEmptyColumn(**cluster);
   EXPECT_EQ(status.code(), StatusCode::kInternal);
-  EXPECT_EQ(calls, 1) << "fatal codes surface immediately";
+  EXPECT_EQ(fakes[0]->deliveries(MessageKind::kDispatch), 1)
+      << "fatal codes surface immediately";
   EXPECT_EQ((*cluster)->recovery().Snapshot().retries, 0);
 }
 
 TEST(ClusterFaults, CrashDetachesEndpointAndReportsDeadMachine) {
   auto cluster = Cluster::Create(FaultyConfig("1:dispatch:crash@1"));
   ASSERT_TRUE(cluster.ok());
-  Worker w0(0);
-  Worker w1(1);
-  ASSERT_TRUE((*cluster)->AttachWorker(0, &w0).ok());
-  ASSERT_TRUE((*cluster)->AttachWorker(1, &w1).ok());
+  const auto fakes = AttachFakes(**cluster, {0, 1});
   EXPECT_TRUE((*cluster)->DeadMachines().empty());
 
-  const Status status =
-      (*cluster)->DispatchToWorkers([](Worker&) { return Status::OK(); });
-  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(RunEmptyColumn(**cluster).code(), StatusCode::kUnavailable);
   EXPECT_EQ((*cluster)->DeadMachines(), std::vector<int>{1});
   EXPECT_EQ((*cluster)->num_attached_workers(), 1)
       << "the dead machine's endpoint is detached";
-  EXPECT_EQ((*cluster)->AttachedWorkerOn(1), nullptr);
-  EXPECT_EQ((*cluster)->AttachWorker(1, &w1).code(),
+  EXPECT_EQ((*cluster)->EndpointOn(1), nullptr);
+  EXPECT_EQ((*cluster)->AttachEndpoint(1, fakes[1]).code(),
             StatusCode::kFailedPrecondition)
       << "a dead machine's endpoint can never be re-attached";
+  EXPECT_EQ(fakes[1]->deliveries(MessageKind::kDispatch), 0)
+      << "the crash hit before the handler";
   const RecoveryStats stats = (*cluster)->recovery().Snapshot();
   EXPECT_EQ(stats.machines_lost, 1);
 
   // The survivor keeps routing.
-  std::atomic<int> delivered{0};
-  ASSERT_TRUE((*cluster)
-                  ->DispatchToWorkers([&delivered](Worker&) {
-                    delivered.fetch_add(1);
-                    return Status::OK();
-                  })
-                  .ok());
-  EXPECT_EQ(delivered.load(), 1);
+  ASSERT_TRUE(RunEmptyColumn(**cluster).ok());
+  EXPECT_EQ(fakes[0]->deliveries(MessageKind::kDispatch), 2);
+  EXPECT_EQ(fakes[1]->deliveries(MessageKind::kDispatch), 0);
 }
 
 TEST(ClusterFaults, RoutingAfterTotalLossIsUnavailableNotUsageError) {
   auto cluster = Cluster::Create(FaultyConfig("1:dispatch:crash@1"));
   ASSERT_TRUE(cluster.ok());
-  Worker w1(1);
-  ASSERT_TRUE((*cluster)->AttachWorker(1, &w1).ok());
-  EXPECT_EQ((*cluster)
-                ->DispatchToWorkers([](Worker&) { return Status::OK(); })
-                .code(),
-            StatusCode::kUnavailable);
+  const auto fakes = AttachFakes(**cluster, {1});
+  EXPECT_EQ(RunEmptyColumn(**cluster).code(), StatusCode::kUnavailable);
   // The only endpoint died: routing now reports kUnavailable (retryable, the
   // driver may re-provision) instead of kFailedPrecondition (usage error).
-  EXPECT_EQ((*cluster)
-                ->DispatchToWorkers([](Worker&) { return Status::OK(); })
-                .code(),
+  EXPECT_EQ(RunEmptyColumn(**cluster).code(), StatusCode::kUnavailable);
+  EXPECT_EQ((*cluster)->BroadcastFactors(BroadcastOfWords(8)).code(),
             StatusCode::kUnavailable);
+  EXPECT_EQ((*cluster)->comm().Snapshot().broadcast_events, 0)
+      << "a broadcast with every machine dead is not charged";
 }
 
 // --- Re-provisioning lost partitions ----------------------------------------
@@ -415,7 +394,7 @@ PlantedTensor MakePlanted(std::uint64_t seed) {
 TEST(Reprovision, RebuildsLostPartitionsOntoSurvivors) {
   const PlantedTensor p = MakePlanted(51);
   auto cluster =
-      Cluster::Create(FaultyConfig("1:dispatch:crash@1", /*machines=*/2));
+      Cluster::Create(FaultyConfig("1:broadcast:crash@1", /*machines=*/2));
   ASSERT_TRUE(cluster.ok());
   ASSERT_TRUE(ProvisionWorkers(**cluster).ok());
 
@@ -435,10 +414,11 @@ TEST(Reprovision, RebuildsLostPartitionsOntoSurvivors) {
   const CommSnapshot before = (*cluster)->comm().Snapshot();
 
   // Machine 1 — round-robin owner of the odd partitions — crashes on its
-  // first dispatch delivery.
-  EXPECT_EQ((*cluster)
-                ->DispatchToWorkers([](Worker&) { return Status::OK(); })
-                .code(),
+  // first broadcast delivery (an apply-only delta with no updates, which
+  // the survivor accepts as a no-op).
+  FactorDelta noop;
+  noop.apply_only = true;
+  EXPECT_EQ((*cluster)->BroadcastFactors(noop).code(),
             StatusCode::kUnavailable);
   ASSERT_EQ((*cluster)->DeadMachines(), std::vector<int>{1});
 
@@ -456,11 +436,13 @@ TEST(Reprovision, RebuildsLostPartitionsOntoSurvivors) {
   EXPECT_EQ(rebuilds, 1);
 
   // Full coverage is restored on the survivor.
-  Worker* survivor = (*cluster)->AttachedWorkerOn(0);
+  const std::shared_ptr<WorkerEndpoint> survivor = (*cluster)->EndpointOn(0);
   ASSERT_NE(survivor, nullptr);
-  ASSERT_EQ(survivor->NumLocalPartitions(Mode::kOne), num_partitions);
-  std::vector<std::int64_t> indexes =
-      survivor->LocalPartitionIndexes(Mode::kOne);
+  Result<std::vector<std::int64_t>> listed =
+      survivor->ListPartitions(Mode::kOne, nullptr);
+  ASSERT_TRUE(listed.ok());
+  std::vector<std::int64_t> indexes = *std::move(listed);
+  ASSERT_EQ(static_cast<std::int64_t>(indexes.size()), num_partitions);
   std::sort(indexes.begin(), indexes.end());
   for (std::int64_t i = 0; i < num_partitions; ++i) {
     EXPECT_EQ(indexes[static_cast<std::size_t>(i)], i);

@@ -1,20 +1,19 @@
-// Regression test for the detach-during-dispatch lifetime rule: workers the
-// cluster owns (attached via the shared_ptr overload, as dist/provision.h
-// does) must stay alive while a routing call is still running handlers on
-// them, even if another thread calls DetachWorkers mid-flight. Routing
-// snapshots share ownership, so the handler below keeps touching its worker
-// after the detach without a use-after-free (run under ASan/TSan in CI).
+// Regression test for the detach-during-routing lifetime rule: endpoints
+// attached to the cluster must stay alive while a routing call is still
+// delivering to them, even if another thread calls DetachWorkers mid-flight.
+// Routing snapshots share ownership, so the fake below keeps touching its
+// own state after the detach without a use-after-free (run under ASan/TSan
+// in CI) — and the snapshot lets go once the call returns.
 
-#include <atomic>
-#include <chrono>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dist/cluster.h"
 #include "dist/provision.h"
-#include "dist/worker.h"
+#include "fake_endpoint.h"
 
 namespace dbtf {
 namespace {
@@ -26,34 +25,36 @@ TEST(WorkerLifetimeTest, DetachDuringDispatchKeepsOwnedWorkersAlive) {
   auto cluster_or = Cluster::Create(config);
   ASSERT_TRUE(cluster_or.ok());
   Cluster& cluster = *cluster_or.value();
-  ASSERT_TRUE(ProvisionWorkers(cluster).ok());
-  ASSERT_EQ(cluster.num_attached_workers(), 2);
 
-  std::atomic<int> entered{0};
-  std::atomic<bool> detached{false};
-
-  std::thread dispatcher([&] {
-    const Status status = cluster.DispatchToWorkers([&](Worker& w) {
-      entered.fetch_add(1);
-      while (!detached.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      // The registry is empty by now; the snapshot must still keep this
-      // worker alive and readable.
-      EXPECT_GE(w.machine(), 0);
-      EXPECT_EQ(w.NumLocalPartitions(Mode::kOne), 0);
-      return Status::OK();
-    });
-    EXPECT_TRUE(status.ok());
-  });
-
-  while (entered.load() < 2) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // The cluster holds the only strong references; the test keeps weak ones
+  // to watch the endpoints' lifetime.
+  Latch latch;
+  std::vector<std::weak_ptr<FakeEndpoint>> watched;
+  for (int m = 0; m < 2; ++m) {
+    auto fake = std::make_shared<FakeEndpoint>(m);
+    fake->HoldOn(&latch);
+    watched.push_back(fake);
+    ASSERT_TRUE(cluster.AttachEndpoint(m, std::move(fake)).ok());
   }
+
+  Status routed;
+  std::thread router([&] { routed = cluster.BroadcastFactors(FactorDelta{}); });
+
+  // Both deliveries are parked inside their endpoints when the registry
+  // drops them.
+  latch.WaitForArrivals(2);
   cluster.DetachWorkers();
   EXPECT_EQ(cluster.num_attached_workers(), 0);
-  detached.store(true);
-  dispatcher.join();
+  for (const auto& weak : watched) {
+    EXPECT_FALSE(weak.expired()) << "the routing snapshot pins the endpoint";
+  }
+  latch.Open();
+  router.join();
+
+  EXPECT_TRUE(routed.ok()) << routed.ToString();
+  for (const auto& weak : watched) {
+    EXPECT_TRUE(weak.expired()) << "the snapshot is released with the call";
+  }
 }
 
 TEST(WorkerLifetimeTest, ProvisionFailsOnOccupiedClusterAndRollsBack) {
@@ -63,10 +64,9 @@ TEST(WorkerLifetimeTest, ProvisionFailsOnOccupiedClusterAndRollsBack) {
   ASSERT_TRUE(cluster_or.ok());
   Cluster& cluster = *cluster_or.value();
 
-  // Machine 0 already has a caller-owned endpoint: provisioning must fail
-  // and detach whatever it managed to attach, leaving the cluster idle.
-  Worker external(0);
-  ASSERT_TRUE(cluster.AttachWorker(0, &external).ok());
+  // Machine 0 already has an endpoint: provisioning must fail and detach
+  // whatever it managed to attach, leaving the cluster idle.
+  ASSERT_TRUE(cluster.AttachEndpoint(0, std::make_shared<FakeEndpoint>(0)).ok());
   EXPECT_FALSE(ProvisionWorkers(cluster).ok());
   EXPECT_EQ(cluster.num_attached_workers(), 0);
 }

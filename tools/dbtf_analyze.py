@@ -447,6 +447,9 @@ def extract_members(class_body: list[Token]) -> list[tuple[str, int, str]]:
                     angle += 1
                 elif tk.text == ">" and angle > 0:
                     angle -= 1
+                elif tk.text == ">>" and angle > 0:
+                    # Lexed as one token, closes two lists: Result<vector<T>>.
+                    angle = max(0, angle - 2)
                 elif tk.text == ";" and angle == 0:
                     stmt.append(tk)
                     i += 1

@@ -68,6 +68,16 @@ class StructureTest(unittest.TestCase):
         names = [m[0] for m in dbtf_analyze.extract_members(cls.body)]
         self.assertEqual(names, ["mu_", "count_"])
 
+    def test_nested_template_closer_ends_the_declaration(self):
+        sf = dbtf_analyze.SourceFile("src/x.h", (
+            "class C {\n"
+            "  Result<std::vector<int>> Snapshot() const;\n"
+            "  Mutex mu_;\n"
+            "};\n"))
+        cls = dbtf_analyze.extract_classes(sf.tokens)[0]
+        names = [m[0] for m in dbtf_analyze.extract_members(cls.body)]
+        self.assertEqual(names, ["mu_"])
+
     def test_out_of_line_method_gets_class_qualifier(self):
         sf = dbtf_analyze.SourceFile(
             "src/x.cc", "int C::F(int x) { return x; }\n")
