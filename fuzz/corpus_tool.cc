@@ -95,25 +95,22 @@ bool WriteWireFrameSeeds(const std::string& dir) {
                    Frame(WireKind::kFactorDelta, w)) && ok;
   }
   {
-    RunUpdateColumn msg;
-    msg.mode = Mode::kOne;
-    msg.column = 3;
-    msg.row_masks = {0xF0F0F0F0F0F0F0F0ULL, 0x1ULL};
-    msg.rows = 16;
+    RunUpdateColumn run;
+    run.mode = Mode::kThree;
+    run.column = 3;
+    run.rows = 70;  // two words per bit plane
+    for (std::int64_t r = 0; r < run.rows; ++r) {
+      run.row_masks.push_back(static_cast<std::uint64_t>(r * 37) & 0x3FFULL);
+    }
+    CollectErrorsRequest req;
+    req.mode = Mode::kThree;
+    req.rows = run.rows;
+    req.want_stats = true;
     ByteWriter w;
-    EncodeRunUpdateColumn(msg, &w);
-    ok = WriteFile(dir + "/run_update_column.bin",
-                   Frame(WireKind::kRunUpdateColumn, w)) && ok;
-  }
-  {
-    CollectErrorsRequest msg;
-    msg.mode = Mode::kThree;
-    msg.rows = 8;
-    msg.want_stats = true;
-    ByteWriter w;
-    EncodeCollectErrorsRequest(msg, &w);
-    ok = WriteFile(dir + "/collect_errors.bin",
-                   Frame(WireKind::kCollectErrors, w)) && ok;
+    EncodeRunUpdateColumn(run, &w);
+    EncodeCollectErrorsRequest(req, &w);
+    ok = WriteFile(dir + "/run_column.bin", Frame(WireKind::kRunColumn, w)) &&
+         ok;
   }
   {
     StorePartitionRequest msg;
@@ -150,9 +147,8 @@ bool WriteWireFrameSeeds(const std::string& dir) {
   }
   {
     CollectErrorsResponse response;
-    response.totals0 = {3, 1, 4, 1, 5};
-    response.totals1 = {9, 2, 6, 5, 3};
-    response.wire_bytes = 80;
+    response.diffs = {6, 1, 2, 4, -2, 0, -300, 70000};
+    response.base_error = 14;
     response.cache_entries = 12;
     response.cache_bytes = 96;
     ByteWriter body;

@@ -50,18 +50,15 @@ void DecodePayload(dbtf::WireKind kind,
       }
       break;
     }
-    case dbtf::WireKind::kRunUpdateColumn: {
-      auto msg = dbtf::DecodeRunUpdateColumn(&reader);
-      if (msg.ok()) {
-        Roundtrip(msg.value(), dbtf::EncodeRunUpdateColumn,
-                  dbtf::DecodeRunUpdateColumn);
-      }
-      break;
-    }
-    case dbtf::WireKind::kCollectErrors: {
-      auto msg = dbtf::DecodeCollectErrorsRequest(&reader);
-      if (msg.ok()) {
-        Roundtrip(msg.value(), dbtf::EncodeCollectErrorsRequest,
+    case dbtf::WireKind::kRunColumn: {
+      // The column exchange: the task, then what to send back.
+      auto run = dbtf::DecodeRunUpdateColumn(&reader);
+      if (!run.ok()) break;
+      Roundtrip(run.value(), dbtf::EncodeRunUpdateColumn,
+                dbtf::DecodeRunUpdateColumn);
+      auto req = dbtf::DecodeCollectErrorsRequest(&reader);
+      if (req.ok()) {
+        Roundtrip(req.value(), dbtf::EncodeCollectErrorsRequest,
                   dbtf::DecodeCollectErrorsRequest);
       }
       break;
@@ -94,10 +91,13 @@ void DecodePayload(dbtf::WireKind kind,
       if (reply.ok()) {
         // A reply body, when present, is an encoded CollectErrorsResponse,
         // ListPartitionsResponse, or QueryResponse; every decoder must
-        // survive every body.
+        // survive every body. A decoded column reply must also price itself
+        // at exactly the bytes it was decoded from.
         dbtf::ByteReader body(reply.value().body);
         auto response = dbtf::DecodeCollectErrorsResponse(&body);
         if (response.ok()) {
+          Require(response.value().WireBytes() ==
+                  static_cast<std::int64_t>(body.offset()));
           Roundtrip(response.value(), dbtf::EncodeCollectErrorsResponse,
                     dbtf::DecodeCollectErrorsResponse);
         }

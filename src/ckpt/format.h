@@ -25,7 +25,9 @@ namespace ckpt_format {
 inline constexpr std::uint32_t kManifestMagic = 0x4B544244U;
 // Version 2: the dist blob's comm ledger gained the query lane
 // (query_bytes, query_events).
-inline constexpr std::uint32_t kFormatVersion = 2;
+// Version 3: collect_bytes counts the compact column replies (exact encoded
+// size of the varint error differences), so older ledgers do not compose.
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 inline constexpr const char* kManifestName = "MANIFEST";
 inline constexpr const char* kRunBlob = "run.bin";

@@ -592,7 +592,7 @@ std::string UsageText() {
       "                    --crash-after-columns N (SIGKILL drill)\n"
       "                    --halt-after-columns N (clean abort drill)]\n"
       "                   PLAN: comma-separated machine:message:kind@delivery\n"
-      "                   entries, e.g. 1:dispatch:transient@2,2:collect:crash@1\n"
+      "                   entries, e.g. 1:dispatch:transient@2,2:broadcast:crash@1\n"
       "             bcp-als: [--asso-candidates C]\n"
       "             walk-n-merge: [--density-threshold T]\n"
       "             tucker: [--restarts K]\n"

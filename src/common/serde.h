@@ -10,9 +10,33 @@
 
 namespace dbtf {
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `size` bytes.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `size` bytes,
+/// computed slicing-by-8 (eight table lookups per 8-byte step).
 /// Test vector: Crc32("123456789", 9) == 0xCBF43926.
 std::uint32_t Crc32(const void* data, std::size_t size);
+
+/// Longest LEB128 varint of a 64-bit value: ceil(64 / 7) bytes.
+inline constexpr int kMaxVarintBytes = 10;
+
+/// Bytes ByteWriter::WriteVarint spends on `value` (1..kMaxVarintBytes).
+constexpr int VarintBytes(std::uint64_t value) {
+  int bytes = 1;
+  while (value >= 0x80) {
+    value >>= 7;
+    ++bytes;
+  }
+  return bytes;
+}
+
+/// ZigZag mapping of signed onto unsigned integers (0, -1, 1, -2, ... ->
+/// 0, 1, 2, 3, ...), so values of small magnitude get short varints.
+constexpr std::uint64_t ZigZagEncode(std::int64_t value) {
+  return (static_cast<std::uint64_t>(value) << 1) ^
+         static_cast<std::uint64_t>(value >> 63);
+}
+constexpr std::int64_t ZigZagDecode(std::uint64_t value) {
+  return static_cast<std::int64_t>((value >> 1) ^ (0 - (value & 1)));
+}
 
 /// FNV-1a 64-bit hash. Used for cheap content fingerprints (configuration
 /// and tensor identity checks on resume), not for integrity — integrity is
@@ -29,6 +53,9 @@ class ByteWriter {
   void WriteU64(std::uint64_t value);
   void WriteI64(std::int64_t value);
   void WriteDouble(double value);
+  /// Unsigned LEB128: 7 bits per byte, low group first, high bit set on
+  /// every byte but the last. Always the shortest form.
+  void WriteVarint(std::uint64_t value);
   /// Length-prefixed (u64) byte string.
   void WriteString(const std::string& value);
   void WriteBytes(const void* data, std::size_t size);
@@ -58,6 +85,11 @@ class ByteReader {
   Result<std::uint64_t> ReadU64();
   Result<std::int64_t> ReadI64();
   Result<double> ReadDouble();
+  /// Inverse of ByteWriter::WriteVarint. Accepts only the shortest form:
+  /// a varint longer than kMaxVarintBytes, one whose tenth byte carries
+  /// more than bit 63, or one ending in a redundant zero byte fails with
+  /// kIoError, so every value has exactly one encoding.
+  Result<std::uint64_t> ReadVarint();
   /// Length-prefixed (u64) byte string; the length is validated against the
   /// remaining buffer before any allocation.
   Result<std::string> ReadString();

@@ -261,16 +261,11 @@ Result<UpdateFactorStats> RunFactorUpdate(
 
   CollectErrorsResponse errors;
   for (std::int64_t c = start_column; c < rank; ++c) {
-    // One column is the recovery retry unit: dispatch + collect, with the
-    // merged response rebuilt from scratch on every attempt so a partially
-    // collected failed attempt leaves no residue behind.
-    //
-    // Dispatch and collect are enqueued back-to-back on the machines'
-    // serial mailboxes: each machine runs its compute task then its
-    // collect, in order, without the driver waiting for the slowest machine
-    // between the two steps — a fast machine's collect overlaps a slow
-    // machine's compute. RunColumn blocks until every delivery is done, so
-    // a failed attempt never leaves tasks racing a retry.
+    // One column is the recovery retry unit: one exchange per machine that
+    // ships the row masks and brings back the error differences, with the
+    // merged response rebuilt from scratch on every attempt so a failed
+    // attempt leaves no residue behind. RunColumn blocks until every
+    // machine has answered, so a failed attempt never races a retry.
     const auto run_column = [&]() -> Status {
       errors = CollectErrorsResponse();
 
@@ -282,39 +277,35 @@ Result<UpdateFactorStats> RunFactorUpdate(
       CollectErrorsRequest collect;
       collect.mode = mode;
       collect.rows = rows;
-      // Cache metrics piggyback on the first collect's responses.
+      // Cache metrics piggyback on the first column's replies.
       collect.want_stats = (c == 0);
 
-      // The fused primitive takes one registry snapshot for both halves, so
-      // a machine crashing mid-column yields the same ledger no matter how
-      // threads (or the transport) interleave with the crash.
       DBTF_RETURN_IF_ERROR(cluster->RunColumn(std::move(run), collect, &errors));
-      if (static_cast<std::int64_t>(errors.totals0.size()) != rows ||
-          static_cast<std::int64_t>(errors.totals1.size()) != rows) {
+      if (static_cast<std::int64_t>(errors.diffs.size()) != rows) {
         return Status::Internal(
-            "collected error totals do not cover the unfolding rows");
+            "collected error differences do not cover the unfolding rows");
       }
       return Status::OK();
     };
     DBTF_RETURN_IF_ERROR(with_recovery(run_column, /*rebroadcast=*/true));
-    const std::vector<std::int64_t>& totals0 = errors.totals0;
-    const std::vector<std::int64_t>& totals1 = errors.totals1;
 
-    // Decide each entry of column c; ties prefer 0 (the sparser factor).
+    // Decide each entry of column c: set it exactly when the candidate 1
+    // has strictly less error (diff = total1 - total0 < 0), so ties prefer
+    // 0, the sparser factor. The column's error is the all-zero total plus
+    // every improvement taken.
     const std::uint64_t bit = std::uint64_t{1} << static_cast<unsigned>(c);
+    std::int64_t column_error = errors.base_error;
     for (std::int64_t r = 0; r < rows; ++r) {
-      const std::int64_t total0 = totals0[static_cast<std::size_t>(r)];
-      const std::int64_t total1 = totals1[static_cast<std::size_t>(r)];
+      const std::int64_t diff = errors.diffs[static_cast<std::size_t>(r)];
       const bool old_value =
           (row_masks[static_cast<std::size_t>(r)] & bit) != 0;
-      const bool new_value = total1 < total0;
+      const bool new_value = diff < 0;
       if (new_value != old_value) ++stats.cells_changed;
       std::uint64_t& mask = row_masks[static_cast<std::size_t>(r)];
       mask = new_value ? (mask | bit) : (mask & ~bit);
-      if (c == rank - 1) {
-        stats.final_error += new_value ? total1 : total0;
-      }
+      if (new_value) column_error += diff;
     }
+    if (c == rank - 1) stats.final_error += column_error;
     // Cache metrics piggyback on column 0's collect; fold them in here
     // rather than after the loop so (a) the checkpoint hook below sees them
     // and (b) a resumed update (which skips column 0) keeps the carried

@@ -127,14 +127,14 @@ class FactorBroadcastState {
 ///      afterwards, nothing for an unchanged operand — see
 ///      FactorBroadcastState). Workers rebuild M_f masks and per-partition
 ///      cache tables only when the corresponding operand moved.
-///   2. Per column c: one Cluster::RunColumn carrying RunUpdateColumn (task
-///      dispatch; the current row masks ride the message) and
-///      CollectErrorsRequest (one charged collect of 2 errors x rows x
-///      partitions). Both are posted back-to-back on the machines' serial
-///      mailboxes, so one machine's collect can run while another is still
-///      computing — the greedy decision only needs the *reduced* errors,
-///      which RunColumn returns once every machine has answered. The
-///      driver decides each entry of the column (ties prefer 0, the sparser
+///   2. Per column c: one Cluster::RunColumn, one exchange per machine. The
+///      request is RunUpdateColumn (the current row masks ride the task)
+///      plus CollectErrorsRequest; the reply is one machine's per-row error
+///      differences (total1 - total0) and its candidate-0 error total,
+///      charged as one collect event at its exact encoded size. The greedy
+///      decision only needs the *reduced* differences, which RunColumn
+///      returns once every machine has answered. The driver sets each
+///      entry whose difference is negative (ties prefer 0, the sparser
 ///      factor) and carries the decisions into the next column's message.
 ///
 /// The workers attached to `cluster` must jointly hold every partition of

@@ -134,7 +134,8 @@ Result<std::vector<Cluster::AttachedWorker>> Cluster::RoutingSnapshot() const {
 /// caller, which owns the statuses from then on.
 struct Cluster::FanOutOp {
   std::vector<AttachedWorker> workers;
-  std::vector<Step> steps;
+  MessageKind kind = MessageKind::kBroadcast;
+  Delivery deliver;
   std::vector<Status> statuses;
   std::atomic<std::size_t> remaining{0};
   Promise<Unit> done;
@@ -158,50 +159,41 @@ Status Cluster::BroadcastFactors(FactorDelta msg) {
   // driver either way).
   ChargeBroadcast(msg.WireBytes());
   return CombineStatuses(FanOut(
-      std::move(workers),
-      {{MessageKind::kBroadcast,
-        [&msg](WorkerEndpoint& endpoint, double* seconds) {
-          return endpoint.Deliver(msg, seconds);
-        }}}));
+      std::move(workers), MessageKind::kBroadcast,
+      [&msg](std::size_t, WorkerEndpoint& endpoint, double* seconds) {
+        return endpoint.Deliver(msg, seconds);
+      }));
 }
 
 Status Cluster::RunColumn(RunUpdateColumn run, const CollectErrorsRequest& req,
                           CollectErrorsResponse* response) {
+  if (req.mode != run.mode || req.rows != run.rows ||
+      static_cast<std::int64_t>(run.row_masks.size()) != run.rows) {
+    return Status::InvalidArgument(
+        "RunUpdateColumn and CollectErrorsRequest disagree on the rows");
+  }
   DBTF_ASSIGN_OR_RETURN(std::vector<AttachedWorker> workers,
                         RoutingSnapshot());
-  // The endpoint calls run outside the reduce lock — collects from
-  // different machines overlap; only the merge into `*response` is
-  // serialized. A failed collect merges nothing, so a retried one never
-  // double-counts.
-  struct Reduce {
-    Mutex mu_;
-    std::int64_t wire_bytes_ DBTF_GUARDED_BY(mu_) = 0;
-  } reduce;
-  const std::vector<Status> statuses = FanOut(
-      std::move(workers),
-      {{MessageKind::kDispatch,
-        [&run](WorkerEndpoint& endpoint, double* seconds) {
-          return endpoint.Deliver(run, seconds);
-        }},
-       {MessageKind::kCollect,
-        [&req, &reduce, response](WorkerEndpoint& endpoint, double* seconds) {
-          CollectErrorsResponse local;
-          DBTF_RETURN_IF_ERROR(endpoint.Collect(req, &local, seconds));
-          MutexLock lock(reduce.mu_);
-          response->MergeFrom(local);
-          reduce.wire_bytes_ += local.wire_bytes;
-          return Status::OK();
-        }}});
-  // One collect event for the whole column (Lemma 7), charged only when
-  // every machine's collect (the second half of the step-major statuses)
-  // succeeded — independent of the dispatch outcomes.
-  const auto collects = statuses.begin() + statuses.size() / 2;
-  if (std::all_of(collects, statuses.end(),
-                  [](const Status& s) { return s.ok(); })) {
-    MutexLock lock(reduce.mu_);
-    ChargeCollect(reduce.wire_bytes_);
+  // Each machine's reply lands in its own snapshot slot, so deliveries
+  // share nothing; an attempt that fails is overwritten by its retry, and
+  // only a fully successful column is merged.
+  std::vector<CollectErrorsResponse> replies(workers.size());
+  const Status status = CombineStatuses(FanOut(
+      std::move(workers), MessageKind::kDispatch,
+      [&run, &req, &replies](std::size_t slot, WorkerEndpoint& endpoint,
+                             double* seconds) {
+        return endpoint.RunColumn(run, req, &replies[slot], seconds);
+      }));
+  if (!status.ok()) return status;
+  // One collect event for the whole column (Lemma 7): the exact encoded
+  // size of every machine's reply.
+  std::int64_t wire_bytes = 0;
+  for (const CollectErrorsResponse& reply : replies) {
+    response->MergeFrom(reply);
+    wire_bytes += reply.WireBytes();
   }
-  return CombineStatuses(statuses);
+  ChargeCollect(wire_bytes);
+  return Status::OK();
 }
 
 Status Cluster::QueryWorker(int machine, QueryRequest msg,
@@ -224,9 +216,9 @@ Status Cluster::QueryWorker(int machine, QueryRequest msg,
   op->msg = &msg;
   op->response = response;
   const Future<Unit> done = op->done.future();
-  // Queries share the collect slot of the injector's per-(machine, kind)
-  // counters: both are worker->driver response traffic, and reusing the
-  // slot keeps checkpointed counter layouts (machine * 3 + kind) stable.
+  // Queries are the injector's collect kind: a column exchange counts as
+  // one dispatch, so query replies are the only collect traffic, and the
+  // checkpointed counter layout (machine * 3 + kind) stays unchanged.
   mailboxes_[static_cast<std::size_t>(machine)]->Post([this, machine, op] {
     const Status status =
         DeliverWithRetry(machine, MessageKind::kCollect, [this, machine, &op] {
@@ -257,38 +249,36 @@ Status Cluster::CombineStatuses(const std::vector<Status>& statuses) {
 }
 
 std::vector<Status> Cluster::FanOut(std::vector<AttachedWorker> workers,
-                                    std::vector<Step> steps) {
+                                    MessageKind kind, Delivery deliver) {
   auto op = std::make_shared<FanOutOp>();
   const std::size_t n = workers.size();
   op->workers = std::move(workers);
-  op->steps = std::move(steps);
-  op->statuses.assign(op->steps.size() * n, Status::OK());
-  op->remaining.store(op->statuses.size(), std::memory_order_relaxed);
+  op->kind = kind;
+  op->deliver = std::move(deliver);
+  op->statuses.assign(n, Status::OK());
+  op->remaining.store(n, std::memory_order_relaxed);
   const Future<Unit> done = op->done.future();
   for (std::size_t i = 0; i < n; ++i) {
-    // A machine's steps go back-to-back on its serial mailbox, so a fast
-    // machine's next step overlaps a slow machine's current one, and the
-    // per-(machine, kind) injector counters advance in post order.
-    Mailbox& mailbox =
-        *mailboxes_[static_cast<std::size_t>(op->workers[i].machine)];
-    for (std::size_t s = 0; s < op->steps.size(); ++s) {
-      mailbox.Post([this, op, n, s, i] {
-        const AttachedWorker& w = op->workers[i];
-        const Step& step = op->steps[s];
-        op->statuses[s * n + i] =
-            DeliverWithRetry(w.machine, step.kind, [this, &w, &step] {
-              double seconds = 0.0;
-              const Status status = step.deliver(*w.endpoint, &seconds);
-              ChargeCompute(w.machine, seconds);
-              return status;
-            });
-        if (op->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-        // Drop the snapshot before waking the caller, so an endpoint
-        // detached mid-call dies with the call rather than with this task.
-        op->workers.clear();
-        op->done.Set(Unit{});
-      });
-    }
+    // Each delivery rides its machine's serial mailbox, so the per-(machine,
+    // kind) injector counters advance in post order.
+    mailboxes_[static_cast<std::size_t>(op->workers[i].machine)]->Post(
+        [this, op, i] {
+          const AttachedWorker& w = op->workers[i];
+          op->statuses[i] =
+              DeliverWithRetry(w.machine, op->kind, [this, &op, &w, i] {
+                double seconds = 0.0;
+                const Status status = op->deliver(i, *w.endpoint, &seconds);
+                ChargeCompute(w.machine, seconds);
+                return status;
+              });
+          if (op->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) {
+            return;
+          }
+          // Drop the snapshot before waking the caller, so an endpoint
+          // detached mid-call dies with the call rather than with this task.
+          op->workers.clear();
+          op->done.Set(Unit{});
+        });
   }
   // The future carries no error: every outcome is in op->statuses.
   DBTF_CHECK(done.Get().ok());

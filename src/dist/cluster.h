@@ -158,19 +158,17 @@ class Cluster {
   /// attached: routing to an empty registry charges nothing.
   Status BroadcastFactors(FactorDelta msg) DBTF_EXCLUDES(mu_);
 
-  /// Runs one column step over ONE registry snapshot: dispatches `run` and
-  /// collects `req`'s error totals into `*response`, with each machine's
-  /// dispatch and collect posted back-to-back on its serial mailbox (a fast
-  /// machine's collect overlaps a slow machine's compute). Dispatch rides
-  /// the task scheduler, which the paper prices at zero wire bytes. Collect
-  /// responses merge into `*response` (int64 sums commute, so merge order
-  /// cannot affect the result), and their summed wire bytes are charged as
-  /// one collect event (Lemma 7) only when every machine's collect
-  /// succeeded. The single snapshot keeps the ledger deterministic when a
-  /// machine crashes mid-column: with separate fan-outs, whether the collect
-  /// still saw the machine would depend on thread timing — and hence on the
-  /// transport. Dispatch failures outrank collect failures of the same
-  /// severity. `*response` is valid only on success.
+  /// Runs one column as ONE exchange per machine over one registry
+  /// snapshot: each machine scores `run` and answers `req` in a single
+  /// delivery of MessageKind::kDispatch. The request rides the task
+  /// scheduler, which the paper prices at zero wire bytes. When every
+  /// machine has answered, the replies merge into `*response` (int64 sums
+  /// commute, so merge order cannot affect the result) and their summed
+  /// exact encoded sizes are charged as one collect event (Lemma 7); a
+  /// column that failed anywhere charges nothing. `run` and `req` must agree
+  /// on mode and rows, and `run.row_masks` must hold `rows` masks
+  /// (kInvalidArgument otherwise, before any delivery). `*response` is
+  /// valid only on success.
   Status RunColumn(RunUpdateColumn run, const CollectErrorsRequest& req,
                    CollectErrorsResponse* response) DBTF_EXCLUDES(mu_);
 
@@ -292,13 +290,10 @@ class Cluster {
     std::shared_ptr<WorkerEndpoint> endpoint;
   };
 
-  /// One message of a fan-out, delivered to every snapshot endpoint: the
-  /// injector/retry key plus one delivery attempt, which adds the handler's
-  /// worker CPU seconds into `*compute_seconds`.
-  struct Step {
-    MessageKind kind;
-    std::function<Status(WorkerEndpoint&, double* compute_seconds)> deliver;
-  };
+  /// One delivery attempt of a fan-out to the endpoint at snapshot index
+  /// `slot`; adds the handler's worker CPU seconds into `*compute_seconds`.
+  using Delivery = std::function<Status(
+      std::size_t slot, WorkerEndpoint&, double* compute_seconds)>;
 
   struct FanOutOp;  // shared state of one fan-out
   struct QueryOp;   // shared state of one point-to-point query delivery
@@ -311,15 +306,13 @@ class Cluster {
   Result<std::vector<AttachedWorker>> RoutingSnapshot() const
       DBTF_EXCLUDES(mu_);
 
-  /// Posts every step to every endpoint of `workers` — per machine, the
-  /// steps back-to-back on its mailbox, each through the retry policy — and
-  /// blocks until all have run. Returns the per-delivery statuses
-  /// step-major (entry s * n + i is step s on snapshot entry i), so
-  /// CombineStatuses ranks an earlier step's failure ahead of a later
-  /// step's of the same severity. The snapshot is released before this
-  /// returns.
+  /// Posts one `kind` delivery to every endpoint of `workers`, each on its
+  /// machine's mailbox and through the retry policy, and blocks until all
+  /// have run. Returns the statuses in snapshot order. The snapshot is
+  /// released before this returns.
   std::vector<Status> FanOut(std::vector<AttachedWorker> workers,
-                             std::vector<Step> steps) DBTF_EXCLUDES(mu_);
+                             MessageKind kind, Delivery deliver)
+      DBTF_EXCLUDES(mu_);
 
   /// Deterministic error selection over a fan-out's per-machine statuses:
   /// fatal codes outrank retryable ones, ties break by snapshot (attach)

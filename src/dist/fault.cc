@@ -13,6 +13,11 @@ namespace {
 /// Deliveries per (machine, message kind) counter slot.
 constexpr int kMessageKinds = 3;
 
+/// Kinds a factorization delivers — broadcasts and column exchanges — so a
+/// random plan targets only deliveries that happen (kCollect carries only
+/// serving replies).
+constexpr std::uint64_t kFactorizationKinds = 2;
+
 int SlotIndex(int machine, MessageKind message) {
   return machine * kMessageKinds + static_cast<int>(message);
 }
@@ -200,7 +205,8 @@ FaultPlan FaultPlan::Random(std::uint64_t seed, int num_machines,
     FaultSpec spec;
     spec.machine =
         static_cast<int>(rng.NextBounded(static_cast<std::uint64_t>(num_machines)));
-    spec.message = static_cast<MessageKind>(rng.NextBounded(kMessageKinds));
+    spec.message =
+        static_cast<MessageKind>(rng.NextBounded(kFactorizationKinds));
     // Mostly plain transient failures, occasionally a short stall (still
     // retryable: it is kept under any sane message deadline).
     if (rng.NextBool(0.25)) {
@@ -227,7 +233,8 @@ FaultPlan FaultPlan::Random(std::uint64_t seed, int num_machines,
     used[static_cast<std::size_t>(machine)] = true;
     FaultSpec spec;
     spec.machine = machine;
-    spec.message = static_cast<MessageKind>(rng.NextBounded(kMessageKinds));
+    spec.message =
+        static_cast<MessageKind>(rng.NextBounded(kFactorizationKinds));
     spec.kind = FaultKind::kCrash;
     spec.delivery = 1 + static_cast<std::int64_t>(rng.NextBounded(8));
     plan.faults.push_back(spec);

@@ -12,8 +12,10 @@
 namespace dbtf {
 
 /// The routed message kinds a fault can target: the FactorDelta of
-/// Cluster::BroadcastFactors, and the dispatch and collect halves of
-/// Cluster::RunColumn (Cluster::QueryWorker shares the collect kind).
+/// Cluster::BroadcastFactors, the per-machine column exchange of
+/// Cluster::RunColumn (one dispatch delivery carries the task and brings
+/// back its errors), and the serving replies of Cluster::QueryWorker
+/// (collect).
 enum class MessageKind { kBroadcast = 0, kDispatch = 1, kCollect = 2 };
 
 const char* MessageKindToString(MessageKind kind);
@@ -60,8 +62,9 @@ struct FaultPlan {
   /// a cluster of `num_machines` machines.
   Status Validate(int num_machines) const;
 
-  /// Seed-driven plan: `num_transient` transient/stall faults spread over
-  /// machines and message kinds, plus at most `num_crashes` permanent
+  /// Seed-driven plan for a factorization: `num_transient` transient/stall
+  /// faults spread over machines and the broadcast and dispatch kinds (the
+  /// deliveries a factorization makes), plus at most `num_crashes` permanent
   /// machine losses (on distinct machines, never more than M - 1 of them).
   /// Deterministic given the seed.
   static FaultPlan Random(std::uint64_t seed, int num_machines,

@@ -1,5 +1,7 @@
 #include "dist/messages.h"
 
+#include "common/serde.h"
+
 namespace dbtf {
 
 std::int64_t MatrixDelta::WireBytes() const {
@@ -21,21 +23,25 @@ std::int64_t FactorDelta::WireBytes() const {
 }
 
 void CollectErrorsResponse::MergeFrom(const CollectErrorsResponse& other) {
-  if (totals0.size() < other.totals0.size()) {
-    totals0.resize(other.totals0.size(), 0);
+  if (diffs.size() < other.diffs.size()) diffs.resize(other.diffs.size(), 0);
+  for (std::size_t r = 0; r < other.diffs.size(); ++r) {
+    diffs[r] += other.diffs[r];
   }
-  if (totals1.size() < other.totals1.size()) {
-    totals1.resize(other.totals1.size(), 0);
-  }
-  for (std::size_t r = 0; r < other.totals0.size(); ++r) {
-    totals0[r] += other.totals0[r];
-  }
-  for (std::size_t r = 0; r < other.totals1.size(); ++r) {
-    totals1[r] += other.totals1[r];
-  }
-  wire_bytes += other.wire_bytes;
+  base_error += other.base_error;
   cache_entries += other.cache_entries;
   cache_bytes += other.cache_bytes;
+}
+
+std::int64_t CollectErrorsResponse::WireBytes() const {
+  // Row count, diff-block length, the block of zigzag varints, then the
+  // three zigzag scalars — the layout of EncodeCollectErrorsResponse.
+  std::uint64_t block = 0;
+  for (const std::int64_t d : diffs) block += VarintBytes(ZigZagEncode(d));
+  return VarintBytes(diffs.size()) + VarintBytes(block) +
+         static_cast<std::int64_t>(block) +
+         VarintBytes(ZigZagEncode(base_error)) +
+         VarintBytes(ZigZagEncode(cache_entries)) +
+         VarintBytes(ZigZagEncode(cache_bytes));
 }
 
 std::int64_t StorePartitionRequest::WireBytes() const {

@@ -21,11 +21,13 @@ namespace dbtf {
 // the routing layer instead of at call sites:
 //
 //   FactorDelta          -> Cluster::BroadcastFactors   (charged per machine)
-//   RunUpdateColumn +    -> Cluster::RunColumn          (one fan-out per
-//   CollectErrorsRequest    column: the dispatch is priced at zero, as the
+//   RunUpdateColumn +    -> Cluster::RunColumn          (one exchange per
+//   CollectErrorsRequest    machine per column: the pair travels as one
+//                           request and the CollectErrorsResponse is its
+//                           reply. The request is priced at zero, as the
 //                           paper's shuffle analysis prices task dispatch;
-//                           the response bytes are charged once, summed
-//                           over machines)
+//                           the replies' exact encoded sizes are charged
+//                           once, summed over machines)
 //   StorePartitionRequest / ListPartitions -> provisioning seam
 //                           (dist/provision.h), charged there when the move
 //                           is a recovery re-provision
@@ -86,10 +88,14 @@ struct FactorDelta {
   std::int64_t WireBytes() const;
 };
 
-/// Driver -> workers: score both candidate values of one factor column.
-/// `row_masks` is the driver's current view of the factor rows — the
-/// broadcast copy plus the decisions of previous columns, which ride the
-/// message exactly as Spark ships updated driver state with each task.
+/// Driver -> workers, first half of one column exchange: score both
+/// candidate values of factor column `column`. `row_masks` is the driver's
+/// current view of the factor rows — the broadcast copy plus the decisions
+/// of previous columns, which ride the message exactly as Spark ships
+/// updated driver state with each task. The whole vector travels every
+/// column (on the wire as bit planes, see wire.h), so the worker keeps no
+/// column state between messages and a redelivered or re-provisioned
+/// exchange computes exactly what the first one would have.
 struct RunUpdateColumn {
   Mode mode = Mode::kOne;
   std::int64_t column = 0;               ///< c in [0, R)
@@ -97,32 +103,41 @@ struct RunUpdateColumn {
   std::int64_t rows = 0;
 };
 
-/// Driver -> workers: ship back the per-row error sums of the column last
-/// scored via RunUpdateColumn. When `want_stats` is set the workers also
-/// piggyback their cache-table metrics on the response, the way Spark ships
-/// task metrics with task results (the few bytes of metrics are not part of
-/// the paper's ledger).
+/// Driver -> workers, second half of one column exchange: what to send
+/// back. `mode` and `rows` must match the RunUpdateColumn they travel
+/// with. When `want_stats` is set the workers also piggyback their cache-
+/// table metrics on the response, the way Spark ships task metrics with
+/// task results.
 struct CollectErrorsRequest {
   Mode mode = Mode::kOne;
   std::int64_t rows = 0;
   bool want_stats = false;
 };
 
-/// Workers -> driver: one machine's (or, after reduction, all machines')
-/// per-row error sums for both candidate values, plus the piggybacked cache
-/// metrics. `wire_bytes` is what the payload costs on the wire — two 64-bit
-/// counters per row per resident partition (Lemma 7's collect term) — summed
-/// by the reduce so the driver can charge the whole fan-out as one collect.
+/// Workers -> driver: the reply of one column exchange, from one machine
+/// or, after reduction, from all of them. The driver needs only the sign
+/// of total1 - total0 per row to decide the column, plus one sum for the
+/// final error, so that is all that travels:
+///
+///   diffs[r]   = Σ_partitions (err1[r] - err0[r])   (candidate 1 minus 0)
+///   base_error = Σ_partitions Σ_r err0[r]           (error with every bit 0)
+///
+/// The driver sets bit r exactly when diffs[r] < 0 (ties keep 0), and the
+/// column's error is base_error + Σ_r min(0, diffs[r]).
 struct CollectErrorsResponse {
-  std::vector<std::int64_t> totals0;  ///< per-row error, candidate bit = 0
-  std::vector<std::int64_t> totals1;  ///< per-row error, candidate bit = 1
-  std::int64_t wire_bytes = 0;
-  std::int64_t cache_entries = 0;
+  std::vector<std::int64_t> diffs;  ///< per row: err1 - err0
+  std::int64_t base_error = 0;      ///< Σ err0 over rows and partitions
+  std::int64_t cache_entries = 0;   ///< piggybacked cache metrics
   std::int64_t cache_bytes = 0;
 
   /// Element-wise accumulation (the driver-side reduce). Sums commute, so
   /// the merge order across machines does not affect the result.
   void MergeFrom(const CollectErrorsResponse& other);
+
+  /// Exact size of this response's wire encoding (EncodeCollectErrorsResponse,
+  /// varint diffs): what one machine's reply costs on Lemma 7's collect
+  /// term, computed from the message so both transports charge the same.
+  std::int64_t WireBytes() const;
 };
 
 /// Driver -> one worker (provisioning seam): take ownership of partition

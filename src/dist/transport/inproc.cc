@@ -23,16 +23,11 @@ class InProcessEndpoint final : public WorkerEndpoint {
     return Timed(compute_seconds, [&] { return worker_->Handle(msg); });
   }
 
-  Status Deliver(const RunUpdateColumn& msg,
-                 double* compute_seconds) override {
-    return Timed(compute_seconds, [&] { return worker_->Handle(msg); });
-  }
-
-  Status Collect(const CollectErrorsRequest& msg,
-                 CollectErrorsResponse* response,
-                 double* compute_seconds) override {
+  Status RunColumn(const RunUpdateColumn& run, const CollectErrorsRequest& req,
+                   CollectErrorsResponse* response,
+                   double* compute_seconds) override {
     return Timed(compute_seconds,
-                 [&] { return worker_->Handle(msg, response); });
+                 [&] { return worker_->Handle(run, req, response); });
   }
 
   Status Query(const QueryRequest& msg, QueryResponse* response,

@@ -76,23 +76,13 @@ class SocketEndpoint final : public WorkerEndpoint {
     return reply.status;
   }
 
-  Status Deliver(const RunUpdateColumn& msg,
-                 double* compute_seconds) override {
+  Status RunColumn(const RunUpdateColumn& run, const CollectErrorsRequest& req,
+                   CollectErrorsResponse* response,
+                   double* compute_seconds) override {
     ByteWriter payload;
-    EncodeRunUpdateColumn(msg, &payload);
-    DBTF_ASSIGN_OR_RETURN(WireReply reply,
-                          Call(WireKind::kRunUpdateColumn, payload));
-    Credit(compute_seconds, reply);
-    return reply.status;
-  }
-
-  Status Collect(const CollectErrorsRequest& msg,
-                 CollectErrorsResponse* response,
-                 double* compute_seconds) override {
-    ByteWriter payload;
-    EncodeCollectErrorsRequest(msg, &payload);
-    DBTF_ASSIGN_OR_RETURN(WireReply reply,
-                          Call(WireKind::kCollectErrors, payload));
+    EncodeRunUpdateColumn(run, &payload);
+    EncodeCollectErrorsRequest(req, &payload);
+    DBTF_ASSIGN_OR_RETURN(WireReply reply, Call(WireKind::kRunColumn, payload));
     Credit(compute_seconds, reply);
     if (!reply.status.ok()) return reply.status;
     ByteReader reader(reply.body);

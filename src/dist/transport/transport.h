@@ -85,11 +85,15 @@ class WorkerEndpoint {
 
   /// Routed data/control plane (Cluster fan-out).
   virtual Status Deliver(const FactorDelta& msg, double* compute_seconds) = 0;
-  virtual Status Deliver(const RunUpdateColumn& msg,
-                         double* compute_seconds) = 0;
-  virtual Status Collect(const CollectErrorsRequest& msg,
-                         CollectErrorsResponse* response,
-                         double* compute_seconds) = 0;
+
+  /// One column exchange: scores `run` against this machine's partitions
+  /// and answers `req` into `*response` in the same round trip (one request
+  /// frame, one reply frame on sockets). `*response` is valid only on
+  /// success; a failed attempt may leave it partly written.
+  virtual Status RunColumn(const RunUpdateColumn& run,
+                           const CollectErrorsRequest& req,
+                           CollectErrorsResponse* response,
+                           double* compute_seconds) = 0;
 
   /// Serving plane (Cluster::QueryWorker): answer one query against the
   /// factors resident in this machine's broadcast cache.

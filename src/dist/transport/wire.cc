@@ -1,5 +1,6 @@
 #include "dist/transport/wire.h"
 
+#include <bit>
 #include <cstring>
 #include <utility>
 
@@ -21,6 +22,20 @@ constexpr std::uint64_t kMaxFramePayload = std::uint64_t{1} << 33;
 
 Status Corrupt(const char* what) {
   return Status::IoError(std::string("wire message corrupt: ") + what);
+}
+
+bool IsWireKind(std::uint8_t kind) {
+  switch (static_cast<WireKind>(kind)) {
+    case WireKind::kFactorDelta:
+    case WireKind::kRunColumn:
+    case WireKind::kStorePartition:
+    case WireKind::kListPartitions:
+    case WireKind::kShutdown:
+    case WireKind::kReply:
+    case WireKind::kQuery:
+      return true;
+  }
+  return false;
 }
 
 void EncodeBitMatrix(const BitMatrix& m, ByteWriter* writer) {
@@ -186,10 +201,28 @@ Result<FactorDelta> DecodeFactorDelta(ByteReader* reader) {
 }
 
 void EncodeRunUpdateColumn(const RunUpdateColumn& msg, ByteWriter* writer) {
+  DBTF_DCHECK(static_cast<std::int64_t>(msg.row_masks.size()) == msg.rows,
+              "RunUpdateColumn row masks do not match its row count");
   EncodeMode(msg.mode, writer);
   writer->WriteI64(msg.column);
   writer->WriteI64(msg.rows);
-  for (const std::uint64_t mask : msg.row_masks) writer->WriteU64(mask);
+  std::uint64_t used = 0;
+  for (const std::uint64_t mask : msg.row_masks) used |= mask;
+  const int width = std::bit_width(used);
+  writer->WriteU8(static_cast<std::uint8_t>(width));
+  // Transpose the masks into bit planes: row r's bit b lands at position r
+  // of plane b.
+  const std::size_t rows = msg.row_masks.size();
+  const std::size_t words = WordsForBits(rows);
+  std::vector<BitWord> planes(static_cast<std::size_t>(width) * words, 0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    ForEachSetBit(BitSpan(&msg.row_masks[r], kBitsPerWord),
+                  [&](std::size_t b) {
+                    MutableBitSpan(planes.data() + b * words, rows)
+                        .Set(r, true);
+                  });
+  }
+  for (const BitWord w : planes) writer->WriteU64(w);
 }
 
 Result<RunUpdateColumn> DecodeRunUpdateColumn(ByteReader* reader) {
@@ -201,13 +234,28 @@ Result<RunUpdateColumn> DecodeRunUpdateColumn(ByteReader* reader) {
       msg.rows > kMaxWireDim) {
     return Corrupt("run-update-column header out of range");
   }
-  if (static_cast<std::uint64_t>(msg.rows) * 8 > reader->remaining()) {
-    return Corrupt("row masks truncated");
+  DBTF_ASSIGN_OR_RETURN(const std::uint8_t width, reader->ReadU8());
+  if (width > kMaxRank) {
+    return Corrupt("row-mask plane width exceeds the rank cap");
   }
-  msg.row_masks.resize(static_cast<std::size_t>(msg.rows));
-  for (std::int64_t r = 0; r < msg.rows; ++r) {
-    DBTF_ASSIGN_OR_RETURN(msg.row_masks[static_cast<std::size_t>(r)],
-                          reader->ReadU64());
+  const std::size_t rows = static_cast<std::size_t>(msg.rows);
+  const std::size_t words = WordsForBits(rows);
+  if (width * words > reader->remaining() / 8) {
+    return Corrupt("row-mask planes truncated");
+  }
+  msg.row_masks.assign(rows, 0);
+  std::vector<BitWord> plane(words, 0);
+  for (int b = 0; b < width; ++b) {
+    for (std::size_t w = 0; w < words; ++w) {
+      DBTF_ASSIGN_OR_RETURN(plane[w], reader->ReadU64());
+    }
+    const BitSpan bits(plane.data(), rows);
+    if (!TailPaddingZero(bits)) {
+      return Corrupt("row-mask plane padding bits set");
+    }
+    ForEachSetBit(bits, [&](std::size_t r) {
+      msg.row_masks[r] |= std::uint64_t{1} << b;
+    });
   }
   return msg;
 }
@@ -291,27 +339,48 @@ Result<PackedBits> DecodePackedBits(ByteReader* reader) {
   return packed;
 }
 
+void WriteZigZag(std::int64_t value, ByteWriter* writer) {
+  writer->WriteVarint(ZigZagEncode(value));
+}
+
+Result<std::int64_t> ReadZigZag(ByteReader* reader) {
+  DBTF_ASSIGN_OR_RETURN(const std::uint64_t raw, reader->ReadVarint());
+  return ZigZagDecode(raw);
+}
+
 }  // namespace
 
 void EncodeCollectErrorsResponse(const CollectErrorsResponse& msg,
                                  ByteWriter* writer) {
-  EncodeInt64Vector(msg.totals0, writer);
-  EncodeInt64Vector(msg.totals1, writer);
-  writer->WriteI64(msg.wire_bytes);
-  writer->WriteI64(msg.cache_entries);
-  writer->WriteI64(msg.cache_bytes);
+  std::uint64_t block = 0;
+  for (const std::int64_t d : msg.diffs) block += VarintBytes(ZigZagEncode(d));
+  writer->WriteVarint(msg.diffs.size());
+  writer->WriteVarint(block);
+  for (const std::int64_t d : msg.diffs) WriteZigZag(d, writer);
+  WriteZigZag(msg.base_error, writer);
+  WriteZigZag(msg.cache_entries, writer);
+  WriteZigZag(msg.cache_bytes, writer);
 }
 
 Result<CollectErrorsResponse> DecodeCollectErrorsResponse(ByteReader* reader) {
   CollectErrorsResponse msg;
-  DBTF_ASSIGN_OR_RETURN(msg.totals0, DecodeInt64Vector(reader));
-  DBTF_ASSIGN_OR_RETURN(msg.totals1, DecodeInt64Vector(reader));
-  if (msg.totals0.size() != msg.totals1.size()) {
-    return Corrupt("collect-errors accumulators disagree on row count");
+  DBTF_ASSIGN_OR_RETURN(const std::uint64_t rows, reader->ReadVarint());
+  DBTF_ASSIGN_OR_RETURN(const std::uint64_t block, reader->ReadVarint());
+  // Every varint takes at least one byte: the block bounds the row count
+  // and the buffer bounds the block, both before anything is allocated.
+  if (block > reader->remaining()) return Corrupt("diff block truncated");
+  if (rows > block) return Corrupt("diff block holds fewer diffs than rows");
+  msg.diffs.assign(static_cast<std::size_t>(rows), 0);
+  const std::size_t begin = reader->offset();
+  for (std::int64_t& d : msg.diffs) {
+    DBTF_ASSIGN_OR_RETURN(d, ReadZigZag(reader));
   }
-  DBTF_ASSIGN_OR_RETURN(msg.wire_bytes, reader->ReadI64());
-  DBTF_ASSIGN_OR_RETURN(msg.cache_entries, reader->ReadI64());
-  DBTF_ASSIGN_OR_RETURN(msg.cache_bytes, reader->ReadI64());
+  if (reader->offset() - begin != block) {
+    return Corrupt("diff block does not hold exactly one diff per row");
+  }
+  DBTF_ASSIGN_OR_RETURN(msg.base_error, ReadZigZag(reader));
+  DBTF_ASSIGN_OR_RETURN(msg.cache_entries, ReadZigZag(reader));
+  DBTF_ASSIGN_OR_RETURN(msg.cache_bytes, ReadZigZag(reader));
   return msg;
 }
 
@@ -542,10 +611,7 @@ Result<std::pair<WireKind, std::uint64_t>> ParseFrameHeader(
   DBTF_ASSIGN_OR_RETURN(const std::uint8_t version, reader.ReadU8());
   if (version != kWireVersion) return Corrupt("unsupported frame version");
   DBTF_ASSIGN_OR_RETURN(const std::uint8_t kind, reader.ReadU8());
-  if (kind < static_cast<std::uint8_t>(WireKind::kFactorDelta) ||
-      kind > static_cast<std::uint8_t>(WireKind::kQuery)) {
-    return Corrupt("unknown frame kind");
-  }
+  if (!IsWireKind(kind)) return Corrupt("unknown frame kind");
   DBTF_ASSIGN_OR_RETURN(const std::uint64_t payload_bytes, reader.ReadU64());
   if (payload_bytes > kMaxFramePayload) {
     return Corrupt("frame payload length out of range");

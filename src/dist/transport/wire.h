@@ -20,11 +20,14 @@ namespace dbtf {
 // remaining buffer *before* any allocation, truncation and corruption fail
 // with kIoError (never UB) — because the bytes arrive from another process.
 
-/// Message discriminator carried in every frame.
+/// Message discriminator carried in every frame. Value 3 (the separate
+/// collect request of wire version 2) is retired and rejected.
 enum class WireKind : std::uint8_t {
   kFactorDelta = 1,
-  kRunUpdateColumn = 2,
-  kCollectErrors = 3,
+  /// One column exchange: EncodeRunUpdateColumn then
+  /// EncodeCollectErrorsRequest; the reply body is the encoded
+  /// CollectErrorsResponse.
+  kRunColumn = 2,
   kStorePartition = 4,
   kListPartitions = 5,
   kShutdown = 6,  ///< empty payload; the worker replies, then exits
@@ -37,6 +40,10 @@ enum class WireKind : std::uint8_t {
 void EncodeFactorDelta(const FactorDelta& msg, ByteWriter* writer);
 Result<FactorDelta> DecodeFactorDelta(ByteReader* reader);
 
+/// u8 mode | i64 column | i64 rows | u8 width | width bit planes. Plane b
+/// packs bit b of every row mask, rows 64 to a word (WordsForBits(rows)
+/// words, padding zero); width is the bit width of the OR of all masks, at
+/// most kMaxRank. `row_masks` must hold exactly `rows` masks.
 void EncodeRunUpdateColumn(const RunUpdateColumn& msg, ByteWriter* writer);
 Result<RunUpdateColumn> DecodeRunUpdateColumn(ByteReader* reader);
 
@@ -44,6 +51,10 @@ void EncodeCollectErrorsRequest(const CollectErrorsRequest& msg,
                                 ByteWriter* writer);
 Result<CollectErrorsRequest> DecodeCollectErrorsRequest(ByteReader* reader);
 
+/// varint rows | varint block bytes | block: `rows` zigzag-varint diffs |
+/// zigzag-varint base_error, cache_entries, cache_bytes. The block length
+/// lets the decoder bound the row count before allocating and reject a
+/// block holding more or fewer diffs than `rows`.
 void EncodeCollectErrorsResponse(const CollectErrorsResponse& msg,
                                  ByteWriter* writer);
 Result<CollectErrorsResponse> DecodeCollectErrorsResponse(ByteReader* reader);
@@ -69,7 +80,7 @@ Result<QueryResponse> DecodeQueryResponse(ByteReader* reader);
 /// Reply envelope of every worker response: the handler's Status, the
 /// worker-side CPU seconds the handler consumed (so the driver charges the
 /// same virtual compute either way), and an optional body (e.g. the encoded
-/// CollectErrorsResponse).
+/// CollectErrorsResponse of a kRunColumn exchange).
 struct WireReply {
   Status status;
   double compute_seconds = 0.0;
@@ -88,7 +99,10 @@ Result<WireReply> DecodeReply(ByteReader* reader);
 
 constexpr std::uint32_t kWireMagic = 0x46544244;  // "DBTF", little-endian
 // Version 2: FactorDelta gained apply_only; kQuery frames added.
-constexpr std::uint8_t kWireVersion = 2;
+// Version 3: one kRunColumn exchange per column replaces the separate
+// dispatch and collect frames; row masks travel as bit planes and the
+// collect reply as varint error differences.
+constexpr std::uint8_t kWireVersion = 3;
 /// magic + version + kind + payload length.
 constexpr std::size_t kFrameHeaderBytes = 4 + 1 + 1 + 8;
 constexpr std::size_t kFrameCrcBytes = 4;

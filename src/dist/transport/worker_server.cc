@@ -36,31 +36,22 @@ WireReply ServeFrame(Worker* worker, const WireFrame& frame) {
       }
       return reply;
     }
-    case WireKind::kRunUpdateColumn: {
-      Result<RunUpdateColumn> msg = DecodeRunUpdateColumn(&reader);
-      if (!msg.ok()) {
-        reply.status = msg.status();
+    case WireKind::kRunColumn: {
+      Result<RunUpdateColumn> run = DecodeRunUpdateColumn(&reader);
+      if (!run.ok()) {
+        reply.status = run.status();
         return reply;
       }
-      reply.status = reader.ExpectEnd();
-      if (reply.status.ok()) {
-        timer.Reset();
-        reply.status = worker->Handle(*msg);
-        reply.compute_seconds = timer.ElapsedSeconds();
-      }
-      return reply;
-    }
-    case WireKind::kCollectErrors: {
-      Result<CollectErrorsRequest> msg = DecodeCollectErrorsRequest(&reader);
-      if (!msg.ok()) {
-        reply.status = msg.status();
+      Result<CollectErrorsRequest> req = DecodeCollectErrorsRequest(&reader);
+      if (!req.ok()) {
+        reply.status = req.status();
         return reply;
       }
       reply.status = reader.ExpectEnd();
       if (!reply.status.ok()) return reply;
       CollectErrorsResponse response;
       timer.Reset();
-      reply.status = worker->Handle(*msg, &response);
+      reply.status = worker->Handle(*run, *req, &response);
       reply.compute_seconds = timer.ElapsedSeconds();
       if (reply.status.ok()) {
         ByteWriter body;

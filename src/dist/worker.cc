@@ -6,6 +6,7 @@
 #include "common/bitspan.h"
 #include "common/check.h"
 #include "common/kernels/kernels.h"
+#include "common/rank.h"
 
 namespace dbtf {
 namespace {
@@ -208,14 +209,10 @@ Status Worker::Handle(const FactorDelta& msg) {
   st.built_cache_group_size = msg.cache_group_size;
   st.built_caching = msg.enable_caching;
 
-  // Error accumulators and cache-lookup scratch, (re)sized when stale.
+  // Cache-lookup scratch, (re)sized when stale.
   const std::size_t scratch_words =
       static_cast<std::size_t>((ms.matrix.rows() + 63) / 64);
   for (LocalPartition& lp : st.partitions) {
-    if (lp.err0.size() != static_cast<std::size_t>(st.rows)) {
-      lp.err0.assign(static_cast<std::size_t>(st.rows), 0);
-      lp.err1.assign(static_cast<std::size_t>(st.rows), 0);
-    }
     if (lp.scratch.size() != scratch_words) {
       lp.scratch.assign(scratch_words, 0);
     }
@@ -223,29 +220,37 @@ Status Worker::Handle(const FactorDelta& msg) {
   return Status::OK();
 }
 
-Status Worker::Handle(const RunUpdateColumn& msg) {
-  ModeState& st = state(msg.mode);
-  if (msg.rows != st.rows ||
-      static_cast<std::int64_t>(msg.row_masks.size()) != msg.rows) {
+Status Worker::Handle(const RunUpdateColumn& run,
+                      const CollectErrorsRequest& req,
+                      CollectErrorsResponse* response) {
+  DBTF_CHECK(response != nullptr);
+  ModeState& st = state(run.mode);
+  if (req.mode != run.mode || req.rows != run.rows || run.rows != st.rows ||
+      static_cast<std::int64_t>(run.row_masks.size()) != run.rows) {
     return Status::FailedPrecondition(
-        "RunUpdateColumn does not match the broadcast factor shape");
+        "column exchange does not match the broadcast factor shape");
   }
+  if (run.column < 0 || run.column >= kMaxRank) {
+    return Status::InvalidArgument("column index outside the rank cap");
+  }
+  *response = CollectErrorsResponse();
+  response->diffs.assign(static_cast<std::size_t>(st.rows), 0);
+  std::int64_t* diffs = response->diffs.data();
   const std::uint64_t bit = std::uint64_t{1}
-                            << static_cast<unsigned>(msg.column);
+                            << static_cast<unsigned>(run.column);
   for (LocalPartition& lp : st.partitions) {
     if (lp.cache == nullptr) {
       return Status::FailedPrecondition(
-          "RunUpdateColumn before the factor broadcast");
+          "column exchange before the factor broadcast");
     }
     const Partition& part = *lp.data;
     const CacheTable& cache = *lp.cache;
     const MutableBitSpan scr(lp.scratch.data(),
                              lp.scratch.size() * kBitsPerWord);
-    std::int64_t* e0 = lp.err0.data();
-    std::int64_t* e1 = lp.err1.data();
+    std::int64_t base_error = 0;
     for (std::int64_t r = 0; r < st.rows; ++r) {
       const std::uint64_t m0 =
-          msg.row_masks[static_cast<std::size_t>(r)] & ~bit;
+          run.row_masks[static_cast<std::size_t>(r)] & ~bit;
       std::int64_t sum0 = 0;
       std::int64_t sum1 = 0;
       for (const PartitionBlock& block : part.blocks) {
@@ -262,41 +267,15 @@ Status Worker::Handle(const RunUpdateColumn& msg) {
           sum1 += b0;
         }
       }
-      e0[r] = sum0;
-      e1[r] = sum1;
+      diffs[r] += sum1 - sum0;
+      base_error += sum0;
+    }
+    response->base_error += base_error;
+    if (req.want_stats) {
+      response->cache_entries += cache.total_entries();
+      response->cache_bytes += cache.memory_bytes();
     }
   }
-  return Status::OK();
-}
-
-Status Worker::Handle(const CollectErrorsRequest& msg,
-                      CollectErrorsResponse* response) {
-  DBTF_CHECK(response != nullptr);
-  const ModeState& st = state(msg.mode);
-  if (msg.rows != st.rows) {
-    return Status::FailedPrecondition(
-        "CollectErrors does not match the broadcast factor shape");
-  }
-  response->totals0.assign(static_cast<std::size_t>(st.rows), 0);
-  response->totals1.assign(static_cast<std::size_t>(st.rows), 0);
-  response->wire_bytes = 0;
-  response->cache_entries = 0;
-  response->cache_bytes = 0;
-  for (const LocalPartition& lp : st.partitions) {
-    for (std::int64_t r = 0; r < st.rows; ++r) {
-      response->totals0[static_cast<std::size_t>(r)] +=
-          lp.err0[static_cast<std::size_t>(r)];
-      response->totals1[static_cast<std::size_t>(r)] +=
-          lp.err1[static_cast<std::size_t>(r)];
-    }
-    if (msg.want_stats && lp.cache != nullptr) {
-      response->cache_entries += lp.cache->total_entries();
-      response->cache_bytes += lp.cache->memory_bytes();
-    }
-  }
-  // The driver collects 2 errors per row from every partition (Lemma 7).
-  response->wire_bytes = NumLocalPartitions(msg.mode) * st.rows * 2 *
-                         static_cast<std::int64_t>(sizeof(std::int64_t));
   return Status::OK();
 }
 

@@ -86,16 +86,15 @@ class Worker {
   /// moved — M_f row masks when the M_f slot's generation changed, cache
   /// tables (Algorithm 5) when the M_s slot's generation or the cache
   /// parameters changed, plus tables for freshly adopted partitions that
-  /// have none yet. Also (re)sizes the per-partition error accumulators.
+  /// have none yet. Also (re)sizes the per-partition lookup scratch.
   Status Handle(const FactorDelta& msg);
 
-  /// Scores both candidate values of the given column for every row against
-  /// each local partition (Algorithm 4's inner sweep).
-  Status Handle(const RunUpdateColumn& msg);
-
-  /// Fills `response` with this worker's per-partition error sums (plus
-  /// cache metrics when requested) and the response's wire-byte cost.
-  Status Handle(const CollectErrorsRequest& msg,
+  /// One column exchange: scores both candidate values of `run`'s column
+  /// for every row against each local partition (Algorithm 4's inner
+  /// sweep) and fills `response` with the per-row error differences summed
+  /// over those partitions, the candidate-0 error total, and — when `req`
+  /// asks — the cache metrics. Nothing about the column outlives the call.
+  Status Handle(const RunUpdateColumn& run, const CollectErrorsRequest& req,
                 CollectErrorsResponse* response);
 
   /// Answers one serving query (membership / fiber / top-R concepts) from
@@ -111,8 +110,6 @@ class Worker {
     std::unique_ptr<Partition> owned;  ///< set when this worker owns the data
     const Partition* data;             ///< owned.get() or the borrowed slice
     std::unique_ptr<CacheTable> cache; ///< rebuilt when M_s moves
-    std::vector<std::int64_t> err0;    ///< per-row error, candidate bit = 0
-    std::vector<std::int64_t> err1;    ///< per-row error, candidate bit = 1
     std::vector<BitWord> scratch;      ///< multi-group cache-lookup scratch
   };
 

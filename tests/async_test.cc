@@ -129,13 +129,12 @@ TEST(AsyncCluster, EmptyRegistryResolvesWithoutDeadlock) {
 }
 
 // The determinism anchor of the routing runtime: N machines, K rounds of
-// broadcast + column (dispatch and collect posted back-to-back per machine)
-// under a fault plan with transient failures and a stall. Every machine
-// must see its deliveries in exact post order (mailbox FIFO), every handler
-// must run exactly once per round (faults fail *before* the handler;
-// retries redeliver), and the ledger must charge exactly once per event.
-// Run under TSan this is also the concurrency stress for mailboxes,
-// futures, and the ledger.
+// broadcast + column (one exchange per machine) under a fault plan with
+// transient failures and a stall. Every machine must see its deliveries in
+// exact post order (mailbox FIFO), every handler must run exactly once per
+// round (faults fail *before* the handler; retries redeliver), and the
+// ledger must charge exactly once per event. Run under TSan this is also
+// the concurrency stress for mailboxes, futures, and the ledger.
 TEST(AsyncCluster, RoundsStayFifoAndChargeExactlyOnce) {
   constexpr int kMachines = 4;
   constexpr int kRounds = 8;
@@ -145,7 +144,7 @@ TEST(AsyncCluster, RoundsStayFifoAndChargeExactlyOnce) {
   config.num_machines = kMachines;
   config.num_threads = 4;
   auto plan = FaultPlan::Parse(
-      "0:dispatch:transient@2,1:collect:transient@1,"
+      "0:dispatch:transient@2,1:dispatch:transient@1,"
       "2:broadcast:transient@3,3:dispatch:stall@2~0.01");
   ASSERT_TRUE(plan.ok());
   config.fault_plan = *plan;
@@ -153,8 +152,10 @@ TEST(AsyncCluster, RoundsStayFifoAndChargeExactlyOnce) {
   ASSERT_TRUE(cluster.ok());
 
   std::vector<std::shared_ptr<FakeEndpoint>> fakes;
+  std::int64_t column_bytes = 0;
   for (int m = 0; m < kMachines; ++m) {
     fakes.push_back(std::make_shared<FakeEndpoint>(m, m * 10 + 1));
+    column_bytes += FakeColumnReply(m * 10 + 1).WireBytes();
     ASSERT_TRUE((*cluster)->AttachEndpoint(m, fakes.back()).ok());
   }
 
@@ -165,35 +166,33 @@ TEST(AsyncCluster, RoundsStayFifoAndChargeExactlyOnce) {
             .ok());
     RunUpdateColumn run;
     run.column = round;
-    CollectErrorsRequest collect;
-    collect.rows = round;
     CollectErrorsResponse response;
-    ASSERT_TRUE((*cluster)->RunColumn(run, collect, &response).ok());
+    ASSERT_TRUE(
+        (*cluster)->RunColumn(run, CollectErrorsRequest{}, &response).ok());
   }
 
-  // Per-machine FIFO: broadcast, dispatch, collect of round r, then round
+  // Per-machine FIFO: broadcast then column exchange of round r, then round
   // r+1 — exactly the post order, independent of thread scheduling.
   for (const auto& fake : fakes) {
     const std::vector<Delivery> log = fake->log();
-    ASSERT_EQ(log.size(), static_cast<std::size_t>(3 * kRounds))
+    ASSERT_EQ(log.size(), static_cast<std::size_t>(2 * kRounds))
         << "machine " << fake->machine();
     for (int round = 0; round < kRounds; ++round) {
-      const std::size_t base = static_cast<std::size_t>(3 * round);
+      const std::size_t base = static_cast<std::size_t>(2 * round);
       EXPECT_EQ(log[base], (Delivery{MessageKind::kBroadcast, round}));
       EXPECT_EQ(log[base + 1], (Delivery{MessageKind::kDispatch, round}));
-      EXPECT_EQ(log[base + 2], (Delivery{MessageKind::kCollect, round}));
     }
   }
 
   // Exactly-once ledger charging despite retries: one broadcast event per
   // round priced for all machines, one collect event per round summing the
-  // per-machine bytes.
+  // per-machine reply sizes.
   const CommSnapshot snap = (*cluster)->comm().Snapshot();
   EXPECT_EQ(snap.broadcast_events, kRounds);
   EXPECT_EQ(snap.broadcast_bytes,
             kRounds * kBroadcastWords * 8 * kMachines);
   EXPECT_EQ(snap.collect_events, kRounds);
-  EXPECT_EQ(snap.collect_bytes, kRounds * (1 + 11 + 21 + 31));
+  EXPECT_EQ(snap.collect_bytes, kRounds * column_bytes);
   // The three planned transient faults each failed one delivery attempt and
   // were retried; the stall neither fails nor retries.
   const RecoveryStats recovery = (*cluster)->recovery().Snapshot();

@@ -251,11 +251,30 @@ TEST(Cluster, BroadcastChargesPerMachineAndDeliversToAll) {
   EXPECT_EQ(snap.broadcast_events, 1);
 }
 
-TEST(Cluster, CollectSumsWorkerBytesIntoOneEvent) {
+TEST(Cluster, ColumnIsOneExchangePerMachine) {
   auto cluster = Cluster::Create(SmallConfig());
   ASSERT_TRUE(cluster.ok());
-  auto w0 = std::make_shared<FakeEndpoint>(0, /*collect_wire_bytes=*/30);
-  auto w1 = std::make_shared<FakeEndpoint>(1, /*collect_wire_bytes=*/12);
+  std::vector<std::shared_ptr<FakeEndpoint>> fakes;
+  for (int m = 0; m < 4; ++m) {
+    fakes.push_back(std::make_shared<FakeEndpoint>(m));
+    ASSERT_TRUE((*cluster)->AttachEndpoint(m, fakes.back()).ok());
+  }
+  RunUpdateColumn run;
+  run.column = 5;
+  CollectErrorsResponse response;
+  ASSERT_TRUE(
+      (*cluster)->RunColumn(run, CollectErrorsRequest{}, &response).ok());
+  for (const auto& fake : fakes) {
+    EXPECT_EQ(fake->log(), (std::vector<Delivery>{{MessageKind::kDispatch, 5}}))
+        << "exactly one delivery on machine " << fake->machine();
+  }
+}
+
+TEST(Cluster, ColumnChargesTheRepliesEncodedSizesAsOneEvent) {
+  auto cluster = Cluster::Create(SmallConfig());
+  ASSERT_TRUE(cluster.ok());
+  auto w0 = std::make_shared<FakeEndpoint>(0, /*reply_rows=*/30);
+  auto w1 = std::make_shared<FakeEndpoint>(1, /*reply_rows=*/200);
   ASSERT_TRUE((*cluster)->AttachEndpoint(0, w0).ok());
   ASSERT_TRUE((*cluster)->AttachEndpoint(1, w1).ok());
   CollectErrorsResponse response;
@@ -263,22 +282,21 @@ TEST(Cluster, CollectSumsWorkerBytesIntoOneEvent) {
                   ->RunColumn(RunUpdateColumn{}, CollectErrorsRequest{},
                               &response)
                   .ok());
-  for (const auto& w : {w0, w1}) {
-    EXPECT_EQ(w->log(), (std::vector<Delivery>{{MessageKind::kDispatch, 0},
-                                               {MessageKind::kCollect, 0}}))
-        << "dispatch, then collect, on machine " << w->machine();
-  }
-  EXPECT_EQ(response.wire_bytes, 42) << "responses merge at the driver";
+  EXPECT_EQ(response.diffs.size(), 200u) << "replies merge at the driver";
+  const std::int64_t expected =
+      FakeColumnReply(30).WireBytes() + FakeColumnReply(200).WireBytes();
+  // 200 rows need a two-byte row count and block length.
+  EXPECT_EQ(expected, (2 + 30 + 3) + (4 + 200 + 3));
   const CommSnapshot snap = (*cluster)->comm().Snapshot();
-  EXPECT_EQ(snap.collect_bytes, 42);
+  EXPECT_EQ(snap.collect_bytes, expected);
   EXPECT_EQ(snap.collect_events, 1);
 }
 
-TEST(Cluster, DispatchSurfacesWorkerErrors) {
+TEST(Cluster, FailedColumnSurfacesTheErrorAndChargesNothing) {
   auto cluster = Cluster::Create(SmallConfig());
   ASSERT_TRUE(cluster.ok());
-  auto w0 = std::make_shared<FakeEndpoint>(0);
-  auto w1 = std::make_shared<FakeEndpoint>(1);
+  auto w0 = std::make_shared<FakeEndpoint>(0, /*reply_rows=*/8);
+  auto w1 = std::make_shared<FakeEndpoint>(1, /*reply_rows=*/8);
   w1->Fail(MessageKind::kDispatch, Status::Internal("boom"));
   ASSERT_TRUE((*cluster)->AttachEndpoint(0, w0).ok());
   ASSERT_TRUE((*cluster)->AttachEndpoint(1, w1).ok());
@@ -286,28 +304,29 @@ TEST(Cluster, DispatchSurfacesWorkerErrors) {
   const Status status = (*cluster)->RunColumn(
       RunUpdateColumn{}, CollectErrorsRequest{}, &response);
   EXPECT_EQ(status.code(), StatusCode::kInternal);
-  EXPECT_EQ((*cluster)->comm().Snapshot().collect_events, 1)
-      << "the collect charge depends on the collects alone";
+  EXPECT_EQ(status.message(), "boom");
+  EXPECT_EQ((*cluster)->comm().Snapshot().collect_events, 0)
+      << "a column that failed on any machine charges nothing";
 }
 
-TEST(Cluster, DispatchFailureOutranksCollectFailureOfSameSeverity) {
+TEST(Cluster, ColumnRejectsMismatchedRequestsBeforeDelivery) {
   auto cluster = Cluster::Create(SmallConfig());
   ASSERT_TRUE(cluster.ok());
   auto w0 = std::make_shared<FakeEndpoint>(0);
-  auto w1 = std::make_shared<FakeEndpoint>(1);
-  // Machine 0 comes first in attach order, yet its collect failure must
-  // lose to machine 1's dispatch failure: statuses are step-major.
-  w0->Fail(MessageKind::kCollect, Status::Internal("collect"));
-  w1->Fail(MessageKind::kDispatch, Status::Internal("dispatch"));
   ASSERT_TRUE((*cluster)->AttachEndpoint(0, w0).ok());
-  ASSERT_TRUE((*cluster)->AttachEndpoint(1, w1).ok());
+  RunUpdateColumn run;
+  run.rows = 2;
+  run.row_masks = {0x1, 0x2};
+  CollectErrorsRequest req;
+  req.rows = 3;
   CollectErrorsResponse response;
-  const Status status = (*cluster)->RunColumn(
-      RunUpdateColumn{}, CollectErrorsRequest{}, &response);
-  EXPECT_EQ(status.code(), StatusCode::kInternal);
-  EXPECT_EQ(status.message(), "dispatch");
-  EXPECT_EQ((*cluster)->comm().Snapshot().collect_events, 0)
-      << "a column whose collect failed on any machine charges nothing";
+  EXPECT_EQ((*cluster)->RunColumn(run, req, &response).code(),
+            StatusCode::kInvalidArgument);
+  req.rows = 2;
+  run.row_masks.pop_back();
+  EXPECT_EQ((*cluster)->RunColumn(run, req, &response).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(w0->log(), std::vector<Delivery>{});
 }
 
 TEST(Cluster, QueryRoutesToOneMachineAndChargesTheRoundTrip) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "ckpt/checkpoint.h"
+#include "common/serde.h"
 #include "dbtf/dbtf.h"
 #include "dbtf/session.h"
 #include "dist/fault.h"
@@ -104,16 +105,36 @@ TEST(Session, LedgerMatchesAnalyticFormulas) {
   EXPECT_EQ(r->comm.broadcast_events, updates);
   EXPECT_EQ(r->comm.collect_events, updates * config.rank);
 
-  // Collect volume: 2 errors x rows x partitions per column (Lemma 7).
-  const std::int64_t rows[3] = {p.tensor.dim_i(), p.tensor.dim_j(),
+  // Collect volume (Lemma 7, compact replies): per column, every machine
+  // sends one reply of a row count, a block length, one zigzag varint per
+  // row, and three zigzag scalars. A difference takes at least one byte and
+  // at most the varint of 2 * (cells per unfolding row), since each
+  // candidate's row error is bounded by that row's cell count.
+  const std::int64_t dims[3] = {p.tensor.dim_i(), p.tensor.dim_j(),
                                 p.tensor.dim_k()};
-  std::int64_t per_iteration = 0;
+  const std::int64_t machines = config.cluster.num_machines;
+  std::int64_t lower = 0;
+  std::int64_t upper = 0;
   for (int mode = 0; mode < 3; ++mode) {
-    per_iteration += (*session)->partitions_used(static_cast<Mode>(mode + 1)) *
-                     rows[mode] * config.rank * 2 *
-                     static_cast<std::int64_t>(sizeof(std::int64_t));
+    const std::int64_t rows = dims[mode];
+    const std::int64_t cells = dims[(mode + 1) % 3] * dims[(mode + 2) % 3];
+    const std::int64_t diff_max = VarintBytes(ZigZagEncode(cells));
+    lower += 2 * VarintBytes(rows) + rows + 3;
+    upper += VarintBytes(rows) + VarintBytes(rows * diff_max) +
+             rows * diff_max + VarintBytes(ZigZagEncode(rows * cells)) +
+             2 * kMaxVarintBytes;
   }
-  EXPECT_EQ(r->comm.collect_bytes, (updates / 3) * per_iteration);
+  const std::int64_t replies_per_mode = (updates / 3) * config.rank * machines;
+  EXPECT_GE(r->comm.collect_bytes, replies_per_mode * lower);
+  EXPECT_LE(r->comm.collect_bytes, replies_per_mode * upper);
+  // The two-int64-per-row-per-partition form this replaced was at least 8x
+  // larger per row on this configuration (2 machines, 4 partitions).
+  std::int64_t dense = 0;
+  for (int mode = 0; mode < 3; ++mode) {
+    dense += (*session)->partitions_used(static_cast<Mode>(mode + 1)) *
+             dims[mode] * 2 * static_cast<std::int64_t>(sizeof(std::int64_t));
+  }
+  EXPECT_LT(8 * r->comm.collect_bytes, (updates / 3) * config.rank * dense);
 }
 
 /// A session partitions and shuffles once; later runs reuse the resident
@@ -475,7 +496,7 @@ TEST(Resume, DefaultCadenceReplaysTheGapAfterTheNewestSnapshot) {
 TEST(Resume, ReplaysTheFaultScheduleAcrossTheCut) {
   const PlantedTensor p = MakePlanted(24, 4, 57);
   DbtfConfig faulty = SmallConfig();
-  auto plan = FaultPlan::Parse("1:dispatch:crash@4,0:collect:transient@3x2");
+  auto plan = FaultPlan::Parse("1:dispatch:crash@4,0:dispatch:transient@3x2");
   ASSERT_TRUE(plan.ok());
   faulty.cluster.fault_plan = *plan;
   auto baseline = Dbtf::Factorize(p.tensor, faulty);

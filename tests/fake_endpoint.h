@@ -59,9 +59,9 @@ class Latch {
 };
 
 /// One delivery the fake received: its message kind and a tag from the
-/// message (FactorDelta::rows, RunUpdateColumn::column,
-/// CollectErrorsRequest::rows, QueryRequest::id), so a test can tell rounds
-/// apart by stamping that field.
+/// message (FactorDelta::rows, RunUpdateColumn::column for a column
+/// exchange, QueryRequest::id), so a test can tell rounds apart by stamping
+/// that field.
 struct Delivery {
   MessageKind kind;
   std::int64_t tag;
@@ -83,27 +83,33 @@ inline FactorDelta BroadcastOfWords(std::int64_t words, std::int64_t tag = 0) {
   return msg;
 }
 
+/// The reply a FakeEndpoint answers every column exchange with: `rows` zero
+/// differences, whose encoded size is what Cluster charges for it.
+inline CollectErrorsResponse FakeColumnReply(std::int64_t rows) {
+  CollectErrorsResponse reply;
+  reply.diffs.assign(static_cast<std::size_t>(rows), 0);
+  return reply;
+}
+
 /// Routing-test endpoint. Every delivery is logged (failed ones included),
 /// then waits on the latch if one is set, then returns the status scripted
-/// for its kind. A successful collect reports `collect_wire_bytes` as its
-/// payload size; queries are collect-kind traffic, as in Cluster.
+/// for its kind. A column exchange is one dispatch-kind delivery whose
+/// successful reply is FakeColumnReply(reply_rows); queries are collect-kind
+/// traffic, as in Cluster.
 class FakeEndpoint final : public WorkerEndpoint {
  public:
-  explicit FakeEndpoint(int machine, std::int64_t collect_wire_bytes = 0)
-      : machine_(machine), collect_wire_bytes_(collect_wire_bytes) {}
+  explicit FakeEndpoint(int machine, std::int64_t reply_rows = 0)
+      : machine_(machine), reply_rows_(reply_rows) {}
 
   int machine() const override { return machine_; }
 
   Status Deliver(const FactorDelta& msg, double*) override {
     return Receive({MessageKind::kBroadcast, msg.rows});
   }
-  Status Deliver(const RunUpdateColumn& msg, double*) override {
-    return Receive({MessageKind::kDispatch, msg.column});
-  }
-  Status Collect(const CollectErrorsRequest& msg,
-                 CollectErrorsResponse* response, double*) override {
-    DBTF_RETURN_IF_ERROR(Receive({MessageKind::kCollect, msg.rows}));
-    response->wire_bytes = collect_wire_bytes_;
+  Status RunColumn(const RunUpdateColumn& run, const CollectErrorsRequest&,
+                   CollectErrorsResponse* response, double*) override {
+    DBTF_RETURN_IF_ERROR(Receive({MessageKind::kDispatch, run.column}));
+    *response = FakeColumnReply(reply_rows_);
     return Status::OK();
   }
   Status Query(const QueryRequest& msg, QueryResponse* response,
@@ -160,7 +166,7 @@ class FakeEndpoint final : public WorkerEndpoint {
   }
 
   const int machine_;
-  const std::int64_t collect_wire_bytes_;
+  const std::int64_t reply_rows_;
   mutable Mutex mu_;
   std::vector<Delivery> log_ DBTF_GUARDED_BY(mu_);
   Status scripted_[3] DBTF_GUARDED_BY(mu_);

@@ -231,16 +231,16 @@ TEST(ClusterFaults, ConfigValidatesPlanAndPolicy) {
 /// Attaches one fake endpoint per listed machine.
 std::vector<std::shared_ptr<FakeEndpoint>> AttachFakes(
     Cluster& cluster, const std::vector<int>& machines,
-    std::int64_t collect_wire_bytes = 0) {
+    std::int64_t reply_rows = 0) {
   std::vector<std::shared_ptr<FakeEndpoint>> fakes;
   for (const int m : machines) {
-    fakes.push_back(std::make_shared<FakeEndpoint>(m, collect_wire_bytes));
+    fakes.push_back(std::make_shared<FakeEndpoint>(m, reply_rows));
     EXPECT_TRUE(cluster.AttachEndpoint(m, fakes.back()).ok());
   }
   return fakes;
 }
 
-/// One column step (dispatch + collect) with empty messages.
+/// One column exchange with empty messages.
 Status RunEmptyColumn(Cluster& cluster) {
   CollectErrorsResponse response;
   return cluster.RunColumn(RunUpdateColumn{}, CollectErrorsRequest{},
@@ -268,17 +268,18 @@ TEST(ClusterFaults, TransientFaultIsRetriedTransparently) {
   EXPECT_GT((*cluster)->DriverSeconds(), 0.0);
 }
 
-TEST(ClusterFaults, CollectRetryNeverDoubleCounts) {
-  auto cluster = Cluster::Create(FaultyConfig("0:collect:transient@1"));
+TEST(ClusterFaults, ColumnRetryNeverDoubleCounts) {
+  auto cluster = Cluster::Create(FaultyConfig("0:dispatch:transient@1"));
   ASSERT_TRUE(cluster.ok());
-  const auto fakes = AttachFakes(**cluster, {0, 1}, /*collect_wire_bytes=*/10);
+  const auto fakes = AttachFakes(**cluster, {0, 1}, /*reply_rows=*/10);
   ASSERT_TRUE(RunEmptyColumn(**cluster).ok());
   for (const auto& fake : fakes) {
-    EXPECT_EQ(fake->deliveries(MessageKind::kCollect), 1)
+    EXPECT_EQ(fake->deliveries(MessageKind::kDispatch), 1)
         << "the faulted attempt never reached the endpoint";
   }
-  EXPECT_EQ((*cluster)->comm().Snapshot().collect_bytes, 20)
-      << "each endpoint's payload is charged exactly once";
+  EXPECT_EQ((*cluster)->comm().Snapshot().collect_bytes,
+            2 * FakeColumnReply(10).WireBytes())
+      << "each endpoint's reply is charged exactly once";
   EXPECT_EQ((*cluster)->recovery().Snapshot().retries, 1);
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rank.h"
 #include "common/status.h"
 #include "dbtf/partition.h"
 #include "dist/messages.h"
@@ -30,6 +31,41 @@ TEST(Crc32Test, SensitiveToEveryByte) {
   std::string b = a;
   b[3] ^= 0x01;
   EXPECT_NE(Crc32(a.data(), a.size()), Crc32(b.data(), b.size()));
+}
+
+/// The one-byte-at-a-time CRC-32 that slicing-by-8 must reproduce.
+std::uint32_t BytewiseCrc32(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) != 0 ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, SlicedMatchesBytewiseAtEveryLengthAndAlignment) {
+  std::vector<std::uint8_t> bytes(4096 + 8);
+  std::uint64_t state = 0x9E3779B97F4A7C15ull;
+  for (std::uint8_t& b : bytes) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<std::uint8_t>(state >> 56);
+  }
+  EXPECT_EQ(BytewiseCrc32(reinterpret_cast<const std::uint8_t*>("123456789"),
+                          9),
+            0xCBF43926u);
+  for (std::size_t size = 0; size <= 4096; ++size) {
+    ASSERT_EQ(Crc32(bytes.data(), size), BytewiseCrc32(bytes.data(), size))
+        << "length " << size;
+  }
+  for (std::size_t offset = 1; offset < 8; ++offset) {
+    for (std::size_t size = 0; size <= 200; ++size) {
+      ASSERT_EQ(Crc32(bytes.data() + offset, size),
+                BytewiseCrc32(bytes.data() + offset, size))
+          << "offset " << offset << ", length " << size;
+    }
+  }
 }
 
 TEST(Fnv1a64Test, DistinguishesContent) {
@@ -76,6 +112,68 @@ TEST(SerdeTest, LittleEndianOnTheWire) {
   EXPECT_EQ(w.bytes()[1], 0x03);
   EXPECT_EQ(w.bytes()[2], 0x02);
   EXPECT_EQ(w.bytes()[3], 0x01);
+  w.WriteU64(0x0102030405060708ull);
+  EXPECT_EQ(w.bytes(), (std::vector<std::uint8_t>{4, 3, 2, 1, 8, 7, 6, 5, 4,
+                                                  3, 2, 1}));
+  ByteReader r(w.bytes().data() + 4, 8);
+  EXPECT_EQ(r.ReadU64().value(), 0x0102030405060708ull);
+}
+
+TEST(SerdeTest, VarintsRoundTripInShortestForm) {
+  const std::uint64_t values[] = {0,       1,          127,
+                                  128,     300,        16383,
+                                  16384,   1ull << 63, ~0ull};
+  for (const std::uint64_t v : values) {
+    ByteWriter w;
+    w.WriteVarint(v);
+    EXPECT_EQ(static_cast<int>(w.size()), VarintBytes(v)) << v;
+    ByteReader r(w.bytes());
+    EXPECT_EQ(r.ReadVarint().value(), v);
+    EXPECT_TRUE(r.ExpectEnd().ok());
+  }
+  EXPECT_EQ(VarintBytes(0), 1);
+  EXPECT_EQ(VarintBytes(127), 1);
+  EXPECT_EQ(VarintBytes(128), 2);
+  EXPECT_EQ(VarintBytes(~0ull), kMaxVarintBytes);
+  ByteWriter w;
+  w.WriteVarint(300);
+  EXPECT_EQ(w.bytes(), (std::vector<std::uint8_t>{0xAC, 0x02}));
+}
+
+TEST(SerdeTest, ZigZagMapsSmallMagnitudesToSmallCodes) {
+  EXPECT_EQ(ZigZagEncode(0), 0u);
+  EXPECT_EQ(ZigZagEncode(-1), 1u);
+  EXPECT_EQ(ZigZagEncode(1), 2u);
+  EXPECT_EQ(ZigZagEncode(-2), 3u);
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(ZigZagEncode(kMax), ~0ull - 1);
+  EXPECT_EQ(ZigZagEncode(kMin), ~0ull);
+  for (const std::int64_t v : {kMin, kMin + 1, std::int64_t{-300},
+                               std::int64_t{0}, std::int64_t{77}, kMax}) {
+    EXPECT_EQ(ZigZagDecode(ZigZagEncode(v)), v);
+  }
+}
+
+TEST(SerdeTest, MalformedVarintsAreRejected) {
+  const auto rejected = [](std::vector<std::uint8_t> bytes) {
+    ByteReader r(bytes);
+    return r.ReadVarint().status().code() == StatusCode::kIoError;
+  };
+  EXPECT_TRUE(rejected({})) << "empty";
+  EXPECT_TRUE(rejected({0x80})) << "continuation with nothing after it";
+  EXPECT_TRUE(rejected({0x80, 0x00})) << "redundant zero byte";
+  EXPECT_TRUE(rejected({0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                        0x02}))
+      << "tenth byte past bit 63";
+  EXPECT_TRUE(rejected({0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+                        0x81, 0x00}))
+      << "longer than ten bytes";
+  // The largest value is exactly ten bytes and is accepted.
+  std::vector<std::uint8_t> max(9, 0xFF);
+  max.push_back(0x01);
+  ByteReader r(max);
+  EXPECT_EQ(r.ReadVarint().value(), ~0ull);
 }
 
 TEST(SerdeTest, RawBytesRoundTrip) {
@@ -258,16 +356,80 @@ TEST(WireCodec, FactorDeltaTruncationRejected) {
   ExpectEveryTruncationRejected(w.bytes(), DecodeFactorDelta);
 }
 
-TEST(WireCodec, RunUpdateColumnRoundTripsByteStable) {
+/// Masks of `rows` rows, each a pseudo-random subset of the low `width`
+/// bits, with the top bit forced on in the last row so the planes' width is
+/// exactly `width`.
+RunUpdateColumn TestRunUpdateColumn(std::int64_t rows, int width) {
   RunUpdateColumn msg;
   msg.mode = Mode::kThree;
   msg.column = 5;
-  msg.rows = 3;
-  msg.row_masks = {0x1ull, 0xFFFFull, 0x8000000000000001ull};
-  ExpectWireRoundTrip(msg, EncodeRunUpdateColumn, DecodeRunUpdateColumn);
+  msg.rows = rows;
+  std::uint64_t state = static_cast<std::uint64_t>(rows * 131 + width);
+  const std::uint64_t low =
+      width == 64 ? ~0ull : (std::uint64_t{1} << width) - 1;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    msg.row_masks.push_back(state & low);
+  }
+  if (width > 0 && rows > 0) {
+    msg.row_masks.back() |= std::uint64_t{1} << (width - 1);
+  }
+  return msg;
+}
+
+/// Bytes of a RunUpdateColumn header: mode, column, rows, plane width.
+constexpr std::size_t kRunHeaderBytes = 1 + 8 + 8 + 1;
+
+TEST(WireCodec, RunUpdateColumnRoundTripsAsBitPlanes) {
+  for (const std::int64_t rows : {0, 1, 63, 64, 65, 160}) {
+    for (const int width : {0, 1, 10, 64}) {
+      const RunUpdateColumn msg = TestRunUpdateColumn(rows, width);
+      SCOPED_TRACE("rows " + std::to_string(rows) + ", width " +
+                   std::to_string(width));
+      ExpectWireRoundTrip(msg, EncodeRunUpdateColumn, DecodeRunUpdateColumn);
+      ByteWriter w;
+      EncodeRunUpdateColumn(msg, &w);
+      const std::size_t planes =
+          rows == 0 ? 0 : static_cast<std::size_t>(width);
+      EXPECT_EQ(w.size(), kRunHeaderBytes + planes * 8 *
+                                                WordsForBits(
+                                                    static_cast<std::size_t>(
+                                                        rows)));
+      ByteReader reader(w.bytes());
+      EXPECT_EQ(DecodeRunUpdateColumn(&reader)->row_masks, msg.row_masks);
+      ExpectEveryTruncationRejected(w.bytes(), DecodeRunUpdateColumn);
+    }
+  }
+  // The fig-7-sized column: 160 rows at rank 10 ship 10 planes of 3 words,
+  // 240 bytes of masks instead of 160 x 8.
   ByteWriter w;
-  EncodeRunUpdateColumn(msg, &w);
-  ExpectEveryTruncationRejected(w.bytes(), DecodeRunUpdateColumn);
+  EncodeRunUpdateColumn(TestRunUpdateColumn(160, 10), &w);
+  EXPECT_EQ(w.size() - kRunHeaderBytes, 240u);
+}
+
+TEST(WireCodec, RunUpdateColumnRejectsBadPlanes) {
+  ByteWriter w;
+  EncodeRunUpdateColumn(TestRunUpdateColumn(5, 3), &w);
+  const std::size_t width_at = kRunHeaderBytes - 1;
+  {
+    std::vector<std::uint8_t> bytes = w.bytes();
+    bytes[width_at] = static_cast<std::uint8_t>(kMaxRank + 1);
+    bytes.resize(kRunHeaderBytes + static_cast<std::size_t>(kMaxRank + 1) * 8,
+                 0);
+    ByteReader reader(bytes);
+    EXPECT_EQ(DecodeRunUpdateColumn(&reader).status().code(),
+              StatusCode::kIoError)
+        << "plane width above the rank cap";
+  }
+  {
+    // Bit 10 of the first plane belongs to no row (5 rows).
+    std::vector<std::uint8_t> bytes = w.bytes();
+    bytes[kRunHeaderBytes + 1] |= 0x04;
+    ByteReader reader(bytes);
+    EXPECT_EQ(DecodeRunUpdateColumn(&reader).status().code(),
+              StatusCode::kIoError)
+        << "set bit in plane padding";
+  }
 }
 
 TEST(WireCodec, CollectErrorsRequestRoundTripsByteStable) {
@@ -282,18 +444,75 @@ TEST(WireCodec, CollectErrorsRequestRoundTripsByteStable) {
   ExpectEveryTruncationRejected(w.bytes(), DecodeCollectErrorsRequest);
 }
 
-TEST(WireCodec, CollectErrorsResponseRoundTripsByteStable) {
+CollectErrorsResponse TestResponse(std::int64_t rows) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t extremes[] = {kMax, 0, -kMax, -1, 1, -200, 5000};
   CollectErrorsResponse msg;
-  msg.totals0 = {0, 5, 123456789};
-  msg.totals1 = {9, 0, 42};
-  msg.wire_bytes = 4096;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    msg.diffs.push_back(extremes[r % 7]);
+  }
+  msg.base_error = 123456789;
   msg.cache_entries = 17;
   msg.cache_bytes = 2048;
-  ExpectWireRoundTrip(msg, EncodeCollectErrorsResponse,
-                      DecodeCollectErrorsResponse);
+  return msg;
+}
+
+TEST(WireCodec, CollectErrorsResponseRoundTripsAtItsExactSize) {
+  for (const std::int64_t rows : {0, 1, 63, 64, 65, 160}) {
+    SCOPED_TRACE("rows " + std::to_string(rows));
+    const CollectErrorsResponse msg = TestResponse(rows);
+    ExpectWireRoundTrip(msg, EncodeCollectErrorsResponse,
+                        DecodeCollectErrorsResponse);
+    ByteWriter w;
+    EncodeCollectErrorsResponse(msg, &w);
+    EXPECT_EQ(static_cast<std::int64_t>(w.size()), msg.WireBytes());
+    ByteReader reader(w.bytes());
+    const Result<CollectErrorsResponse> decoded =
+        DecodeCollectErrorsResponse(&reader);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(decoded->diffs, msg.diffs);
+    EXPECT_EQ(decoded->base_error, msg.base_error);
+    EXPECT_EQ(decoded->cache_entries, msg.cache_entries);
+    EXPECT_EQ(decoded->cache_bytes, msg.cache_bytes);
+    ExpectEveryTruncationRejected(w.bytes(), DecodeCollectErrorsResponse);
+  }
+  // 160 zero differences cost one byte each.
+  CollectErrorsResponse zeros;
+  zeros.diffs.assign(160, 0);
+  EXPECT_EQ(zeros.WireBytes(), 2 + 2 + 160 + 3);
+}
+
+TEST(WireCodec, CollectErrorsResponseRejectsABlockThatMissesTheRowCount) {
+  CollectErrorsResponse msg;
+  msg.diffs = {3, -4, 5};
   ByteWriter w;
   EncodeCollectErrorsResponse(msg, &w);
-  ExpectEveryTruncationRejected(w.bytes(), DecodeCollectErrorsResponse);
+  // Byte 0 is the row count: claim two rows, then four, over the 3-diff
+  // block.
+  for (const std::uint8_t rows : {2, 4}) {
+    std::vector<std::uint8_t> bytes = w.bytes();
+    bytes[0] = rows;
+    ByteReader reader(bytes);
+    EXPECT_EQ(DecodeCollectErrorsResponse(&reader).status().code(),
+              StatusCode::kIoError)
+        << "rows " << static_cast<int>(rows);
+  }
+}
+
+TEST(WireCodec, MergeSumsDifferencesAndScalars) {
+  CollectErrorsResponse a;
+  a.diffs = {1, -2};
+  a.base_error = 10;
+  a.cache_entries = 1;
+  CollectErrorsResponse b;
+  b.diffs = {-5, 2, 7};
+  b.base_error = 4;
+  b.cache_bytes = 8;
+  a.MergeFrom(b);
+  EXPECT_EQ(a.diffs, (std::vector<std::int64_t>{-4, 0, 7}));
+  EXPECT_EQ(a.base_error, 14);
+  EXPECT_EQ(a.cache_entries, 1);
+  EXPECT_EQ(a.cache_bytes, 8);
 }
 
 TEST(WireCodec, StorePartitionRequestRoundTripsByteStable) {
@@ -354,12 +573,12 @@ TEST(WireFrameTest, FrameRoundTripsAndRejectsDamage) {
   EncodeRunUpdateColumn(
       RunUpdateColumn{Mode::kOne, 2, {0xF0ull, 0x0Full}, 2}, &payload);
   const std::vector<std::uint8_t> frame =
-      EncodeFrame(WireKind::kRunUpdateColumn, payload);
+      EncodeFrame(WireKind::kRunColumn, payload);
   ASSERT_GE(frame.size(), kFrameHeaderBytes + kFrameCrcBytes);
 
   auto decoded = DecodeFrame(frame);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->kind, WireKind::kRunUpdateColumn);
+  EXPECT_EQ(decoded->kind, WireKind::kRunColumn);
   EXPECT_EQ(decoded->payload, payload.bytes());
 
   // Every single-bit flip anywhere in the frame is rejected: header damage
@@ -381,6 +600,13 @@ TEST(WireFrameTest, FrameRoundTripsAndRejectsDamage) {
                                           frame.begin() + cut);
     EXPECT_FALSE(DecodeFrame(short_frame).ok());
   }
+}
+
+TEST(WireFrameTest, RetiredCollectKindIsUnknown) {
+  ByteWriter empty;
+  std::vector<std::uint8_t> frame = EncodeFrame(WireKind::kShutdown, empty);
+  frame[5] = 3;  // the separate collect request of wire version 2
+  EXPECT_EQ(DecodeFrame(frame).status().code(), StatusCode::kIoError);
 }
 
 TEST(WireFrameTest, ShutdownFrameIsEmptyPayload) {
