@@ -214,12 +214,12 @@ Result<UpdateFactorStats> RunFactorUpdate(
   // Runs `op`, recovering from retryable routing failures: `recover`
   // restores partition coverage (re-provisioning lost machines' partitions
   // onto survivors), then — when `rebroadcast` — the factor matrices go out
-  // again so the adopted partitions get cache tables and error state, then
-  // `op` is re-run from scratch. The original driver-owned matrices are
-  // re-broadcast verbatim and each column recomputes its errors entirely
-  // from the driver's row masks, so a recovered run makes exactly the
-  // decisions a fault-free run makes. Bounded: one round per machine plus
-  // one, so a fault that recovery cannot clear surfaces instead of looping.
+  // again so the adopted partitions get cache tables, then `op` is re-run
+  // from scratch. The original driver-owned matrices are re-broadcast
+  // verbatim and each column recomputes its errors entirely from the
+  // driver's row masks, so a recovered run makes exactly the decisions a
+  // fault-free run makes. Bounded: one round per machine plus one, so a
+  // fault that recovery cannot clear surfaces instead of looping.
   const auto with_recovery = [&](const std::function<Status()>& op,
                                  bool rebroadcast) -> Status {
     Status status = op();

@@ -16,17 +16,17 @@ Result<UpdateFactorStats> UpdateFactor(const PartitionedUnfolding& unfolding,
         "UpdateFactor needs an idle cluster; workers are already attached");
   }
 
-  // Ephemeral cluster-owned workers borrowing the caller's partitions,
-  // placed exactly as a session would place owned ones.
+  // Ephemeral cluster-owned workers, each storing a copy of the caller's
+  // partitions placed exactly as a session would place them.
   DBTF_RETURN_IF_ERROR(ProvisionWorkers(*cluster));
   const std::vector<Partition>& partitions = unfolding.partitions();
   for (std::size_t p = 0; p < partitions.size(); ++p) {
-    const Status lent =
-        LendPartition(*cluster, unfolding.mode(), static_cast<std::int64_t>(p),
-                      &partitions[p], unfolding.shape());
-    if (!lent.ok()) {
+    const Status stored = StorePartition(
+        *cluster, unfolding.mode(), static_cast<std::int64_t>(p),
+        partitions[p], unfolding.shape());
+    if (!stored.ok()) {
       cluster->DetachWorkers();
-      return lent;
+      return stored;
     }
   }
 

@@ -15,11 +15,13 @@ namespace dbtf {
 /// X(n) (Algorithm 4 of the paper).
 ///
 /// Legacy standalone entry point over a caller-owned PartitionedUnfolding:
-/// it attaches one ephemeral worker per machine to `cluster`, each borrowing
-/// the partitions the placement policy assigns to it, runs RunFactorUpdate
-/// (dbtf/engine.h) over them, and detaches. Semantics — decisions, ledger
-/// charges, determinism — are identical to an update inside a Session, which
-/// is the preferred path (partitions stay resident across updates there).
+/// it attaches one ephemeral worker per machine to `cluster` (over either
+/// transport), stores on each a copy of the partitions the placement policy
+/// assigns to it, runs RunFactorUpdate (dbtf/engine.h) over them, and
+/// detaches. Semantics — decisions, ledger charges, determinism — are
+/// identical to an update inside a Session, which is the preferred path
+/// (partitions stay resident across updates there, and are moved rather
+/// than copied in).
 ///
 /// `cluster` must have no workers attached; a Session's cluster cannot be
 /// used here while the session is alive.

@@ -1,14 +1,12 @@
 #include "dist/cluster.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <thread>
 #include <utility>
 
 #include "common/check.h"
 #include "common/logging.h"
-#include "common/timer.h"
 
 namespace dbtf {
 
@@ -49,7 +47,8 @@ Cluster::Cluster(const ClusterConfig& config)
     : config_(config),
       placement_(config.placement ? config.placement : DefaultPlacement()),
       dead_(static_cast<std::size_t>(config.num_machines), false),
-      machine_seconds_(static_cast<std::size_t>(config.num_machines), 0.0) {
+      machine_seconds_(static_cast<std::size_t>(config.num_machines), 0.0),
+      delivery_locks_(static_cast<std::size_t>(config.num_machines)) {
   int threads = config_.num_threads;
   if (threads == 0) {
     threads = static_cast<int>(std::thread::hardware_concurrency());
@@ -59,19 +58,6 @@ Cluster::Cluster(const ClusterConfig& config)
   if (!config_.fault_plan.empty()) {
     injector_ = std::make_unique<FaultInjector>(config_.fault_plan);
   }
-  mailboxes_.reserve(static_cast<std::size_t>(config_.num_machines));
-  for (int m = 0; m < config_.num_machines; ++m) {
-    mailboxes_.push_back(std::make_unique<Mailbox>(pool_.get()));
-  }
-}
-
-void Cluster::RunTasks(std::int64_t n,
-                       const std::function<void(std::int64_t)>& fn) {
-  pool_->ParallelFor(n, [this, &fn](std::int64_t t) {
-    ThreadCpuTimer timer;
-    fn(t);
-    ChargeCompute(OwnerOf(t), timer.ElapsedSeconds());
-  });
 }
 
 Status Cluster::AttachEndpoint(int machine,
@@ -128,41 +114,17 @@ Result<std::vector<Cluster::AttachedWorker>> Cluster::RoutingSnapshot() const {
   return Status::FailedPrecondition("no workers attached to the cluster");
 }
 
-/// Shared state of one fan-out. Each mailbox task writes its own statuses
-/// slot; the last task to finish (the remaining counter hitting zero,
-/// acq_rel so every slot is visible) releases the snapshot and wakes the
-/// caller, which owns the statuses from then on.
-struct Cluster::FanOutOp {
-  std::vector<AttachedWorker> workers;
-  MessageKind kind = MessageKind::kBroadcast;
-  Delivery deliver;
-  std::vector<Status> statuses;
-  std::atomic<std::size_t> remaining{0};
-  Promise<Unit> done;
-};
-
-/// Shared state of one point-to-point query delivery. The endpoint pin
-/// keeps the target alive until the delivery drains, exactly like a fan-out
-/// snapshot would.
-struct Cluster::QueryOp {
-  std::shared_ptr<WorkerEndpoint> endpoint;
-  const QueryRequest* msg = nullptr;
-  QueryResponse* response = nullptr;
-  Promise<Unit> done;
-};
-
 Status Cluster::BroadcastFactors(FactorDelta msg) {
-  DBTF_ASSIGN_OR_RETURN(std::vector<AttachedWorker> workers,
+  DBTF_ASSIGN_OR_RETURN(const std::vector<AttachedWorker> workers,
                         RoutingSnapshot());
   // Lemma 7 charging happens before any delivery runs, exactly once per
   // broadcast, whether or not a delivery later fails (the bytes left the
   // driver either way).
   ChargeBroadcast(msg.WireBytes());
-  return CombineStatuses(FanOut(
-      std::move(workers), MessageKind::kBroadcast,
-      [&msg](std::size_t, WorkerEndpoint& endpoint, double* seconds) {
-        return endpoint.Deliver(msg, seconds);
-      }));
+  return FanOut(workers, MessageKind::kBroadcast,
+                [&msg](std::size_t, WorkerEndpoint& endpoint, double* seconds) {
+                  return endpoint.Deliver(msg, seconds);
+                });
 }
 
 Status Cluster::RunColumn(RunUpdateColumn run, const CollectErrorsRequest& req,
@@ -172,19 +134,18 @@ Status Cluster::RunColumn(RunUpdateColumn run, const CollectErrorsRequest& req,
     return Status::InvalidArgument(
         "RunUpdateColumn and CollectErrorsRequest disagree on the rows");
   }
-  DBTF_ASSIGN_OR_RETURN(std::vector<AttachedWorker> workers,
+  DBTF_ASSIGN_OR_RETURN(const std::vector<AttachedWorker> workers,
                         RoutingSnapshot());
   // Each machine's reply lands in its own snapshot slot, so deliveries
   // share nothing; an attempt that fails is overwritten by its retry, and
   // only a fully successful column is merged.
   std::vector<CollectErrorsResponse> replies(workers.size());
-  const Status status = CombineStatuses(FanOut(
-      std::move(workers), MessageKind::kDispatch,
+  DBTF_RETURN_IF_ERROR(FanOut(
+      workers, MessageKind::kDispatch,
       [&run, &req, &replies](std::size_t slot, WorkerEndpoint& endpoint,
                              double* seconds) {
         return endpoint.RunColumn(run, req, &replies[slot], seconds);
       }));
-  if (!status.ok()) return status;
   // One collect event for the whole column (Lemma 7): the exact encoded
   // size of every machine's reply.
   std::int64_t wire_bytes = 0;
@@ -205,40 +166,40 @@ Status Cluster::QueryWorker(int machine, QueryRequest msg,
   // delivery. A dead machine is absent from the registry, so it falls out
   // as kUnavailable here — the same code an injected crash surfaces
   // mid-delivery.
-  std::shared_ptr<WorkerEndpoint> endpoint = EndpointOn(machine);
+  const std::shared_ptr<WorkerEndpoint> endpoint = EndpointOn(machine);
   if (endpoint == nullptr) {
     return Status::Unavailable(
         "machine " + std::to_string(machine) +
         " has no attached endpoint (lost or never attached)");
   }
-  auto op = std::make_shared<QueryOp>();
-  op->endpoint = std::move(endpoint);
-  op->msg = &msg;
-  op->response = response;
-  const Future<Unit> done = op->done.future();
   // Queries are the injector's collect kind: a column exchange counts as
   // one dispatch, so query replies are the only collect traffic, and the
-  // checkpointed counter layout (machine * 3 + kind) stays unchanged.
-  mailboxes_[static_cast<std::size_t>(machine)]->Post([this, machine, op] {
-    const Status status =
-        DeliverWithRetry(machine, MessageKind::kCollect, [this, machine, &op] {
-          double seconds = 0.0;
-          const Status s =
-              op->endpoint->Query(*op->msg, op->response, &seconds);
-          ChargeCompute(machine, seconds);
-          return s;
-        });
-    if (status.ok()) {
-      // One query event for the round trip, charged only on success — a
-      // failed query charges nothing, like a failed collect.
-      ChargeQuery(op->msg->WireBytes() + op->response->WireBytes());
-    }
-    op->done.Set(status.ok() ? Result<Unit>(Unit{}) : Result<Unit>(status));
-  });
-  return done.Get().status();
+  // checkpointed counter layout (machine * 3 + kind) stays unchanged. The
+  // delivery runs right here on the calling thread.
+  DBTF_RETURN_IF_ERROR(DeliverWithRetry(
+      machine, MessageKind::kCollect,
+      [&endpoint, &msg, response](double* seconds) {
+        return endpoint->Query(msg, response, seconds);
+      }));
+  // One query event for the round trip, charged only on success — a failed
+  // query charges nothing, like a failed collect.
+  ChargeQuery(msg.WireBytes() + response->WireBytes());
+  return Status::OK();
 }
 
-Status Cluster::CombineStatuses(const std::vector<Status>& statuses) {
+Status Cluster::FanOut(const std::vector<AttachedWorker>& workers,
+                       MessageKind kind, const SlotHandler& handler) {
+  std::vector<Status> statuses(workers.size());
+  pool_->ParallelFor(
+      static_cast<std::int64_t>(workers.size()),
+      [this, &workers, kind, &handler, &statuses](std::int64_t i) {
+        const auto slot = static_cast<std::size_t>(i);
+        const AttachedWorker& w = workers[slot];
+        statuses[slot] = DeliverWithRetry(
+            w.machine, kind, [&handler, &w, slot](double* seconds) {
+              return handler(slot, *w.endpoint, seconds);
+            });
+      });
   for (const Status& status : statuses) {
     if (!status.ok() && !IsRetryable(status.code())) return status;
   }
@@ -248,45 +209,12 @@ Status Cluster::CombineStatuses(const std::vector<Status>& statuses) {
   return Status::OK();
 }
 
-std::vector<Status> Cluster::FanOut(std::vector<AttachedWorker> workers,
-                                    MessageKind kind, Delivery deliver) {
-  auto op = std::make_shared<FanOutOp>();
-  const std::size_t n = workers.size();
-  op->workers = std::move(workers);
-  op->kind = kind;
-  op->deliver = std::move(deliver);
-  op->statuses.assign(n, Status::OK());
-  op->remaining.store(n, std::memory_order_relaxed);
-  const Future<Unit> done = op->done.future();
-  for (std::size_t i = 0; i < n; ++i) {
-    // Each delivery rides its machine's serial mailbox, so the per-(machine,
-    // kind) injector counters advance in post order.
-    mailboxes_[static_cast<std::size_t>(op->workers[i].machine)]->Post(
-        [this, op, i] {
-          const AttachedWorker& w = op->workers[i];
-          op->statuses[i] =
-              DeliverWithRetry(w.machine, op->kind, [this, &op, &w, i] {
-                double seconds = 0.0;
-                const Status status = op->deliver(i, *w.endpoint, &seconds);
-                ChargeCompute(w.machine, seconds);
-                return status;
-              });
-          if (op->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) {
-            return;
-          }
-          // Drop the snapshot before waking the caller, so an endpoint
-          // detached mid-call dies with the call rather than with this task.
-          op->workers.clear();
-          op->done.Set(Unit{});
-        });
-  }
-  // The future carries no error: every outcome is in op->statuses.
-  DBTF_CHECK(done.Get().ok());
-  return std::move(op->statuses);
-}
-
-Status Cluster::DeliverWithRetry(int machine, MessageKind kind,
-                                 const std::function<Status()>& attempt) {
+Status Cluster::DeliverWithRetry(
+    int machine, MessageKind kind,
+    const std::function<Status(double*)>& handler) {
+  // One delivery per machine at a time, across all routing threads. Every
+  // charge below takes mu_ while this is held, never the other way round.
+  MutexLock delivery(delivery_locks_[static_cast<std::size_t>(machine)]);
   const RetryPolicy& retry = config_.retry;
   double backoff = retry.backoff_seconds;
   Status last = Status::OK();
@@ -319,7 +247,11 @@ Status Cluster::DeliverWithRetry(int machine, MessageKind kind,
       }
       if (status.ok()) status = outcome.status;
     }
-    if (status.ok()) status = attempt();
+    if (status.ok()) {
+      double seconds = 0.0;
+      status = handler(&seconds);
+      ChargeCompute(machine, seconds);
+    }
     if (status.code() == StatusCode::kIoError) {
       // A transport failure (dead worker process, closed socket, corrupt
       // frame) is indistinguishable from a crashed machine: mark it lost so

@@ -9,7 +9,6 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "dist/async.h"
 #include "dist/comm_stats.h"
 #include "dist/fault.h"
 #include "dist/messages.h"
@@ -55,9 +54,9 @@ struct ClusterConfig {
 
 /// In-process stand-in for the Spark cluster the paper runs on.
 ///
-/// Tasks execute for real on a thread pool (so results are exact), while a
-/// deterministic *virtual clock* per machine records the CPU time each task
-/// consumed. The virtual makespan
+/// Handlers execute for real, fan-outs in parallel on a thread pool (so
+/// results are exact), while a deterministic *virtual clock* per machine
+/// records the CPU time each handler consumed. The virtual makespan
 ///     max_m(compute time of machine m) + driver/network time
 /// is what a real M-machine cluster would take, and is what the machine-
 /// scalability experiment (paper Fig. 7) reports. On a single-core host the
@@ -78,7 +77,9 @@ struct ClusterConfig {
 /// endpoint registry and both virtual clocks are guarded by `mu_`; the
 /// `CommStats` ledger is internally atomic and needs no lock. Routing never
 /// holds `mu_` while running handlers — it iterates over a snapshot of the
-/// registry that also pins the endpoints alive (see RoutingSnapshot).
+/// registry that also pins the endpoints alive (see RoutingSnapshot). Each
+/// delivery runs under its machine's delivery lock instead, which is always
+/// taken before `mu_`, never after.
 class Cluster {
  public:
   /// Creates a cluster after validating the configuration.
@@ -92,11 +93,6 @@ class Cluster {
   int OwnerOf(std::int64_t task) const {
     return placement_->Place(task, config_.num_machines);
   }
-
-  /// Runs fn(t) for t in [0, n) on the pool. Each task's thread-CPU time is
-  /// added to the virtual clock of machine OwnerOf(t).
-  void RunTasks(std::int64_t n, const std::function<void(std::int64_t)>& fn)
-      DBTF_EXCLUDES(mu_);
 
   // --- Endpoint registry ---------------------------------------------------
 
@@ -125,13 +121,16 @@ class Cluster {
 
   // --- Message routing (the only driver <-> worker data path) --------------
   //
-  // Each routing call takes a wire message from dist/messages.h, posts one
-  // delivery per target machine onto that machine's *mailbox* (a serial FIFO
-  // queue on the pool, dist/async.h), and blocks until every delivery has
-  // completed. Per-machine mailbox order is the determinism anchor: the
-  // FaultInjector's per-(machine, message-kind) delivery counters advance in
-  // post order, and a worker's handlers are never invoked concurrently, even
-  // when several threads route at once (serving reads racing a broadcast).
+  // Each routing call takes a wire message from dist/messages.h, makes one
+  // delivery per target machine, and returns only when every delivery has
+  // completed. Fan-outs run their deliveries on the pool, a query runs on
+  // the calling thread, and every delivery holds its machine's delivery lock
+  // from first attempt to last. So a worker's handlers are never invoked
+  // concurrently, even when several threads route at once (serving reads
+  // racing a broadcast), and because the calls block, each machine sees its
+  // deliveries in call order: the FaultInjector's per-(machine,
+  // message-kind) counters advance in that order, which is the determinism
+  // anchor.
   //
   // Every delivery goes through the retry policy in `config().retry`:
   // retryable failures (IsRetryable — kUnavailable, kDeadlineExceeded) are
@@ -172,11 +171,11 @@ class Cluster {
   Status RunColumn(RunUpdateColumn run, const CollectErrorsRequest& req,
                    CollectErrorsResponse* response) DBTF_EXCLUDES(mu_);
 
-  /// Routes one serving query point-to-point to `machine`. The delivery
-  /// rides that machine's serial mailbox, so it is ordered against any
-  /// factor broadcast in flight — a query observes either all of a
-  /// multi-slot FactorDelta's updates or none of them, never a torn
-  /// generation. Request + response wire bytes are charged as one query
+  /// Routes one serving query point-to-point to `machine`. It is delivered
+  /// on the calling thread under that machine's delivery lock, so it is
+  /// ordered against any factor broadcast in flight — a query observes
+  /// either all of a multi-slot FactorDelta's updates or none of them, never
+  /// a torn generation. Request + response wire bytes are charged as one query
   /// event; a failed query charges nothing. A machine that is dead (or was
   /// never attached) surfaces kUnavailable — failover to a surviving replica
   /// is the serving engine's job, not the router's. `*response` is valid
@@ -272,8 +271,6 @@ class Cluster {
   CommStats& comm() { return comm_; }
   const CommStats& comm() const { return comm_; }
 
-  ThreadPool& pool() { return *pool_; }
-
  private:
   explicit Cluster(const ClusterConfig& config);
 
@@ -290,42 +287,36 @@ class Cluster {
     std::shared_ptr<WorkerEndpoint> endpoint;
   };
 
-  /// One delivery attempt of a fan-out to the endpoint at snapshot index
+  /// One handler invocation of a fan-out on the endpoint at snapshot index
   /// `slot`; adds the handler's worker CPU seconds into `*compute_seconds`.
-  using Delivery = std::function<Status(
-      std::size_t slot, WorkerEndpoint&, double* compute_seconds)>;
+  using SlotHandler = std::function<Status(
+      std::size_t slot, WorkerEndpoint& endpoint, double* compute_seconds)>;
 
-  struct FanOutOp;  // shared state of one fan-out
-  struct QueryOp;   // shared state of one point-to-point query delivery
-
-  /// Snapshot of the attached endpoints, for lock-free iteration on the
-  /// pool; it shares their ownership, so they outlive any routing that
-  /// started before a DetachWorkers. An empty registry is an error:
+  /// Snapshot of the attached endpoints, for iteration without `mu_`; it
+  /// shares their ownership, so they outlive any routing that started
+  /// before a DetachWorkers. The routing call keeps it on its own stack and
+  /// releases it when it returns. An empty registry is an error:
   /// kUnavailable once machines have died (the driver may re-provision),
   /// kFailedPrecondition when nothing was ever attached (a usage error).
   Result<std::vector<AttachedWorker>> RoutingSnapshot() const
       DBTF_EXCLUDES(mu_);
 
-  /// Posts one `kind` delivery to every endpoint of `workers`, each on its
-  /// machine's mailbox and through the retry policy, and blocks until all
-  /// have run. Returns the statuses in snapshot order. The snapshot is
-  /// released before this returns.
-  std::vector<Status> FanOut(std::vector<AttachedWorker> workers,
-                             MessageKind kind, Delivery deliver)
-      DBTF_EXCLUDES(mu_);
-
-  /// Deterministic error selection over a fan-out's per-machine statuses:
-  /// fatal codes outrank retryable ones, ties break by snapshot (attach)
-  /// order — never by thread interleaving, which would make the surfaced
-  /// error (and hence the recovery path taken by the driver) depend on
-  /// scheduling.
-  static Status CombineStatuses(const std::vector<Status>& statuses);
+  /// Delivers one `kind` message to every endpoint of `workers` in parallel
+  /// on the pool, each through DeliverWithRetry, and returns once all have
+  /// run. Per-machine statuses are combined deterministically: fatal codes
+  /// outrank retryable ones and ties break by snapshot (attach) order —
+  /// never by thread interleaving, which would make the surfaced error (and
+  /// hence the recovery path taken by the driver) depend on scheduling.
+  Status FanOut(const std::vector<AttachedWorker>& workers, MessageKind kind,
+                const SlotHandler& handler) DBTF_EXCLUDES(mu_);
 
   /// Runs one delivery to `machine` through the fault injector and the retry
-  /// policy. `attempt` performs the actual handler invocation (and its CPU
-  /// charging); it runs at most once per attempt and never after a crash.
+  /// policy, holding the machine's delivery lock across every attempt.
+  /// `handler` invokes the endpoint and adds the worker CPU seconds it
+  /// consumed into its argument, which are charged to the machine's clock;
+  /// it runs at most once per attempt and never after a crash.
   Status DeliverWithRetry(int machine, MessageKind kind,
-                          const std::function<Status()>& attempt)
+                          const std::function<Status(double*)>& handler)
       DBTF_EXCLUDES(mu_);
 
   /// Marks `machine` permanently dead and detaches its endpoint. Idempotent.
@@ -352,11 +343,13 @@ class Cluster {
   std::vector<double> machine_seconds_ DBTF_GUARDED_BY(mu_);
   double driver_seconds_ DBTF_GUARDED_BY(mu_) = 0.0;
 
-  /// One serial delivery queue per machine (index = machine). Declared last
-  /// on purpose: destruction runs in reverse order, so the mailboxes drain
-  /// their in-flight deliveries before the pool, the ledger, or the injector
-  /// go away.
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
+  /// One delivery lock per machine (index = machine), held by
+  /// DeliverWithRetry: a machine has at most one delivery in flight, which
+  /// keeps Worker mutex-free and gives each socket endpoint one
+  /// conversation at a time. It guards the endpoint conversation, not a
+  /// member, so it carries no DBTF_GUARDED_BY data. Always taken before
+  /// `mu_`.
+  std::vector<Mutex> delivery_locks_;
 };
 
 }  // namespace dbtf

@@ -4,9 +4,7 @@
 #include <utility>
 
 #include "dist/cluster.h"
-#include "dist/transport/inproc.h"
 #include "dist/transport/transport.h"
-#include "dist/worker.h"
 
 namespace dbtf {
 
@@ -87,22 +85,6 @@ Status StorePartition(Cluster& cluster, Mode mode, std::int64_t index,
   DBTF_ASSIGN_OR_RETURN(std::shared_ptr<WorkerEndpoint> endpoint,
                         ResidentEndpoint(cluster, index));
   return StoreOnEndpoint(*endpoint, mode, index, std::move(partition), shape);
-}
-
-Status LendPartition(Cluster& cluster, Mode mode, std::int64_t index,
-                     const Partition* partition, const UnfoldShape& shape) {
-  DBTF_ASSIGN_OR_RETURN(std::shared_ptr<WorkerEndpoint> endpoint,
-                        ResidentEndpoint(cluster, index));
-  // Borrowing shares a driver-side pointer, which cannot cross a process
-  // boundary; callers that lend must run the in-process transport.
-  Worker* worker = endpoint->local_worker();
-  if (worker == nullptr) {
-    return Status::FailedPrecondition(
-        "LendPartition requires an in-process worker; the socket transport "
-        "must use StorePartition");
-  }
-  worker->BorrowPartition(mode, index, partition, shape);
-  return Status::OK();
 }
 
 namespace {

@@ -36,13 +36,6 @@ Status ProvisionWorkers(Cluster& cluster);
 Status StorePartition(Cluster& cluster, Mode mode, std::int64_t index,
                       Partition partition, const UnfoldShape& shape);
 
-/// Like StorePartition, but the resident worker only borrows `partition`;
-/// the caller keeps ownership and must keep it alive until the workers are
-/// detached. Borrowing shares a driver-side pointer, so it requires the
-/// in-process transport; over sockets it fails with kFailedPrecondition.
-Status LendPartition(Cluster& cluster, Mode mode, std::int64_t index,
-                     const Partition* partition, const UnfoldShape& shape);
-
 // --- Recovery ---------------------------------------------------------------
 
 /// What one mode's partitioned unfolding is supposed to look like — the
@@ -68,10 +61,10 @@ using UnfoldingRebuilder =
 /// recovery ledger). A no-op when nothing is missing. Fails with
 /// kFailedPrecondition if no machine survives.
 ///
-/// The rebuilt partitions carry no cache tables or error state — the driver
-/// must re-send its FactorDelta broadcast before the next dispatch (adopted
-/// partitions get tables even when no operand changed), which is exactly
-/// what the engine's recovery loop does.
+/// The rebuilt partitions carry no cache tables — the driver must re-send
+/// its FactorDelta broadcast before the next dispatch (adopted partitions
+/// get tables even when no operand changed), which is exactly what the
+/// engine's recovery loop does.
 Status ReprovisionLostPartitions(Cluster& cluster,
                                  const std::vector<ReprovisionSpec>& specs,
                                  const UnfoldingRebuilder& rebuild);
@@ -121,9 +114,8 @@ struct WorkerFactorRestore {
 /// Delivers the rehydration payload to every attached worker directly — no
 /// routing, so no ledger charges and no fault-injector counter advances.
 /// Each worker re-learns the shipped factor content at its checkpointed
-/// generations and rebuilds mode masks, Khatri-Rao cache tables, and error
-/// buffers for the cursor mode, exactly as Handle(FactorDelta) does for a
-/// routed broadcast.
+/// generations and rebuilds mode masks and Khatri-Rao cache tables for the
+/// cursor mode, exactly as Handle(FactorDelta) does for a routed broadcast.
 Status RestoreWorkerFactors(Cluster& cluster,
                             const WorkerFactorRestore& restore);
 

@@ -47,7 +47,7 @@ void ThreadPool::Wait() {
   DBTF_CHECK(!t_on_pool_thread,
              "ThreadPool::Wait called from inside a pool task: the calling "
              "task counts as in flight, so this deadlocks. Run the wait on "
-             "the driver thread (or chain the work through a Mailbox).");
+             "the driver thread.");
   MutexLock lock(mu_);
   lock.Wait(all_done_, [this] {
     mu_.AssertHeld();
@@ -60,8 +60,7 @@ void ThreadPool::ParallelFor(std::int64_t n,
   DBTF_CHECK(!t_on_pool_thread,
              "ThreadPool::ParallelFor called from inside a pool task: its "
              "Wait would count the calling task as in flight and deadlock. "
-             "Run the loop on the driver thread (or chain the work through "
-             "a Mailbox).");
+             "Run the loop on the driver thread.");
   if (n <= 0) return;
   std::atomic<std::int64_t> next{0};
   const int workers =

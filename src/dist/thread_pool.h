@@ -38,8 +38,11 @@ class ThreadPool {
   void Wait() DBTF_EXCLUDES(mu_);
 
   /// Runs fn(i) for i in [0, n), distributed over the pool; returns when all
-  /// iterations are done. Safe to call from one thread at a time. Calling it
-  /// (or Wait) from inside a pool task would deadlock — Wait would count the
+  /// iterations are done. Several threads may call it concurrently (Cluster
+  /// fans out from every routing thread): each call's iterations run to
+  /// completion, and each call returns once the pool is idle, so it may also
+  /// wait out iterations submitted by the other callers. Calling it (or
+  /// Wait) from inside a pool task would deadlock — Wait would count the
   /// calling task as in flight — so both check-fail with a clear message
   /// when invoked on a pool-owned thread (thread-local flag).
   void ParallelFor(std::int64_t n, const std::function<void(std::int64_t)>& fn)

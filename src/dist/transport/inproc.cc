@@ -55,8 +55,6 @@ class InProcessEndpoint final : public WorkerEndpoint {
     return indexes;
   }
 
-  Worker* local_worker() override { return worker_.get(); }
-
  private:
   /// Runs `handler` under the thread-CPU clock — the same quantity the
   /// socket transport measures worker-side and ships back in the reply.

@@ -7,6 +7,8 @@
 
 namespace dbtf {
 
+class Worker;  // dist/worker.h — the handler implementation behind endpoints
+
 // In-process transport: each endpoint wraps a driver-process Worker and
 // delivers messages as direct handler calls, timing each with the thread-CPU
 // clock so the virtual machine clocks charge exactly what the socket

@@ -12,12 +12,10 @@
 
 namespace dbtf {
 
-class Worker;  // dist/worker.h — the handler implementation behind endpoints
-
 /// Which transport carries the driver <-> worker messages.
 enum class TransportKind {
   /// Workers live in the driver process; deliveries are direct handler
-  /// calls on the pool. Today's behavior, the bitwise oracle, and the
+  /// calls on the routing thread. The default, the bitwise oracle, and the
   /// TSan/ASan target.
   kInProcess = 0,
   /// One OS process per simulated machine, driven by the dbtf-worker
@@ -74,9 +72,9 @@ struct TransportOptions {
 /// machine loss.
 ///
 /// Deliveries to one endpoint are serialized by construction — driver-side
-/// by the machine's mailbox, plus the provisioning seam's direct calls
-/// which only happen while routing is idle — so implementations need no
-/// internal locking.
+/// by the machine's delivery lock in Cluster, plus the provisioning seam's
+/// direct calls which only happen while routing is idle — so
+/// implementations need no internal locking.
 class WorkerEndpoint {
  public:
   virtual ~WorkerEndpoint();
@@ -104,11 +102,6 @@ class WorkerEndpoint {
   virtual Status Store(StorePartitionRequest msg, double* compute_seconds) = 0;
   virtual Result<std::vector<std::int64_t>> ListPartitions(
       Mode mode, double* compute_seconds) = 0;
-
-  /// The in-process worker behind this endpoint, or null for a remote one.
-  /// Only LendPartition (dist/provision.h) uses it: lending shares a
-  /// driver-side pointer, which cannot cross a process boundary.
-  virtual Worker* local_worker() { return nullptr; }
 
   /// OS process id of the worker behind this endpoint. Fails with
   /// kFailedPrecondition for in-process endpoints. Exists for the crash

@@ -12,9 +12,9 @@ namespace dbtf {
 namespace {
 
 /// Lemma 3 invariants of a partition block, enforced whenever a partition
-/// enters a worker (Adopt/BorrowPartition). Every block must be a word-
-/// aligned slice of one PVM product: that alignment is what makes the cached
-/// S-bit row summations directly comparable against the block's packed rows
+/// enters a worker (AdoptPartition). Every block must be a word-aligned
+/// slice of one PVM product: that alignment is what makes the cached S-bit
+/// row summations directly comparable against the block's packed rows
 /// (cache base + word_begin, final word masked). A block that violates these
 /// would silently read the wrong cache words, so the checks are always on —
 /// partition install is cold code.
@@ -28,13 +28,6 @@ void CheckBlockInvariants(const PartitionBlock& b, const UnfoldShape& shape) {
   DBTF_CHECK_EQ(b.rows.cols(), b.width());
   DBTF_CHECK_EQ(b.rows.rows(), shape.rows);
   DBTF_CHECK_EQ(static_cast<std::int64_t>(b.row_nnz.size()), shape.rows);
-}
-
-void CheckPartitionInvariants(const Partition& partition,
-                              const UnfoldShape& shape) {
-  for (const PartitionBlock& block : partition.blocks) {
-    CheckBlockInvariants(block, shape);
-  }
 }
 
 /// Error contribution of one block for one row under one cache key: the
@@ -61,26 +54,14 @@ std::int64_t BlockError(const PartitionBlock& block, std::int64_t row,
 
 void Worker::AdoptPartition(Mode mode, std::int64_t index, Partition partition,
                             const UnfoldShape& shape) {
-  CheckPartitionInvariants(partition, shape);
+  for (const PartitionBlock& block : partition.blocks) {
+    CheckBlockInvariants(block, shape);
+  }
   ModeState& st = state(mode);
   st.shape = shape;
   LocalPartition lp;
   lp.index = index;
-  lp.owned = std::make_unique<Partition>(std::move(partition));
-  lp.data = lp.owned.get();
-  st.partitions.push_back(std::move(lp));
-}
-
-void Worker::BorrowPartition(Mode mode, std::int64_t index,
-                             const Partition* partition,
-                             const UnfoldShape& shape) {
-  DBTF_CHECK(partition != nullptr);
-  CheckPartitionInvariants(*partition, shape);
-  ModeState& st = state(mode);
-  st.shape = shape;
-  LocalPartition lp;
-  lp.index = index;
-  lp.data = partition;
+  lp.data = std::move(partition);
   st.partitions.push_back(std::move(lp));
 }
 
@@ -100,8 +81,7 @@ std::int64_t Worker::LocalPartitionBytes() const {
   std::int64_t bytes = 0;
   for (const ModeState& st : modes_) {
     for (const LocalPartition& lp : st.partitions) {
-      if (lp.data == nullptr) continue;
-      for (const PartitionBlock& block : lp.data->blocks) {
+      for (const PartitionBlock& block : lp.data.blocks) {
         bytes += block.rows.rows() * block.rows.words_per_row() *
                  static_cast<std::int64_t>(sizeof(BitWord));
       }
@@ -243,7 +223,7 @@ Status Worker::Handle(const RunUpdateColumn& run,
       return Status::FailedPrecondition(
           "column exchange before the factor broadcast");
     }
-    const Partition& part = *lp.data;
+    const Partition& part = lp.data;
     const CacheTable& cache = *lp.cache;
     const MutableBitSpan scr(lp.scratch.data(),
                              lp.scratch.size() * kBitsPerWord);

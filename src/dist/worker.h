@@ -26,23 +26,21 @@ namespace dbtf {
 /// paper's claim that only factor matrices cross the wire (Lemmas 6–7).
 ///
 /// Message handlers are invoked through the machine's transport endpoint
-/// (dist/transport/): in-process by InProcessTransport on the pool, or
-/// inside a dedicated worker process by the dbtf-worker server loop. Either
-/// way a worker's handlers are never invoked concurrently with each other —
-/// each machine's messages drain through a serial Mailbox (dist/async.h)
-/// driver-side, one delivery at a time in enqueue order, and the socket
-/// server loop is single-threaded — which is why Worker deliberately has no
-/// mutex: adding one would paper over a routing bug instead of surfacing it
-/// under TSan.
+/// (dist/transport/): in-process by InProcessTransport on the routing
+/// thread, or inside a dedicated worker process by the dbtf-worker server
+/// loop. Either way a worker's handlers are never invoked concurrently with
+/// each other — Cluster holds the machine's delivery lock around every
+/// delivery driver-side, and the socket server loop is single-threaded —
+/// which is why Worker deliberately has no mutex: adding one would paper
+/// over a routing bug instead of surfacing it under TSan.
 class Worker {
  public:
   explicit Worker(int machine) : machine_(machine) {}
 
-  // Not copyable and not movable: a worker is attached into the cluster
-  // registry by raw pointer, so a moved-from attached worker would leave a
-  // dangling endpoint behind. Workers live at a fixed address for their
-  // whole life — the provisioning seam's shared_ptr ownership
-  // (dist/provision.h) is what lets them be handed around.
+  // Not copyable and not movable: a worker is shared, not handed over — the
+  // in-process endpoint holds it through a shared_ptr
+  // (dist/transport/inproc.h) — so it lives at one address for its whole
+  // life.
   Worker(const Worker&) = delete;
   Worker& operator=(const Worker&) = delete;
   Worker(Worker&&) = delete;
@@ -56,13 +54,6 @@ class Worker {
   /// invariants — see CheckBlockInvariants in worker.cc.
   void AdoptPartition(Mode mode, std::int64_t index, Partition partition,
                       const UnfoldShape& shape);
-
-  /// Borrows partition `index` without taking ownership (the legacy
-  /// UpdateFactor entry point runs over an externally owned
-  /// PartitionedUnfolding). `partition` must outlive the worker's use.
-  /// Enforces the same Lemma 3 block invariants as AdoptPartition.
-  void BorrowPartition(Mode mode, std::int64_t index,
-                       const Partition* partition, const UnfoldShape& shape);
 
   /// Partitions of `mode` resident on this machine.
   std::int64_t NumLocalPartitions(Mode mode) const;
@@ -107,8 +98,7 @@ class Worker {
  private:
   struct LocalPartition {
     std::int64_t index;                ///< global partition index
-    std::unique_ptr<Partition> owned;  ///< set when this worker owns the data
-    const Partition* data;             ///< owned.get() or the borrowed slice
+    Partition data;                    ///< the adopted slice
     std::unique_ptr<CacheTable> cache; ///< rebuilt when M_s moves
     std::vector<BitWord> scratch;      ///< multi-group cache-lookup scratch
   };

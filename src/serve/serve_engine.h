@@ -50,8 +50,8 @@ struct ServeStats {
 /// caught up before it answers (the serving-plane mirror of the
 /// reprovision-then-retry recovery of the factorization path).
 ///
-/// Consistency: updates and queries both ride the per-machine serial
-/// mailboxes, so a read served concurrently with an ApplyUpdate batch
+/// Consistency: updates and queries both hold the per-machine delivery lock
+/// in Cluster, so a read served concurrently with an ApplyUpdate batch
 /// observes either the entire batch's generations or none of them — every
 /// QueryResponse carries the (A, B, C) generation triple it was computed
 /// against, which is how the tests prove it.

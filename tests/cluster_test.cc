@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dist/placement.h"
@@ -105,30 +105,6 @@ TEST(Cluster, OwnerIsRoundRobin) {
   EXPECT_EQ((*cluster)->OwnerOf(1), 1);
   EXPECT_EQ((*cluster)->OwnerOf(4), 0);
   EXPECT_EQ((*cluster)->OwnerOf(7), 3);
-}
-
-TEST(Cluster, RunTasksExecutesAll) {
-  auto cluster = Cluster::Create(SmallConfig());
-  ASSERT_TRUE(cluster.ok());
-  std::atomic<int> count{0};
-  (*cluster)->RunTasks(37, [&count](std::int64_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 37);
-}
-
-TEST(Cluster, RunTasksAccumulatesVirtualTime) {
-  auto cluster = Cluster::Create(SmallConfig());
-  ASSERT_TRUE(cluster.ok());
-  (*cluster)->RunTasks(8, [](std::int64_t) {
-    // Burn a little CPU so the thread-CPU clock moves.
-    volatile double x = 1.0;
-    for (int i = 0; i < 200000; ++i) x = x * 1.0000001 + 0.5;
-  });
-  double total = 0.0;
-  for (int m = 0; m < 4; ++m) {
-    total += (*cluster)->MachineComputeSeconds(m);
-  }
-  EXPECT_GT(total, 0.0);
-  EXPECT_GT((*cluster)->VirtualMakespanSeconds(), 0.0);
 }
 
 TEST(Cluster, ChargeComputeAffectsMakespan) {
@@ -355,6 +331,156 @@ TEST(Cluster, QueryRoutesToOneMachineAndChargesTheRoundTrip) {
   EXPECT_EQ((*cluster)->comm().Snapshot().query_bytes,
             request_bytes + response.WireBytes())
       << "a failed query charges nothing";
+}
+
+TEST(Cluster, EmptyRegistryResolvesWithoutDeadlock) {
+  ClusterConfig config;
+  config.num_machines = 2;
+  config.num_threads = 2;
+  auto cluster = Cluster::Create(config);
+  ASSERT_TRUE(cluster.ok());
+  CollectErrorsResponse response;
+  EXPECT_EQ((*cluster)
+                ->RunColumn(RunUpdateColumn{}, CollectErrorsRequest{},
+                            &response)
+                .code(),
+            StatusCode::kFailedPrecondition);
+}
+
+// The determinism anchor of the routing layer: N machines, K rounds of
+// broadcast + column (one exchange per machine) under a fault plan with
+// transient failures and a stall. Every machine must see its deliveries in
+// exact call order, every handler must run exactly once per round (faults
+// fail *before* the handler; retries redeliver), and the ledger must charge
+// exactly once per event. Run under TSan this is also the concurrency
+// stress for the pool fan-out, the delivery locks, and the ledger.
+TEST(Cluster, RoundsStayFifoAndChargeExactlyOnce) {
+  constexpr int kMachines = 4;
+  constexpr int kRounds = 8;
+  constexpr std::int64_t kBroadcastWords = 8;
+
+  ClusterConfig config;
+  config.num_machines = kMachines;
+  config.num_threads = 4;
+  auto plan = FaultPlan::Parse(
+      "0:dispatch:transient@2,1:dispatch:transient@1,"
+      "2:broadcast:transient@3,3:dispatch:stall@2~0.01");
+  ASSERT_TRUE(plan.ok());
+  config.fault_plan = *plan;
+  auto cluster = Cluster::Create(config);
+  ASSERT_TRUE(cluster.ok());
+
+  std::vector<std::shared_ptr<FakeEndpoint>> fakes;
+  std::int64_t column_bytes = 0;
+  for (int m = 0; m < kMachines; ++m) {
+    fakes.push_back(std::make_shared<FakeEndpoint>(m, m * 10 + 1));
+    column_bytes += FakeColumnReply(m * 10 + 1).WireBytes();
+    ASSERT_TRUE((*cluster)->AttachEndpoint(m, fakes.back()).ok());
+  }
+
+  // Each message carries its round as the fake's delivery tag.
+  for (int round = 0; round < kRounds; ++round) {
+    ASSERT_TRUE(
+        (*cluster)->BroadcastFactors(BroadcastOfWords(kBroadcastWords, round))
+            .ok());
+    RunUpdateColumn run;
+    run.column = round;
+    CollectErrorsResponse response;
+    ASSERT_TRUE(
+        (*cluster)->RunColumn(run, CollectErrorsRequest{}, &response).ok());
+  }
+
+  // Per-machine FIFO: broadcast then column exchange of round r, then round
+  // r+1 — exactly the call order, independent of thread scheduling.
+  for (const auto& fake : fakes) {
+    const std::vector<Delivery> log = fake->log();
+    ASSERT_EQ(log.size(), static_cast<std::size_t>(2 * kRounds))
+        << "machine " << fake->machine();
+    for (int round = 0; round < kRounds; ++round) {
+      const std::size_t base = static_cast<std::size_t>(2 * round);
+      EXPECT_EQ(log[base], (Delivery{MessageKind::kBroadcast, round}));
+      EXPECT_EQ(log[base + 1], (Delivery{MessageKind::kDispatch, round}));
+    }
+  }
+
+  // Exactly-once ledger charging despite retries: one broadcast event per
+  // round priced for all machines, one collect event per round summing the
+  // per-machine reply sizes.
+  const CommSnapshot snap = (*cluster)->comm().Snapshot();
+  EXPECT_EQ(snap.broadcast_events, kRounds);
+  EXPECT_EQ(snap.broadcast_bytes,
+            kRounds * kBroadcastWords * 8 * kMachines);
+  EXPECT_EQ(snap.collect_events, kRounds);
+  EXPECT_EQ(snap.collect_bytes, kRounds * column_bytes);
+  // The three planned transient faults each failed one delivery attempt and
+  // were retried; the stall neither fails nor retries.
+  const RecoveryStats recovery = (*cluster)->recovery().Snapshot();
+  EXPECT_EQ(recovery.failed_deliveries, 3);
+  EXPECT_EQ(recovery.machines_lost, 0);
+
+  (*cluster)->DetachWorkers();
+}
+
+// Serving reads racing factor broadcasts from another thread: a query runs
+// on its caller's thread and a broadcast on the pool, so only the
+// per-machine delivery lock keeps them apart. No endpoint may ever see two
+// handlers at once, no delivery may be lost, and each thread's deliveries
+// reach every machine in that thread's call order.
+TEST(Cluster, QueriesRacingBroadcastsNeverOverlapOnAMachine) {
+  constexpr int kMachines = 4;
+  constexpr int kRounds = 200;
+
+  ClusterConfig config;
+  config.num_machines = kMachines;
+  config.num_threads = 4;
+  auto cluster = Cluster::Create(config);
+  ASSERT_TRUE(cluster.ok());
+  std::vector<std::shared_ptr<FakeEndpoint>> fakes;
+  for (int m = 0; m < kMachines; ++m) {
+    fakes.push_back(std::make_shared<FakeEndpoint>(m));
+    ASSERT_TRUE((*cluster)->AttachEndpoint(m, fakes.back()).ok());
+  }
+
+  std::vector<Status> query_statuses;
+  std::thread reader([&] {
+    for (int q = 0; q < kRounds; ++q) {
+      QueryRequest msg;
+      msg.id = static_cast<std::uint64_t>(q);
+      QueryResponse response;
+      query_statuses.push_back(
+          (*cluster)->QueryWorker(q % kMachines, msg, &response));
+    }
+  });
+  for (int round = 0; round < kRounds; ++round) {
+    EXPECT_TRUE((*cluster)->BroadcastFactors(BroadcastOfWords(1, round)).ok());
+  }
+  reader.join();
+  for (const Status& status : query_statuses) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+
+  for (const auto& fake : fakes) {
+    EXPECT_EQ(fake->max_in_flight(), 1)
+        << "overlapping handlers on machine " << fake->machine();
+    std::vector<std::int64_t> broadcasts;
+    std::vector<std::int64_t> queries;
+    for (const Delivery& d : fake->log()) {
+      (d.kind == MessageKind::kBroadcast ? broadcasts : queries)
+          .push_back(d.tag);
+    }
+    std::vector<std::int64_t> want_broadcasts;
+    std::vector<std::int64_t> want_queries;
+    for (int round = 0; round < kRounds; ++round) {
+      want_broadcasts.push_back(round);
+      if (round % kMachines == fake->machine()) want_queries.push_back(round);
+    }
+    EXPECT_EQ(broadcasts, want_broadcasts) << "machine " << fake->machine();
+    EXPECT_EQ(queries, want_queries) << "machine " << fake->machine();
+  }
+  const CommSnapshot snap = (*cluster)->comm().Snapshot();
+  EXPECT_EQ(snap.broadcast_events, kRounds);
+  EXPECT_EQ(snap.query_events, kRounds);
+  (*cluster)->DetachWorkers();
 }
 
 TEST(Placement, RoundRobinAndBlockPolicies) {

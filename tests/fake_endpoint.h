@@ -6,8 +6,10 @@
 // and drive it through the typed routing calls (BroadcastFactors, RunColumn,
 // QueryWorker).
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -152,6 +154,14 @@ class FakeEndpoint final : public WorkerEndpoint {
     return log_;
   }
 
+  /// Most handlers ever in flight at once on this endpoint. Cluster promises
+  /// one delivery per machine at a time, so anything above 1 is a routing
+  /// bug.
+  int max_in_flight() const DBTF_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    return max_in_flight_;
+  }
+
  private:
   Status Receive(const Delivery& delivery) DBTF_EXCLUDES(mu_) {
     Latch* latch = nullptr;
@@ -159,9 +169,14 @@ class FakeEndpoint final : public WorkerEndpoint {
       MutexLock lock(mu_);
       log_.push_back(delivery);
       latch = latch_;
+      max_in_flight_ = std::max(max_in_flight_, ++in_flight_);
     }
+    // Stay in flight across a reschedule, so an overlapping delivery on
+    // another thread has a real window to show up in max_in_flight().
+    std::this_thread::yield();
     if (latch != nullptr) latch->ArriveAndWait();
     MutexLock lock(mu_);
+    --in_flight_;
     return scripted_[static_cast<std::size_t>(delivery.kind)];
   }
 
@@ -171,6 +186,8 @@ class FakeEndpoint final : public WorkerEndpoint {
   std::vector<Delivery> log_ DBTF_GUARDED_BY(mu_);
   Status scripted_[3] DBTF_GUARDED_BY(mu_);
   Latch* latch_ DBTF_GUARDED_BY(mu_) = nullptr;
+  int in_flight_ DBTF_GUARDED_BY(mu_) = 0;
+  int max_in_flight_ DBTF_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace dbtf

@@ -79,14 +79,6 @@ TEST(PartitionInvariantsDeathTest, SliceWidthMismatchDies) {
                "rows.cols\\(\\) == b.width\\(\\) \\(64 vs. 128\\)");
 }
 
-TEST(PartitionInvariantsDeathTest, BorrowedPartitionIsCheckedToo) {
-  Worker worker(0);
-  Partition bad = ValidPartition();
-  bad.blocks[0].within_end = kShape.within + 64;  // past the PVM product
-  EXPECT_DEATH(worker.BorrowPartition(Mode::kOne, 0, &bad, kShape),
-               "within_end <= shape.within");
-}
-
 TEST(CacheKeyInvariantsTest, KeyAboveRankDiesInDebug) {
 #ifdef NDEBUG
   GTEST_SKIP() << "DBTF_DCHECK is compiled out under NDEBUG";

@@ -115,11 +115,10 @@ TEST(SocketTransport, SpawnsOneProcessPerMachineAndStoresPartitions) {
   ASSERT_TRUE(ProvisionWorkers(**cluster).ok());
   EXPECT_EQ((*cluster)->num_attached_workers(), 2);
 
-  // Each endpoint fronts a live OS process (and no in-process worker).
+  // Each endpoint fronts a live OS process.
   for (int m = 0; m < 2; ++m) {
     std::shared_ptr<WorkerEndpoint> endpoint = (*cluster)->EndpointOn(m);
     ASSERT_NE(endpoint, nullptr);
-    EXPECT_EQ(endpoint->local_worker(), nullptr);
     auto pid = endpoint->ProcessId();
     ASSERT_TRUE(pid.ok());
     EXPECT_GT(*pid, 0);
@@ -183,20 +182,6 @@ TEST(SocketTransport, HandlerErrorsCrossTheWireAsStatuses) {
   auto local = endpoint->ListPartitions(Mode::kOne, nullptr);
   ASSERT_TRUE(local.ok());
   EXPECT_TRUE(local->empty());
-  (*cluster)->DetachWorkers();
-}
-
-TEST(SocketTransport, LendPartitionIsRejected) {
-  auto cluster = Cluster::Create(SocketClusterConfig(1));
-  ASSERT_TRUE(cluster.ok());
-  ASSERT_TRUE(ProvisionWorkers(**cluster).ok());
-  const PlantedTensor p = SmallPlanted(9);
-  auto unfolding = PartitionedUnfolding::Build(p.tensor, Mode::kOne, 2);
-  ASSERT_TRUE(unfolding.ok());
-  const Partition& part = unfolding->partitions()[0];
-  EXPECT_EQ(
-      LendPartition(**cluster, Mode::kOne, 0, &part, unfolding->shape()).code(),
-      StatusCode::kFailedPrecondition);
   (*cluster)->DetachWorkers();
 }
 

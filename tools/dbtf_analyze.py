@@ -689,8 +689,20 @@ class LockFacts:
 
 def _lock_identity(expr: list[Token], qualifier: str | None) -> str:
     """Canonical name of a mutex expression: 'Class::member_' for a bare
-    member, 'obj.member_' for a qualified access."""
-    ids = [t.text for t in expr if t.kind == "id"]
+    member, 'obj.member_' for a qualified access. A subscript names one
+    lock of a family ('Class::member_[]' for member_[i]), whatever the
+    index expression."""
+    ids = []
+    depth = 0
+    for t in expr:
+        if t.kind == "punct" and t.text == "[":
+            if depth == 0 and ids:
+                ids[-1] += "[]"
+            depth += 1
+        elif t.kind == "punct" and t.text == "]":
+            depth -= 1
+        elif t.kind == "id" and depth == 0:
+            ids.append(t.text)
     if not ids:
         return "<unknown>"
     if len(ids) == 1:

@@ -206,6 +206,13 @@ class RepoTest(unittest.TestCase):
             files, dbtf_analyze.LOCK_ORDER_PREFIXES)
         acquires = sum(len(f.acquires) for f in facts.values())
         self.assertGreater(acquires, 20)
+        # The per-machine delivery locks are one lock family, taken before
+        # any charge acquires Cluster::mu_.
+        deliver = facts["Cluster::DeliverWithRetry"]
+        self.assertIn("Cluster::delivery_locks_[]", deliver.all_locks)
+        self.assertIn(("Cluster::delivery_locks_[]",),
+                      [held for held, callee, _ in deliver.calls
+                       if callee == "ChargeCompute"])
 
         guard_classes = dbtf_analyze.collect_guard_classes(files)
         self.assertIn("Cluster", guard_classes)

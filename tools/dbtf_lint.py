@@ -43,13 +43,17 @@ the driver/worker runtime (see DESIGN.md, "Correctness tooling"):
                       I/O. Anywhere else they would spawn workers or move
                       bytes outside the Transport seam, invisible to the
                       CommStats ledger and the fault injector.
-  async-seam          asynchrony is expressed only through dist/async.h
-                      (Future/Promise/Mailbox): std::promise, std::future,
-                      std::packaged_task, and std::async appear nowhere
-                      outside src/dist/, and std::condition_variable only in
-                      src/dist/ and common/mutex.h. Ad-hoc futures or
-                      condvars would bypass the mailboxes' per-machine FIFO
-                      ordering that keeps fault injection deterministic.
+  async-seam          the runtime is blocking: routing calls deliver under
+                      Cluster's per-machine delivery locks, on the pool or
+                      the calling thread, and return when done. So
+                      std::promise, std::future, std::packaged_task, and
+                      std::async appear nowhere in src/, and
+                      std::condition_variable only in the two places that
+                      block on one: common/mutex.h (MutexLock::Wait) and
+                      dist/thread_pool.h. A hand-rolled future or signal
+                      would deliver outside the delivery locks, breaking the
+                      call-order delivery that keeps fault injection
+                      deterministic.
 
 Exit status 0 when clean; 1 with "file:line: [rule] message" diagnostics
 otherwise. Run as a CTest case (dbtf_lint) and in CI.
@@ -133,16 +137,14 @@ def check_file(rel: str, text: str) -> list[tuple[int, str, str]]:
     # RecoveryLedger's own method definitions use :: qualification, which the
     # mutation regex (object '.'/'->' prefix) deliberately does not match.
     allow_recovery_mutation = rel == "dist/cluster.cc"
-    # dist/async.h is the async seam; the rest of src/dist/ implements it
-    # (thread pool, mailboxes, routing). common/mutex.h wraps the condvar.
     # The checkpoint store owns the atomic-write discipline; the tensor text
     # codecs are the only other sanctioned writers (CLI output goes through
     # them).
     allow_filesystem_write = (rel.startswith("ckpt/")
                               or rel in ("tensor/io.cc", "tensor/io.h"))
     allow_transport_syscall = rel.startswith("dist/transport/")
-    allow_async_primitive = rel.startswith("dist/")
-    allow_condvar = rel.startswith("dist/") or rel == "common/mutex.h"
+    # MutexLock::Wait wraps the condvar; the pool waits on two of them.
+    allow_condvar = rel in ("common/mutex.h", "dist/thread_pool.h")
     # common/mutex.h wraps the underlying std::mutex; comm_stats.h defines
     # the Record* methods themselves (no object prefix, so the mutation
     # regexes would not fire there anyway).
@@ -213,19 +215,20 @@ def check_file(rel: str, text: str) -> list[tuple[int, str, str]]:
                 "src/dist/transport/ (the SocketTransport owns process "
                 "lifecycles and frame I/O); route work through the "
                 "Transport seam"))
-        if not allow_async_primitive and ASYNC_PRIMITIVE_RE.search(line):
+        if ASYNC_PRIMITIVE_RE.search(line):
             findings.append((
                 lineno, "async-seam",
-                "futures and promises come only from dist/async.h "
-                "(Future/Promise over the mailbox runtime); std:: async "
-                "primitives outside src/dist/ bypass the per-machine FIFO "
-                "ordering"))
+                "no std:: futures, promises, packaged tasks or async in "
+                "src/: route through Cluster's blocking calls, which "
+                "deliver under the per-machine delivery locks in call "
+                "order"))
         if not allow_condvar and CONDVAR_RE.search(line):
             findings.append((
                 lineno, "async-seam",
-                "std::condition_variable is confined to src/dist/ and "
-                "common/mutex.h; block on a Future or drain a Mailbox "
-                "instead of hand-rolled signalling"))
+                "std::condition_variable is confined to common/mutex.h and "
+                "dist/thread_pool.h; wait with MutexLock::Wait or "
+                "ThreadPool::ParallelFor instead of hand-rolled "
+                "signalling"))
     return findings
 
 

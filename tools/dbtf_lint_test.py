@@ -77,6 +77,15 @@ class FixtureTest(unittest.TestCase):
         # std::condition_variable member — one finding per line.
         self.assertEqual(len(diagnostics), 4)
 
+    def test_async_seam_has_no_dist_exemption(self):
+        diagnostics = self.lint("async_seam_dist")
+        self.assertEqual(rules_in(diagnostics), {"async-seam"})
+        # std::future return, std::promise member, and a
+        # std::condition_variable member, all inside src/dist/.
+        self.assertEqual(len(diagnostics), 3)
+        for diagnostic in diagnostics:
+            self.assertIn("src/dist/relay.h:", diagnostic)
+
     def test_clean_fixture_passes(self):
         self.assertEqual(self.lint("clean"), [])
 

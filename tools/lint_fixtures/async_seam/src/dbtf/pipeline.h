@@ -1,4 +1,5 @@
-// Fixture: ad-hoc asynchrony in driver code instead of dist/async.h.
+// Fixture: ad-hoc asynchrony in driver code instead of Cluster's blocking
+// routing calls.
 #ifndef FIXTURE_PIPELINE_H_
 #define FIXTURE_PIPELINE_H_
 
