@@ -12,7 +12,7 @@
 // a machine-readable report; CI uploads it as the BENCH_runtime artifact.
 //
 // --transport=socket reruns the same sweep with one OS process per machine
-// (the SocketTransport), so the report pairs the MODELED makespan
+// (the socket transport), so the report pairs the MODELED makespan
 // (virtual_seconds: max per-machine compute plus the network model) with a
 // MEASURED multi-process makespan (wall_seconds: real processes, real
 // frame I/O). The factors and ledgers are bitwise identical across

@@ -49,16 +49,7 @@ BitMatrix Checkerboard(std::int64_t rows, std::int64_t cols) {
   return m;
 }
 
-MatrixDelta FullDelta() {
-  MatrixDelta d;
-  d.slot = 1;
-  d.generation = 7;
-  d.full = true;
-  d.dense = Checkerboard(4, 6);
-  d.rows = 4;
-  d.cols = 6;
-  return d;
-}
+MatrixDelta FullDelta() { return MatrixDelta::Full(1, 7, Checkerboard(4, 6)); }
 
 MatrixDelta ColumnDelta() {
   MatrixDelta d;
@@ -260,21 +251,19 @@ bool WriteCkptSeeds(const std::string& dir) {
   CheckpointState state;
   state.config_fingerprint = 0x1122334455667788ULL;
   state.tensor_fingerprint = 0x99AABBCCDDEEFF00ULL;
-  state.iteration = 3;
-  state.set_index = 1;
-  state.mode_index = 2;
-  state.next_column = 5;
-  state.columns_done = 4;
+  RunProgress& progress = state.progress;
+  progress.iteration = 3;
+  progress.set_index = 1;
+  progress.mode_index = 2;
+  progress.next_column = 5;
+  progress.columns_done = 4;
   state.rng_state = {1, 2, 3, 4};
-  state.a = Checkerboard(4, 3);
-  state.b = Checkerboard(5, 3);
-  state.c = Checkerboard(6, 3);
-  state.has_best = true;
-  state.best_a = state.a;
-  state.best_b = state.b;
-  state.best_c = state.c;
-  state.best_error = 17.0;
-  state.iteration_errors = {31, 23, 17};
+  progress.current.a = Checkerboard(4, 3);
+  progress.current.b = Checkerboard(5, 3);
+  progress.current.c = Checkerboard(6, 3);
+  progress.best = progress.current;
+  progress.best_error = 17;
+  progress.iteration_errors = {31, 23, 17};
   state.shadows[0].initialized = true;
   state.shadows[0].generation = 11;
   state.shadows[0].content = Checkerboard(4, 3);

@@ -27,11 +27,72 @@ namespace dbtf {
 /// exact-consumption parses all gate validity).
 ///
 /// This layer knows nothing about sessions or clusters: it (de)serializes
-/// the plain CheckpointState below. The session (dbtf/session.cc) decides
-/// what goes in and how to rehydrate workers from it.
+/// the plain CheckpointState below. The types it embeds are the live ones —
+/// Session::Factorize loops over a RunProgress and FactorBroadcastState
+/// keeps FactorShadowSnapshots — so a snapshot copies whole members and a
+/// resumed run adopts them as they are.
 
-/// One delta-broadcast shadow slot (FactorBroadcastState) captured in a
-/// snapshot. `content` is meaningful only when `initialized`.
+/// One set of factor matrices A, B, C (worker slots 0, 1, 2).
+struct FactorSet {
+  BitMatrix a;
+  BitMatrix b;
+  BitMatrix c;
+};
+
+/// Statistics of one distributed factor update (RunFactorUpdate).
+struct UpdateFactorStats {
+  std::int64_t cache_entries = 0;      ///< entries built across partitions
+  std::int64_t cache_bytes = 0;        ///< table bytes across partitions
+  std::int64_t cells_changed = 0;      ///< factor entries flipped
+  std::int64_t final_error = 0;        ///< |X(n) - A o (Mf kr Ms)^T| after
+};
+
+/// Merged statistics of one full alternating iteration (A, B, C updates).
+struct IterationStats {
+  std::int64_t error = 0;          ///< reconstruction error after the C update
+  std::int64_t cells_changed = 0;  ///< entries flipped across the 3 updates
+  std::int64_t cache_entries = 0;  ///< resident cache entries (all 3 modes)
+  std::int64_t cache_bytes = 0;    ///< resident cache bytes (all 3 modes)
+};
+
+/// Resumable cursor and accumulators of one Factorize run (Algorithm 2).
+/// Session::Factorize is a loop over this struct, so a restored RunProgress
+/// re-enters the loop exactly where the interrupted run left it.
+struct RunProgress {
+  /// Cursor: the next column to decide is column `next_column` of mode
+  /// `mode_index` (0 = A, 1 = B, 2 = C) of iteration `iteration` (updating
+  /// initial set `set_index` during the multi-start first iteration).
+  /// Checkpoints fire only at column boundaries, so a restored cursor has
+  /// next_column in [1, rank]; next_column == rank marks a mode whose last
+  /// column completed right before the snapshot, finalized from the carried
+  /// statistics without another engine call. `columns_done` counts
+  /// completed columns across the whole run (the checkpoint cadence unit).
+  std::int64_t iteration = 1;
+  std::int64_t set_index = 0;
+  std::int64_t mode_index = 0;
+  std::int64_t next_column = 0;
+  std::int64_t columns_done = 0;
+
+  FactorSet current;  ///< the set under update at the cursor
+  /// Best completed initial set (iteration 1 only): `best_error` >= 0 exactly
+  /// while `best` holds one; afterwards both are reset.
+  FactorSet best;
+  std::int64_t best_error = -1;
+
+  UpdateFactorStats update_stats;  ///< carried stats of the in-flight update
+  IterationStats iter_stats;       ///< merged stats of this iteration so far
+
+  /// Result accumulators up to the cursor.
+  std::vector<std::int64_t> iteration_errors;
+  std::int64_t cells_changed = 0;
+  std::int64_t cache_entries = 0;
+  std::int64_t cache_bytes = 0;
+  std::int64_t checkpoints_written = 0;
+};
+
+/// One committed delta-broadcast slot (FactorBroadcastState): the content the
+/// workers hold and its generation. `content` is meaningful only when
+/// `initialized`.
 struct FactorShadowSnapshot {
   bool initialized = false;
   std::uint64_t generation = 0;
@@ -45,49 +106,10 @@ struct CheckpointState {
   std::uint64_t config_fingerprint = 0;
   std::uint64_t tensor_fingerprint = 0;
 
-  /// Cursor: the run is between columns — `next_column` of mode
-  /// `mode_index` of iteration `iteration` (set `set_index` during the
-  /// multi-start first iteration) is the next column to decide.
-  /// `columns_done` counts completed columns across the whole run (the
-  /// checkpoint cadence unit).
-  std::int64_t iteration = 1;
-  std::int64_t set_index = 0;
-  std::int64_t mode_index = 0;
-  std::int64_t next_column = 0;
-  std::int64_t columns_done = 0;
+  RunProgress progress;
 
   /// xoshiro256** engine state at the cursor.
   std::array<std::uint64_t, 4> rng_state{};
-
-  /// Current factor matrices (the set under update at the cursor).
-  BitMatrix a;
-  BitMatrix b;
-  BitMatrix c;
-  /// Best initial set seen so far (multi-start first iteration only).
-  bool has_best = false;
-  BitMatrix best_a;
-  BitMatrix best_b;
-  BitMatrix best_c;
-  std::int64_t best_error = -1;
-
-  /// Partial statistics of the in-flight factor update (columns
-  /// [0, next_column)) and of the completed mode updates of the current
-  /// iteration.
-  std::int64_t update_cache_entries = 0;
-  std::int64_t update_cache_bytes = 0;
-  std::int64_t update_cells_changed = 0;
-  std::int64_t update_final_error = 0;
-  std::int64_t iter_error = 0;
-  std::int64_t iter_cells_changed = 0;
-  std::int64_t iter_cache_entries = 0;
-  std::int64_t iter_cache_bytes = 0;
-
-  /// Result accumulators up to the cursor.
-  std::vector<std::int64_t> iteration_errors;
-  std::int64_t cells_changed = 0;
-  std::int64_t cache_entries = 0;
-  std::int64_t cache_bytes = 0;
-  std::int64_t checkpoints_written = 0;
 
   /// Delta-broadcast shadows, indexed by worker slot (A = 0, B = 1, C = 2).
   std::array<FactorShadowSnapshot, 3> shadows;

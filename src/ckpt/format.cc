@@ -141,86 +141,93 @@ Result<Manifest> ParseManifest(const std::vector<std::uint8_t>& bytes) {
 }
 
 std::vector<std::uint8_t> SerializeRun(const CheckpointState& state) {
+  const RunProgress& p = state.progress;
   ByteWriter w;
   w.WriteU64(state.config_fingerprint);
   w.WriteU64(state.tensor_fingerprint);
-  w.WriteI64(state.iteration);
-  w.WriteI64(state.set_index);
-  w.WriteI64(state.mode_index);
-  w.WriteI64(state.next_column);
-  w.WriteI64(state.columns_done);
+  w.WriteI64(p.iteration);
+  w.WriteI64(p.set_index);
+  w.WriteI64(p.mode_index);
+  w.WriteI64(p.next_column);
+  w.WriteI64(p.columns_done);
   for (const std::uint64_t word : state.rng_state) w.WriteU64(word);
-  w.WriteI64(state.update_cache_entries);
-  w.WriteI64(state.update_cache_bytes);
-  w.WriteI64(state.update_cells_changed);
-  w.WriteI64(state.update_final_error);
-  w.WriteI64(state.iter_error);
-  w.WriteI64(state.iter_cells_changed);
-  w.WriteI64(state.iter_cache_entries);
-  w.WriteI64(state.iter_cache_bytes);
-  WriteI64Vector(w, state.iteration_errors);
-  w.WriteI64(state.cells_changed);
-  w.WriteI64(state.cache_entries);
-  w.WriteI64(state.cache_bytes);
-  w.WriteI64(state.checkpoints_written);
+  w.WriteI64(p.update_stats.cache_entries);
+  w.WriteI64(p.update_stats.cache_bytes);
+  w.WriteI64(p.update_stats.cells_changed);
+  w.WriteI64(p.update_stats.final_error);
+  w.WriteI64(p.iter_stats.error);
+  w.WriteI64(p.iter_stats.cells_changed);
+  w.WriteI64(p.iter_stats.cache_entries);
+  w.WriteI64(p.iter_stats.cache_bytes);
+  WriteI64Vector(w, p.iteration_errors);
+  w.WriteI64(p.cells_changed);
+  w.WriteI64(p.cache_entries);
+  w.WriteI64(p.cache_bytes);
+  w.WriteI64(p.checkpoints_written);
   return w.bytes();
 }
 
 Status ParseRun(const std::vector<std::uint8_t>& bytes,
                 CheckpointState* state) {
+  RunProgress& p = state->progress;
   ByteReader r(bytes);
   DBTF_ASSIGN_OR_RETURN(state->config_fingerprint, r.ReadU64());
   DBTF_ASSIGN_OR_RETURN(state->tensor_fingerprint, r.ReadU64());
-  DBTF_ASSIGN_OR_RETURN(state->iteration, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->set_index, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->mode_index, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->next_column, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->columns_done, r.ReadI64());
+  DBTF_ASSIGN_OR_RETURN(p.iteration, r.ReadI64());
+  DBTF_ASSIGN_OR_RETURN(p.set_index, r.ReadI64());
+  DBTF_ASSIGN_OR_RETURN(p.mode_index, r.ReadI64());
+  DBTF_ASSIGN_OR_RETURN(p.next_column, r.ReadI64());
+  DBTF_ASSIGN_OR_RETURN(p.columns_done, r.ReadI64());
   for (std::uint64_t& word : state->rng_state) {
     DBTF_ASSIGN_OR_RETURN(word, r.ReadU64());
   }
-  DBTF_ASSIGN_OR_RETURN(state->update_cache_entries, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->update_cache_bytes, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->update_cells_changed, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->update_final_error, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->iter_error, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->iter_cells_changed, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->iter_cache_entries, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->iter_cache_bytes, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->iteration_errors, ReadI64Vector(r));
-  DBTF_ASSIGN_OR_RETURN(state->cells_changed, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->cache_entries, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->cache_bytes, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->checkpoints_written, r.ReadI64());
+  DBTF_ASSIGN_OR_RETURN(p.update_stats.cache_entries, r.ReadI64());
+  DBTF_ASSIGN_OR_RETURN(p.update_stats.cache_bytes, r.ReadI64());
+  DBTF_ASSIGN_OR_RETURN(p.update_stats.cells_changed, r.ReadI64());
+  DBTF_ASSIGN_OR_RETURN(p.update_stats.final_error, r.ReadI64());
+  DBTF_ASSIGN_OR_RETURN(p.iter_stats.error, r.ReadI64());
+  DBTF_ASSIGN_OR_RETURN(p.iter_stats.cells_changed, r.ReadI64());
+  DBTF_ASSIGN_OR_RETURN(p.iter_stats.cache_entries, r.ReadI64());
+  DBTF_ASSIGN_OR_RETURN(p.iter_stats.cache_bytes, r.ReadI64());
+  DBTF_ASSIGN_OR_RETURN(p.iteration_errors, ReadI64Vector(r));
+  DBTF_ASSIGN_OR_RETURN(p.cells_changed, r.ReadI64());
+  DBTF_ASSIGN_OR_RETURN(p.cache_entries, r.ReadI64());
+  DBTF_ASSIGN_OR_RETURN(p.cache_bytes, r.ReadI64());
+  DBTF_ASSIGN_OR_RETURN(p.checkpoints_written, r.ReadI64());
   return r.ExpectEnd();
 }
 
 std::vector<std::uint8_t> SerializeFactors(const CheckpointState& state) {
+  const RunProgress& p = state.progress;
   ByteWriter w;
-  WriteMatrix(w, state.a);
-  WriteMatrix(w, state.b);
-  WriteMatrix(w, state.c);
-  w.WriteU8(state.has_best ? 1 : 0);
-  WriteMatrix(w, state.best_a);
-  WriteMatrix(w, state.best_b);
-  WriteMatrix(w, state.best_c);
-  w.WriteI64(state.best_error);
+  WriteMatrix(w, p.current.a);
+  WriteMatrix(w, p.current.b);
+  WriteMatrix(w, p.current.c);
+  // The has-best flag byte is implied by best_error (RunProgress doc).
+  w.WriteU8(p.best_error >= 0 ? 1 : 0);
+  WriteMatrix(w, p.best.a);
+  WriteMatrix(w, p.best.b);
+  WriteMatrix(w, p.best.c);
+  w.WriteI64(p.best_error);
   return w.bytes();
 }
 
 Status ParseFactors(const std::vector<std::uint8_t>& bytes,
                     CheckpointState* state) {
+  RunProgress& p = state->progress;
   ByteReader r(bytes);
-  DBTF_ASSIGN_OR_RETURN(state->a, ReadMatrix(r));
-  DBTF_ASSIGN_OR_RETURN(state->b, ReadMatrix(r));
-  DBTF_ASSIGN_OR_RETURN(state->c, ReadMatrix(r));
+  DBTF_ASSIGN_OR_RETURN(p.current.a, ReadMatrix(r));
+  DBTF_ASSIGN_OR_RETURN(p.current.b, ReadMatrix(r));
+  DBTF_ASSIGN_OR_RETURN(p.current.c, ReadMatrix(r));
   DBTF_ASSIGN_OR_RETURN(const std::uint8_t has_best, r.ReadU8());
   if (has_best > 1) return Status::IoError("checkpoint: bad has_best flag");
-  state->has_best = has_best != 0;
-  DBTF_ASSIGN_OR_RETURN(state->best_a, ReadMatrix(r));
-  DBTF_ASSIGN_OR_RETURN(state->best_b, ReadMatrix(r));
-  DBTF_ASSIGN_OR_RETURN(state->best_c, ReadMatrix(r));
-  DBTF_ASSIGN_OR_RETURN(state->best_error, r.ReadI64());
+  DBTF_ASSIGN_OR_RETURN(p.best.a, ReadMatrix(r));
+  DBTF_ASSIGN_OR_RETURN(p.best.b, ReadMatrix(r));
+  DBTF_ASSIGN_OR_RETURN(p.best.c, ReadMatrix(r));
+  DBTF_ASSIGN_OR_RETURN(p.best_error, r.ReadI64());
+  if ((has_best != 0) != (p.best_error >= 0)) {
+    return Status::IoError("checkpoint: has_best flag contradicts best_error");
+  }
   return r.ExpectEnd();
 }
 

@@ -63,8 +63,9 @@ Result<Manifest> ParseManifest(const std::vector<std::uint8_t>& bytes);
 //
 // Each Serialize*/Parse* pair covers a disjoint slice of CheckpointState;
 // tools/dbtf_analyze.py's ckpt-coverage rule proves the four pairs jointly
-// write and read every field, so a field added to CheckpointState without a
-// codec change (or a version bump) fails the build.
+// write and read every field of CheckpointState and of every struct it
+// embeds (RunProgress, FactorSet, ...), so a field added to any of them
+// without a codec change (or a version bump) fails the build.
 
 std::vector<std::uint8_t> SerializeRun(const CheckpointState& state);
 Status ParseRun(const std::vector<std::uint8_t>& bytes, CheckpointState* state);

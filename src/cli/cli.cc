@@ -195,10 +195,6 @@ Status RunFactorize(FlagParser* flags) {
     config.cluster.transport.socket_dir = flags->GetString("socket-dir", "");
     config.cluster.transport.worker_binary =
         flags->GetString("worker-binary", "");
-    DBTF_ASSIGN_OR_RETURN(const std::int64_t socket_workers,
-                          flags->GetInt64("socket-workers", 0));
-    config.cluster.transport.socket_workers =
-        static_cast<int>(socket_workers);
     // Fault injection: an explicit plan wins over a seeded random one; the
     // seeded form injects a few transient faults plus one machine crash,
     // reproducibly for a given seed.
@@ -463,9 +459,6 @@ Status RunServe(FlagParser* flags) {
   DBTF_ASSIGN_OR_RETURN(config.transport.kind, ParseTransportKind(transport));
   config.transport.socket_dir = flags->GetString("socket-dir", "");
   config.transport.worker_binary = flags->GetString("worker-binary", "");
-  DBTF_ASSIGN_OR_RETURN(const std::int64_t socket_workers,
-                        flags->GetInt64("socket-workers", 0));
-  config.transport.socket_workers = static_cast<int>(socket_workers);
   const std::string fault_plan = flags->GetString("fault-plan", "");
   if (!fault_plan.empty()) {
     DBTF_ASSIGN_OR_RETURN(config.fault_plan, FaultPlan::Parse(fault_plan));
@@ -582,7 +575,6 @@ std::string UsageText() {
       "                    dbtf-worker process per machine; factors and\n"
       "                    ledgers are bitwise identical across transports)\n"
       "                    --socket-dir DIR --worker-binary PATH\n"
-      "                    --socket-workers M (must equal --machines)\n"
       "                    --no-delta-broadcast (ship full operand matrices\n"
       "                    every update instead of changed columns)\n"
       "                    --fault-seed S | --fault-plan PLAN\n"
@@ -609,7 +601,7 @@ std::string UsageText() {
       "              --update-ratio D (relative weights of the op mix)\n"
       "              --machines M --transport=inproc|socket\n"
       "              --socket-dir DIR --worker-binary PATH\n"
-      "              --socket-workers M --fault-plan PLAN\n"
+      "              --fault-plan PLAN\n"
       "              --kernel=auto|portable|avx2|avx512]\n";
 }
 

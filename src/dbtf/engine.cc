@@ -39,6 +39,20 @@ void AdvanceGenerationCounterPast(std::uint64_t floor) {
   }
 }
 
+/// Header of every message a FactorBroadcastState builds: the update's mode,
+/// row count, operand slots and cache parameters, with no payload yet.
+FactorDelta UpdateHeader(const FactorRoles& roles, Mode mode,
+                         std::int64_t rows, const DbtfConfig& config) {
+  FactorDelta msg;
+  msg.mode = mode;
+  msg.rows = rows;
+  msg.mf_slot = roles.mf_slot;
+  msg.ms_slot = roles.ms_slot;
+  msg.cache_group_size = config.cache_group_size;
+  msg.enable_caching = config.enable_caching;
+  return msg;
+}
+
 }  // namespace
 
 std::uint64_t NextFactorGeneration() { return NextGeneration(); }
@@ -47,13 +61,7 @@ FactorDelta FactorBroadcastState::Plan(const FactorRoles& roles, Mode mode,
                                        std::int64_t rows, const BitMatrix& mf,
                                        const BitMatrix& ms,
                                        const DbtfConfig& config) {
-  FactorDelta msg;
-  msg.mode = mode;
-  msg.rows = rows;
-  msg.mf_slot = roles.mf_slot;
-  msg.ms_slot = roles.ms_slot;
-  msg.cache_group_size = config.cache_group_size;
-  msg.enable_caching = config.enable_caching;
+  FactorDelta msg = UpdateHeader(roles, mode, rows, config);
   PlanSlot(roles.mf_slot, mf, &msg);
   PlanSlot(roles.ms_slot, ms, &msg);
   return msg;
@@ -63,29 +71,30 @@ void FactorBroadcastState::PlanSlot(int slot_index, const BitMatrix& current,
                                     FactorDelta* out) {
   DBTF_CHECK_LE(0, slot_index);
   DBTF_CHECK_LT(slot_index, 3);
-  Slot& slot = slots_[static_cast<std::size_t>(slot_index)];
+  const std::size_t i = static_cast<std::size_t>(slot_index);
+  const FactorShadowSnapshot& shadow = shadows_[i];
   // The workers already hold exactly this content — ship nothing. (Freshly
   // adopted partitions still get cache tables: the worker rebuilds any
   // partition with no table from its resident copy.)
-  if (slot.initialized && slot.shadow == current) return;
+  if (shadow.initialized && shadow.content == current) return;
 
-  MatrixDelta d;
-  d.slot = slot_index;
-  d.rows = current.rows();
-  d.cols = current.cols();
-  d.generation = NextGeneration();
-  slot.pending_generation = d.generation;
+  const std::uint64_t generation = NextGeneration();
+  pending_generations_[i] = generation;
 
-  bool ship_full = !slot.initialized || !delta_enabled_;
-  if (!ship_full) {
+  if (shadow.initialized && delta_enabled_) {
+    MatrixDelta d;
+    d.slot = slot_index;
+    d.rows = current.rows();
+    d.cols = current.cols();
+    d.generation = generation;
+    d.full = false;
+    d.base_generation = shadow.generation;
     // Changed columns, from the 64-bit row masks (factor cols == rank <= 64,
     // the same bound RowMask64-based column scoring already relies on).
     std::uint64_t changed = 0;
     for (std::int64_t r = 0; r < current.rows(); ++r) {
-      changed |= slot.shadow.RowMask64(r) ^ current.RowMask64(r);
+      changed |= shadow.content.RowMask64(r) ^ current.RowMask64(r);
     }
-    d.full = false;
-    d.base_generation = slot.generation;
     const std::size_t words_per_column =
         static_cast<std::size_t>((current.rows() + 63) / 64);
     for (std::int64_t c = 0; c < current.cols(); ++c) {
@@ -106,16 +115,12 @@ void FactorBroadcastState::PlanSlot(int slot_index, const BitMatrix& current,
     const std::int64_t full_bytes =
         d.rows * ((d.cols + 63) / 64) *
         static_cast<std::int64_t>(sizeof(BitWord));
-    if (d.WireBytes() >= full_bytes) ship_full = true;
+    if (d.WireBytes() < full_bytes) {
+      out->updates.push_back(std::move(d));
+      return;
+    }
   }
-  if (ship_full) {
-    d.full = true;
-    d.base_generation = 0;
-    d.dense = current;
-    d.columns.clear();
-    d.column_bits.clear();
-  }
-  out->updates.push_back(std::move(d));
+  out->updates.push_back(MatrixDelta::Full(slot_index, generation, current));
 }
 
 void FactorBroadcastState::Commit(const FactorRoles& roles,
@@ -126,37 +131,39 @@ void FactorBroadcastState::Commit(const FactorRoles& roles,
 
 void FactorBroadcastState::CommitSlot(int slot_index,
                                       const BitMatrix& current) {
-  Slot& slot = slots_[static_cast<std::size_t>(slot_index)];
-  if (slot.pending_generation == 0) return;  // nothing was planned/shipped
-  slot.shadow = current;
-  slot.generation = slot.pending_generation;
-  slot.pending_generation = 0;
-  slot.initialized = true;
+  const std::size_t i = static_cast<std::size_t>(slot_index);
+  if (pending_generations_[i] == 0) return;  // nothing was planned/shipped
+  FactorShadowSnapshot& shadow = shadows_[i];
+  shadow.content = current;
+  shadow.generation = pending_generations_[i];
+  shadow.initialized = true;
+  pending_generations_[i] = 0;
 }
 
-FactorBroadcastState::ShadowView FactorBroadcastState::shadow(
-    int slot_index) const {
-  DBTF_CHECK_LE(0, slot_index);
-  DBTF_CHECK_LT(slot_index, 3);
-  const Slot& slot = slots_[static_cast<std::size_t>(slot_index)];
-  ShadowView view;
-  view.initialized = slot.initialized;
-  view.generation = slot.generation;
-  view.content = slot.initialized ? &slot.shadow : nullptr;
-  return view;
+void FactorBroadcastState::RestoreShadows(
+    std::array<FactorShadowSnapshot, 3> shadows) {
+  for (const FactorShadowSnapshot& shadow : shadows) {
+    if (!shadow.initialized) continue;
+    DBTF_CHECK_LT(0, static_cast<std::int64_t>(shadow.generation));
+    AdvanceGenerationCounterPast(shadow.generation);
+  }
+  shadows_ = std::move(shadows);
+  pending_generations_ = {};
 }
 
-void FactorBroadcastState::RestoreShadow(int slot_index, BitMatrix content,
-                                         std::uint64_t generation) {
-  DBTF_CHECK_LE(0, slot_index);
-  DBTF_CHECK_LT(slot_index, 3);
-  DBTF_CHECK_LT(0, static_cast<std::int64_t>(generation));
-  Slot& slot = slots_[static_cast<std::size_t>(slot_index)];
-  slot.shadow = std::move(content);
-  slot.generation = generation;
-  slot.pending_generation = 0;
-  slot.initialized = true;
-  AdvanceGenerationCounterPast(generation);
+FactorDelta FactorBroadcastState::RestoreMessage(
+    const FactorRoles& roles, Mode mode, std::int64_t rows,
+    const DbtfConfig& config) const {
+  FactorDelta msg = UpdateHeader(roles, mode, rows, config);
+  for (int slot = 0; slot < 3; ++slot) {
+    const FactorShadowSnapshot& shadow =
+        shadows_[static_cast<std::size_t>(slot)];
+    if (shadow.initialized) {
+      msg.updates.push_back(
+          MatrixDelta::Full(slot, shadow.generation, shadow.content));
+    }
+  }
+  return msg;
 }
 
 Result<UpdateFactorStats> RunFactorUpdate(

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 
+#include "ckpt/checkpoint.h"
 #include "common/status.h"
 #include "dbtf/config.h"
 #include "dist/cluster.h"
@@ -25,13 +26,8 @@ namespace dbtf {
 /// generations that can never collide with a factorization run's.
 std::uint64_t NextFactorGeneration();
 
-/// Statistics of one distributed factor update.
-struct UpdateFactorStats {
-  std::int64_t cache_entries = 0;      ///< entries built across partitions
-  std::int64_t cache_bytes = 0;        ///< table bytes across partitions
-  std::int64_t cells_changed = 0;      ///< factor entries flipped
-  std::int64_t final_error = 0;        ///< |X(n) - A o (Mf kr Ms)^T| after
-};
+// UpdateFactorStats, the statistics RunFactorUpdate returns, is defined in
+// ckpt/checkpoint.h: a checkpoint carries the in-flight update's stats as is.
 
 /// Which worker-side factor slot each matrix of one update occupies. Slots
 /// identify the *matrix* (A = 0, B = 1, C = 2 in the session's convention),
@@ -82,34 +78,33 @@ class FactorBroadcastState {
   void Commit(const FactorRoles& roles, const BitMatrix& mf,
               const BitMatrix& ms);
 
-  /// Read-only view of one shadow slot, for checkpointing. `content` is null
-  /// until the slot's first Commit and otherwise points at state owned by
-  /// this object (valid until the next Commit/RestoreShadow of the slot).
-  struct ShadowView {
-    bool initialized = false;
-    std::uint64_t generation = 0;
-    const BitMatrix* content = nullptr;
-  };
-  ShadowView shadow(int slot_index) const;
+  /// The committed slots, indexed by worker slot (A = 0, B = 1, C = 2) —
+  /// exactly what a checkpoint persists.
+  const std::array<FactorShadowSnapshot, 3>& shadows() const {
+    return shadows_;
+  }
 
-  /// Restores one committed shadow slot from a checkpoint and advances the
-  /// process-wide generation counter past `generation`, so generations
-  /// handed out after a resume stay globally unique.
-  void RestoreShadow(int slot_index, BitMatrix content,
-                     std::uint64_t generation);
+  /// Restores the committed slots from a checkpoint and advances the
+  /// process-wide generation counter past every restored generation, so
+  /// generations handed out after a resume stay globally unique.
+  void RestoreShadows(std::array<FactorShadowSnapshot, 3> shadows);
+
+  /// The message that rehydrates a worker to the committed slots: every
+  /// committed slot in full at its committed generation, under the header
+  /// (mode, rows, roles, cache parameters) Plan would give this update. A
+  /// resumed run delivers it in place of the broadcast the interrupted run
+  /// had already shipped.
+  FactorDelta RestoreMessage(const FactorRoles& roles, Mode mode,
+                             std::int64_t rows,
+                             const DbtfConfig& config) const;
 
  private:
-  struct Slot {
-    BitMatrix shadow;  ///< last content shipped to the workers
-    std::uint64_t generation = 0;          ///< generation of `shadow`
-    std::uint64_t pending_generation = 0;  ///< assigned by Plan, not yet sent
-    bool initialized = false;  ///< false until the first Commit
-  };
-
   void PlanSlot(int slot_index, const BitMatrix& current, FactorDelta* out);
   void CommitSlot(int slot_index, const BitMatrix& current);
 
-  std::array<Slot, 3> slots_;
+  std::array<FactorShadowSnapshot, 3> shadows_;  ///< last content committed
+  /// Generation Plan assigned per slot, not yet committed (0: none).
+  std::array<std::uint64_t, 3> pending_generations_{};
   bool delta_enabled_;
 };
 

@@ -101,53 +101,11 @@ struct Session::FiberIndex {
   FactorSet Sample(const SparseTensor& x, std::int64_t rank, Rng* rng) const;
 };
 
-/// One set of factor matrices being optimized.
-struct Session::FactorSet {
-  BitMatrix a;
-  BitMatrix b;
-  BitMatrix c;
-};
-
-/// Merged statistics of one full alternating iteration.
-struct Session::TripleStats {
-  std::int64_t error = 0;          ///< reconstruction error after the C update
-  std::int64_t cells_changed = 0;  ///< entries flipped across the 3 updates
-  std::int64_t cache_entries = 0;  ///< resident cache entries (all 3 modes)
-  std::int64_t cache_bytes = 0;    ///< resident cache bytes (all 3 modes)
-};
-
-/// Resumable cursor and accumulators of one Factorize run. Everything a
-/// checkpoint persists lives here (or in objects reachable from the
-/// CheckpointContext); Factorize is a loop over this state, so a restored
-/// RunState re-enters the loop exactly where the interrupted run left it.
+/// One Factorize run: the checkpointed RunProgress (ckpt/checkpoint.h) plus
+/// the operational state a snapshot deliberately leaves out.
 struct Session::RunState {
-  /// Cursor: the next column to decide is column `next_column` of mode
-  /// `mode_index` (0 = A, 1 = B, 2 = C) of iteration `iteration` (updating
-  /// initial set `set_index` during the multi-start first iteration).
-  /// Checkpoints fire only at column boundaries, so a restored cursor has
-  /// next_column in [1, rank]; next_column == rank marks a mode whose last
-  /// column completed right before the snapshot — UpdateFactorsAt finalizes
-  /// it from the carried statistics without another engine call.
-  int iteration = 1;
-  int set_index = 0;
-  int mode_index = 0;
-  std::int64_t next_column = 0;
-  std::int64_t columns_done = 0;  ///< across the whole run (cadence unit)
-
-  FactorSet current;           ///< the set under update at the cursor
+  RunProgress progress;
   bool current_ready = false;  ///< iteration 1: candidate already sampled
-  FactorSet best;              ///< best completed initial set (iteration 1)
-  std::int64_t best_error = -1;
-
-  UpdateFactorStats update_stats;  ///< carried stats of the in-flight update
-  TripleStats iter_stats;  ///< merged stats of this iteration's done modes
-
-  // Result accumulators up to the cursor.
-  std::vector<std::int64_t> iteration_errors;
-  std::int64_t cells_changed = 0;
-  std::int64_t cache_entries = 0;
-  std::int64_t cache_bytes = 0;
-  std::int64_t checkpoints_written = 0;
   int resumed_from_iteration = 0;
 
   /// Ledger attribution bases: what the run had already moved or lost
@@ -187,34 +145,35 @@ Status Session::CheckpointContext::OnColumnCompleted() {
     const std::int64_t every = config->checkpoint_every_columns > 0
                                    ? config->checkpoint_every_columns
                                    : config->rank;
-    if (state->columns_done % every == 0) {
+    RunProgress& p = state->progress;
+    if (p.columns_done % every == 0) {
       // The snapshot records its own write, so a resumed run continues the
       // interrupted run's cumulative count.
-      ++state->checkpoints_written;
+      ++p.checkpoints_written;
       DBTF_ASSIGN_OR_RETURN(const std::int64_t sequence,
                             store->Write(session->BuildCheckpoint(*this)));
       DBTF_LOG(kDebug, "checkpoint ckpt-%lld written at column %lld",
                static_cast<long long>(sequence),
-               static_cast<long long>(state->columns_done));
+               static_cast<long long>(p.columns_done));
     }
   }
   // Drill order matters: any due snapshot above is durable (fsynced and
   // published) before the kill, which is exactly what the kill-and-resume
   // smoke test relies on.
+  const std::int64_t columns_done = state->progress.columns_done;
   if (config->crash_after_columns > 0 &&
-      state->columns_done >= config->crash_after_columns) {
+      columns_done >= config->crash_after_columns) {
     (void)std::raise(SIGKILL);
   }
   if (config->halt_after_columns > 0 &&
-      state->columns_done >= config->halt_after_columns) {
+      columns_done >= config->halt_after_columns) {
     return Status::ResourceExhausted("halted by halt_after_columns");
   }
   return Status::OK();
 }
 
-Session::FactorSet Session::FiberIndex::Sample(const SparseTensor& x,
-                                               std::int64_t rank,
-                                               Rng* rng) const {
+FactorSet Session::FiberIndex::Sample(const SparseTensor& x,
+                                      std::int64_t rank, Rng* rng) const {
   FactorSet set;
   set.a = BitMatrix(x.dim_i(), rank);
   set.b = BitMatrix(x.dim_j(), rank);
@@ -330,7 +289,7 @@ Status Session::RebuildCoverage(bool charged) {
                  : RestorePartitionCoverage(*cluster_, specs, rebuild);
 }
 
-Status Session::UpdateFactorsAt(RunState* s, const DbtfConfig& config,
+Status Session::UpdateFactorsAt(RunProgress* p, const DbtfConfig& config,
                                 FactorBroadcastState* bcast,
                                 CheckpointContext* ckpt) {
   const RecoverWorkersFn recover = [this]() { return RecoverLostWorkers(); };
@@ -348,30 +307,30 @@ Status Session::UpdateFactorsAt(RunState* s, const DbtfConfig& config,
       {&FactorSet::c, &FactorSet::b, &FactorSet::a},
   };
   const bool hooked = ckpt != nullptr && ckpt->Active();
-  for (; s->mode_index < 3; ++s->mode_index) {
-    const std::size_t m = static_cast<std::size_t>(s->mode_index);
-    FactorSet& f = s->current;
+  for (; p->mode_index < 3; ++p->mode_index) {
+    const std::size_t m = static_cast<std::size_t>(p->mode_index);
+    FactorSet& f = p->current;
     UpdateFactorStats stats;
-    if (s->next_column == config.rank) {
+    if (p->next_column == config.rank) {
       // The interrupted run snapshotted right after this mode's last
       // column: the factor content and the carried statistics are final —
       // finalize without an engine call (and without any ledger charge).
-      stats = s->update_stats;
+      stats = p->update_stats;
     } else {
       FactorUpdateResume resume_storage;
       const FactorUpdateResume* resume = nullptr;
-      if (s->next_column > 0) {
-        resume_storage.start_column = s->next_column;
-        resume_storage.carried = s->update_stats;
+      if (p->next_column > 0) {
+        resume_storage.start_column = p->next_column;
+        resume_storage.carried = p->update_stats;
         resume = &resume_storage;
       }
       ColumnCompletedFn on_column;
       if (hooked) {
-        on_column = [s, ckpt](std::int64_t column,
+        on_column = [p, ckpt](std::int64_t column,
                               const UpdateFactorStats& so_far) -> Status {
-          s->update_stats = so_far;
-          s->next_column = column + 1;
-          ++s->columns_done;
+          p->update_stats = so_far;
+          p->next_column = column + 1;
+          ++p->columns_done;
           return ckpt->OnColumnCompleted();
         };
       }
@@ -383,14 +342,14 @@ Status Session::UpdateFactorsAt(RunState* s, const DbtfConfig& config,
                           f.*kOperands[m].ms, config, recover,
                           kModeRoles[m].roles, bcast, on_column, resume));
     }
-    s->iter_stats.cells_changed += stats.cells_changed;
-    s->iter_stats.cache_entries += stats.cache_entries;
-    s->iter_stats.cache_bytes += stats.cache_bytes;
-    if (s->mode_index == 2) s->iter_stats.error = stats.final_error;
-    s->update_stats = UpdateFactorStats{};
-    s->next_column = 0;
+    p->iter_stats.cells_changed += stats.cells_changed;
+    p->iter_stats.cache_entries += stats.cache_entries;
+    p->iter_stats.cache_bytes += stats.cache_bytes;
+    if (p->mode_index == 2) p->iter_stats.error = stats.final_error;
+    p->update_stats = UpdateFactorStats{};
+    p->next_column = 0;
   }
-  s->mode_index = 0;
+  p->mode_index = 0;
   return Status::OK();
 }
 
@@ -399,44 +358,9 @@ CheckpointState Session::BuildCheckpoint(const CheckpointContext& ctx) const {
   CheckpointState ck;
   ck.config_fingerprint = ctx.config_fingerprint;
   ck.tensor_fingerprint = tensor_fingerprint_;
-  ck.iteration = s.iteration;
-  ck.set_index = s.set_index;
-  ck.mode_index = s.mode_index;
-  ck.next_column = s.next_column;
-  ck.columns_done = s.columns_done;
+  ck.progress = s.progress;
   ck.rng_state = ctx.rng->State();
-  ck.a = s.current.a;
-  ck.b = s.current.b;
-  ck.c = s.current.c;
-  ck.has_best = s.iteration == 1 && s.best_error >= 0;
-  ck.best_error = s.best_error;
-  if (ck.has_best) {
-    ck.best_a = s.best.a;
-    ck.best_b = s.best.b;
-    ck.best_c = s.best.c;
-  }
-  ck.update_cache_entries = s.update_stats.cache_entries;
-  ck.update_cache_bytes = s.update_stats.cache_bytes;
-  ck.update_cells_changed = s.update_stats.cells_changed;
-  ck.update_final_error = s.update_stats.final_error;
-  ck.iter_error = s.iter_stats.error;
-  ck.iter_cells_changed = s.iter_stats.cells_changed;
-  ck.iter_cache_entries = s.iter_stats.cache_entries;
-  ck.iter_cache_bytes = s.iter_stats.cache_bytes;
-  ck.iteration_errors = s.iteration_errors;
-  ck.cells_changed = s.cells_changed;
-  ck.cache_entries = s.cache_entries;
-  ck.cache_bytes = s.cache_bytes;
-  ck.checkpoints_written = s.checkpoints_written;
-  for (int slot = 0; slot < 3; ++slot) {
-    const FactorBroadcastState::ShadowView view = ctx.bcast->shadow(slot);
-    FactorShadowSnapshot& out = ck.shadows[static_cast<std::size_t>(slot)];
-    out.initialized = view.initialized;
-    if (view.initialized) {
-      out.generation = view.generation;
-      out.content = *view.content;
-    }
-  }
+  ck.shadows = ctx.bcast->shadows();
   ck.comm =
       cluster_->comm().Snapshot().Since(ctx.ledger_start).Plus(s.base_comm);
   ck.recovery = cluster_->recovery()
@@ -453,7 +377,7 @@ CheckpointState Session::BuildCheckpoint(const CheckpointContext& ctx) const {
   return ck;
 }
 
-Status Session::RestoreFromCheckpoint(const CheckpointState& ck,
+Status Session::RestoreFromCheckpoint(CheckpointState ck,
                                       const DbtfConfig& config,
                                       RunState* state,
                                       FactorBroadcastState* bcast, Rng* rng) {
@@ -468,42 +392,17 @@ Status Session::RestoreFromCheckpoint(const CheckpointState& ck,
   // Checkpoints fire only at column boundaries, so a valid cursor has
   // next_column in [1, rank] (== rank: finalize the mode without an engine
   // call, see UpdateFactorsAt).
-  if (ck.iteration < 1 || ck.set_index < 0 ||
-      ck.set_index >= config.num_initial_sets || ck.mode_index < 0 ||
-      ck.mode_index > 2 || ck.next_column < 1 ||
-      ck.next_column > config.rank) {
+  const RunProgress& p = ck.progress;
+  if (p.iteration < 1 || p.set_index < 0 ||
+      p.set_index >= config.num_initial_sets || p.mode_index < 0 ||
+      p.mode_index > 2 || p.next_column < 1 || p.next_column > config.rank) {
     return Status::FailedPrecondition("checkpoint cursor is out of range");
   }
+  const ModeRoles& cursor = kModeRoles[static_cast<std::size_t>(p.mode_index)];
 
-  state->iteration = static_cast<int>(ck.iteration);
-  state->set_index = static_cast<int>(ck.set_index);
-  state->mode_index = static_cast<int>(ck.mode_index);
-  state->next_column = ck.next_column;
-  state->columns_done = ck.columns_done;
-  state->current.a = ck.a;
-  state->current.b = ck.b;
-  state->current.c = ck.c;
+  state->progress = std::move(ck.progress);
   state->current_ready = true;
-  state->best_error = ck.best_error;
-  if (ck.has_best) {
-    state->best.a = ck.best_a;
-    state->best.b = ck.best_b;
-    state->best.c = ck.best_c;
-  }
-  state->update_stats.cache_entries = ck.update_cache_entries;
-  state->update_stats.cache_bytes = ck.update_cache_bytes;
-  state->update_stats.cells_changed = ck.update_cells_changed;
-  state->update_stats.final_error = ck.update_final_error;
-  state->iter_stats.error = ck.iter_error;
-  state->iter_stats.cells_changed = ck.iter_cells_changed;
-  state->iter_stats.cache_entries = ck.iter_cache_entries;
-  state->iter_stats.cache_bytes = ck.iter_cache_bytes;
-  state->iteration_errors = ck.iteration_errors;
-  state->cells_changed = ck.cells_changed;
-  state->cache_entries = ck.cache_entries;
-  state->cache_bytes = ck.cache_bytes;
-  state->checkpoints_written = ck.checkpoints_written;
-  state->resumed_from_iteration = static_cast<int>(ck.iteration);
+  state->resumed_from_iteration = static_cast<int>(state->progress.iteration);
   state->base_comm = ck.comm;
   state->base_recovery = ck.recovery;
 
@@ -512,13 +411,7 @@ Status Session::RestoreFromCheckpoint(const CheckpointState& ck,
   // Delta-broadcast shadows: every committed slot comes back, including the
   // one the cursor mode does not reference — the next mode's delta plans
   // against that slot's checkpointed generation.
-  for (int slot = 0; slot < 3; ++slot) {
-    const FactorShadowSnapshot& shadow =
-        ck.shadows[static_cast<std::size_t>(slot)];
-    if (shadow.initialized) {
-      bcast->RestoreShadow(slot, shadow.content, shadow.generation);
-    }
-  }
+  bcast->RestoreShadows(std::move(ck.shadows));
 
   // Cluster: replay the fault schedule position, re-mark the dead machines
   // (uncharged — the checkpoint's RecoveryStats already record the losses),
@@ -531,27 +424,10 @@ Status Session::RestoreFromCheckpoint(const CheckpointState& ck,
     cluster_->RestoreDeadMachine(machine);
   }
   DBTF_RETURN_IF_ERROR(RebuildCoverage(false));
-
-  const ModeRoles& cursor =
-      kModeRoles[static_cast<std::size_t>(ck.mode_index)];
-  WorkerFactorRestore workers;
-  workers.mode = cursor.mode;
-  workers.rows = shapes_[cursor.shape_slot].rows;
-  workers.mf_slot = cursor.roles.mf_slot;
-  workers.ms_slot = cursor.roles.ms_slot;
-  workers.cache_group_size = config.cache_group_size;
-  workers.enable_caching = config.enable_caching;
-  for (int slot = 0; slot < 3; ++slot) {
-    const FactorShadowSnapshot& shadow =
-        ck.shadows[static_cast<std::size_t>(slot)];
-    if (!shadow.initialized) continue;
-    FactorSlotRestore restore_slot;
-    restore_slot.slot = slot;
-    restore_slot.generation = shadow.generation;
-    restore_slot.content = &shadow.content;
-    workers.slots.push_back(restore_slot);
-  }
-  DBTF_RETURN_IF_ERROR(RestoreWorkerFactors(*cluster_, workers));
+  DBTF_RETURN_IF_ERROR(RestoreWorkerFactors(
+      *cluster_,
+      bcast->RestoreMessage(cursor.roles, cursor.mode,
+                            shapes_[cursor.shape_slot].rows, config)));
 
   return cluster_->RestoreVirtualClocks(ck.machine_seconds,
                                         ck.driver_seconds);
@@ -602,13 +478,14 @@ Result<DbtfResult> Session::Factorize(const DbtfConfig& config) {
 
   cluster_->ResetVirtualTime();
   if (config.resume) {
-    DBTF_ASSIGN_OR_RETURN(const CheckpointState ck, store->LoadNewestValid());
+    DBTF_ASSIGN_OR_RETURN(CheckpointState ck, store->LoadNewestValid());
     DBTF_RETURN_IF_ERROR(
-        RestoreFromCheckpoint(ck, config, &state, &bcast, &rng));
+        RestoreFromCheckpoint(std::move(ck), config, &state, &bcast, &rng));
     DBTF_LOG(kInfo,
-             "resumed from checkpoint: iteration %d, mode %d, column %lld",
-             state.iteration, state.mode_index,
-             static_cast<long long>(state.next_column));
+             "resumed from checkpoint: iteration %lld, mode %lld, column %lld",
+             static_cast<long long>(state.progress.iteration),
+             static_cast<long long>(state.progress.mode_index),
+             static_cast<long long>(state.progress.next_column));
   } else {
     for (int m = 0; m < num_machines_; ++m) {
       cluster_->ChargeCompute(m, shuffle_virtual_seconds_);
@@ -630,6 +507,15 @@ Result<DbtfResult> Session::Factorize(const DbtfConfig& config) {
   ckpt.recovery_start = recovery_start;
 
   DbtfResult result;
+  RunProgress& p = state.progress;
+  // Folds the finished iteration's statistics into the run accumulators.
+  const auto finish_iteration = [&p]() {
+    const IterationStats stats = std::exchange(p.iter_stats, IterationStats{});
+    p.cells_changed += stats.cells_changed;
+    p.cache_entries = std::max(p.cache_entries, stats.cache_entries);
+    p.cache_bytes = std::max(p.cache_bytes, stats.cache_bytes);
+    return stats.error;
+  };
 
   // Iteration 1: update all L initial sets, keep the best (Alg. 2).
   if (config.init_scheme == InitScheme::kFiberSample &&
@@ -638,75 +524,67 @@ Result<DbtfResult> Session::Factorize(const DbtfConfig& config) {
   }
   const bool fiber_init =
       config.init_scheme == InitScheme::kFiberSample && fibers_ != nullptr;
-  if (state.iteration == 1) {
-    for (; state.set_index < config.num_initial_sets; ++state.set_index) {
-      if (state.set_index > 0 && expired()) {
+  if (p.iteration == 1) {
+    for (; p.set_index < config.num_initial_sets; ++p.set_index) {
+      if (p.set_index > 0 && expired()) {
         return Status::DeadlineExceeded("DBTF: initial factor sets");
       }
       if (!state.current_ready) {
         if (fiber_init) {
-          state.current = fibers_->Sample(*tensor_, config.rank, &rng);
+          p.current = fibers_->Sample(*tensor_, config.rank, &rng);
         } else {
-          state.current.a = BitMatrix::Random(tensor_->dim_i(), config.rank,
-                                              config.init_density, &rng);
-          state.current.b = BitMatrix::Random(tensor_->dim_j(), config.rank,
-                                              config.init_density, &rng);
-          state.current.c = BitMatrix::Random(tensor_->dim_k(), config.rank,
-                                              config.init_density, &rng);
+          p.current.a = BitMatrix::Random(tensor_->dim_i(), config.rank,
+                                          config.init_density, &rng);
+          p.current.b = BitMatrix::Random(tensor_->dim_j(), config.rank,
+                                          config.init_density, &rng);
+          p.current.c = BitMatrix::Random(tensor_->dim_k(), config.rank,
+                                          config.init_density, &rng);
         }
         state.current_ready = true;
       }
-      DBTF_RETURN_IF_ERROR(UpdateFactorsAt(&state, config, &bcast, &ckpt));
-      const TripleStats stats = state.iter_stats;
-      state.iter_stats = TripleStats{};
-      state.cells_changed += stats.cells_changed;
-      state.cache_entries = std::max(state.cache_entries, stats.cache_entries);
-      state.cache_bytes = std::max(state.cache_bytes, stats.cache_bytes);
-      if (state.best_error < 0 || stats.error < state.best_error) {
-        state.best_error = stats.error;
-        state.best = std::move(state.current);
+      DBTF_RETURN_IF_ERROR(UpdateFactorsAt(&p, config, &bcast, &ckpt));
+      const std::int64_t error = finish_iteration();
+      if (p.best_error < 0 || error < p.best_error) {
+        p.best_error = error;
+        p.best = std::move(p.current);
       }
       state.current_ready = false;
     }
-    state.iteration_errors.push_back(state.best_error);
+    p.iteration_errors.push_back(p.best_error);
     // Iterations >= 2 refine the winning set; `best` is consumed here and
-    // never checkpointed again (has_best binds to iteration 1).
-    state.current = std::move(state.best);
+    // left empty, so no later snapshot carries a best set.
+    p.current = std::exchange(p.best, FactorSet{});
     state.current_ready = true;
-    state.best_error = -1;
-    state.iteration = 2;
-    state.set_index = 0;
+    p.best_error = -1;
+    p.iteration = 2;
+    p.set_index = 0;
   }
 
   // Iterations 2..T on the winning set, until convergence.
-  for (; state.iteration <= config.max_iterations; ++state.iteration) {
+  for (; p.iteration <= config.max_iterations; ++p.iteration) {
     if (expired()) {
       return Status::DeadlineExceeded("DBTF: iterations");
     }
-    DBTF_RETURN_IF_ERROR(UpdateFactorsAt(&state, config, &bcast, &ckpt));
-    const TripleStats stats = state.iter_stats;
-    state.iter_stats = TripleStats{};
-    state.cells_changed += stats.cells_changed;
-    state.cache_entries = std::max(state.cache_entries, stats.cache_entries);
-    state.cache_bytes = std::max(state.cache_bytes, stats.cache_bytes);
-    const std::int64_t previous = state.iteration_errors.back();
-    state.iteration_errors.push_back(stats.error);
-    if (previous - stats.error <= config.convergence_epsilon) {
+    DBTF_RETURN_IF_ERROR(UpdateFactorsAt(&p, config, &bcast, &ckpt));
+    const std::int64_t error = finish_iteration();
+    const std::int64_t previous = p.iteration_errors.back();
+    p.iteration_errors.push_back(error);
+    if (previous - error <= config.convergence_epsilon) {
       result.converged = true;
       break;
     }
   }
 
-  result.a = std::move(state.current.a);
-  result.b = std::move(state.current.b);
-  result.c = std::move(state.current.c);
-  result.iteration_errors = std::move(state.iteration_errors);
+  result.a = std::move(p.current.a);
+  result.b = std::move(p.current.b);
+  result.c = std::move(p.current.c);
+  result.iteration_errors = std::move(p.iteration_errors);
   result.final_error = result.iteration_errors.back();
   result.iterations_run = static_cast<int>(result.iteration_errors.size());
-  result.cells_changed = state.cells_changed;
-  result.cache_entries = state.cache_entries;
-  result.cache_bytes = state.cache_bytes;
-  result.checkpoints_written = state.checkpoints_written;
+  result.cells_changed = p.cells_changed;
+  result.cache_entries = p.cache_entries;
+  result.cache_bytes = p.cache_bytes;
+  result.checkpoints_written = p.checkpoints_written;
   result.resumed_from_iteration = state.resumed_from_iteration;
   // This run's traffic plus what the run had already moved before this
   // process — the session's one-off shuffle on a fresh run, the checkpoint's

@@ -17,6 +17,7 @@ namespace dbtf {
 class FactorBroadcastState;  // dbtf/engine.h
 class Rng;                   // common/random.h
 struct CheckpointState;      // ckpt/checkpoint.h
+struct RunProgress;          // ckpt/checkpoint.h
 
 /// A tensor resident on the distributed runtime, reusable across
 /// factorization runs.
@@ -73,19 +74,18 @@ class Session {
 
  private:
   struct FiberIndex;         // fiber-sampled initialization index (session.cc)
-  struct FactorSet;          // one set of factor matrices being optimized
-  struct TripleStats;        // merged stats of one full A/B/C update iteration
-  struct RunState;           // resumable cursor + accumulators of one run
+  struct RunState;           // RunProgress + operational state of one run
   struct CheckpointContext;  // checkpoint cadence/crash/halt hook state
 
   Session() = default;
 
   /// Runs the remaining mode updates (A, then B, then C) of the current
-  /// iteration, continuing at `state`'s cursor — mode `state->mode_index`,
-  /// column `state->next_column` — and merging per-mode statistics into
-  /// `state->iter_stats`. A fresh iteration starts with a zero cursor;
-  /// `ckpt` fires the checkpoint/crash/halt hook at every column boundary.
-  Status UpdateFactorsAt(RunState* state, const DbtfConfig& config,
+  /// iteration, continuing at `progress`'s cursor — mode
+  /// `progress->mode_index`, column `progress->next_column` — and merging
+  /// per-mode statistics into `progress->iter_stats`. A fresh iteration
+  /// starts with a zero cursor; `ckpt` fires the checkpoint/crash/halt hook
+  /// at every column boundary.
+  Status UpdateFactorsAt(RunProgress* progress, const DbtfConfig& config,
                          FactorBroadcastState* bcast, CheckpointContext* ckpt);
 
   /// Snapshot of everything a resumed run needs (src/ckpt/), with the comm
@@ -93,15 +93,16 @@ class Session {
   /// process's delta), so they stay correct across chains of resumes.
   CheckpointState BuildCheckpoint(const CheckpointContext& ctx) const;
 
-  /// Rehydrates a run from `ck`: cursor and accumulators into `state`, the
-  /// RNG engine, the delta-broadcast shadows, the fault injector's delivery
-  /// counters and dead set, partition coverage (uncharged, same
-  /// deterministic placement as recovery), the workers' resident factor
-  /// content, and the virtual clocks. Fails with kFailedPrecondition when
-  /// the checkpoint's config/tensor fingerprints do not match.
-  Status RestoreFromCheckpoint(const CheckpointState& ck,
-                               const DbtfConfig& config, RunState* state,
-                               FactorBroadcastState* bcast, Rng* rng);
+  /// Rehydrates a run from `ck`: its RunProgress and ledger bases into
+  /// `state`, the RNG engine, the delta-broadcast shadows, the fault
+  /// injector's delivery counters and dead set, partition coverage
+  /// (uncharged, same deterministic placement as recovery), the workers'
+  /// resident factor content, and the virtual clocks. Fails with
+  /// kFailedPrecondition when the checkpoint's config/tensor fingerprints do
+  /// not match.
+  Status RestoreFromCheckpoint(CheckpointState ck, const DbtfConfig& config,
+                               RunState* state, FactorBroadcastState* bcast,
+                               Rng* rng);
 
   /// Recovery hook wired into every factor update: rebuilds the partitions
   /// lost with crashed machines from the session's tensor (lineage-style

@@ -34,7 +34,7 @@ Status ClusterConfig::Validate() const {
         "network costs must be non-negative and finite");
   }
   DBTF_RETURN_IF_ERROR(retry.Validate());
-  DBTF_RETURN_IF_ERROR(transport.Validate(num_machines));
+  DBTF_RETURN_IF_ERROR(transport.Validate());
   return fault_plan.Validate(num_machines);
 }
 

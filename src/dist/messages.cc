@@ -1,8 +1,22 @@
 #include "dist/messages.h"
 
+#include <utility>
+
 #include "common/serde.h"
 
 namespace dbtf {
+
+MatrixDelta MatrixDelta::Full(int slot, std::uint64_t generation,
+                              BitMatrix matrix) {
+  MatrixDelta d;
+  d.slot = slot;
+  d.generation = generation;
+  d.full = true;
+  d.rows = matrix.rows();
+  d.cols = matrix.cols();
+  d.dense = std::move(matrix);
+  return d;
+}
 
 std::int64_t MatrixDelta::WireBytes() const {
   if (full) {

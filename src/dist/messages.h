@@ -52,6 +52,10 @@ struct MatrixDelta {
   std::vector<std::int64_t> columns;  ///< changed column indexes (delta)
   std::vector<std::vector<BitWord>> column_bits;  ///< packed bits per column
 
+  /// A full replacement of slot `slot` by `matrix` at `generation`.
+  static MatrixDelta Full(int slot, std::uint64_t generation,
+                          BitMatrix matrix);
+
   /// Packed bytes one machine receives: the full matrix, or per changed
   /// column an 8-byte index plus the packed column bits.
   std::int64_t WireBytes() const;

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "dist/cluster.h"
 #include "dist/transport/transport.h"
@@ -10,30 +11,25 @@ namespace dbtf {
 
 Status ProvisionWorkers(Cluster& cluster) {
   // The transport seam: everything above this call is transport-agnostic.
-  // The transport object itself need not outlive provisioning — endpoints
-  // carry whatever shared state (socket directory, worker binary) they need.
   const TransportOptions& options = cluster.config().transport;
-  std::shared_ptr<Transport> transport;
+  const int machines = cluster.num_machines();
+  std::vector<std::shared_ptr<WorkerEndpoint>> endpoints;
   switch (options.kind) {
     case TransportKind::kInProcess:
-      transport = CreateInProcessTransport();
+      endpoints = StartInProcessEndpoints(machines);
       break;
     case TransportKind::kSocket: {
-      Result<std::shared_ptr<Transport>> created =
-          CreateSocketTransport(options, cluster.num_machines());
-      if (!created.ok()) return created.status();
-      transport = *std::move(created);
+      DBTF_ASSIGN_OR_RETURN(endpoints,
+                            StartSocketEndpoints(options, machines));
       break;
     }
   }
-  if (transport == nullptr) {
+  if (endpoints.empty()) {
     return Status::InvalidArgument("unknown transport kind");
   }
-  for (int m = 0; m < cluster.num_machines(); ++m) {
-    Result<std::shared_ptr<WorkerEndpoint>> endpoint =
-        transport->StartEndpoint(m);
-    Status attached = endpoint.ok() ? cluster.AttachEndpoint(m, *endpoint)
-                                    : endpoint.status();
+  for (int m = 0; m < machines; ++m) {
+    const Status attached =
+        cluster.AttachEndpoint(m, endpoints[static_cast<std::size_t>(m)]);
     if (!attached.ok()) {
       cluster.DetachWorkers();
       return attached;
@@ -55,27 +51,15 @@ Result<std::shared_ptr<WorkerEndpoint>> ResidentEndpoint(Cluster& cluster,
   return endpoint;
 }
 
-/// Packed bytes of one partition's block rows — what re-shipping it costs on
-/// the wire (the same per-block accounting as Worker::LocalPartitionBytes).
-std::int64_t PartitionPackedBytes(const Partition& partition) {
-  std::int64_t bytes = 0;
-  for (const PartitionBlock& block : partition.blocks) {
-    bytes += block.rows.rows() * block.rows.words_per_row() *
-             static_cast<std::int64_t>(sizeof(BitWord));
-  }
-  return bytes;
-}
-
-/// Ships one partition to `endpoint` as a typed store message.
-Status StoreOnEndpoint(WorkerEndpoint& endpoint, Mode mode,
-                       std::int64_t index, Partition partition,
-                       const UnfoldShape& shape) {
+StorePartitionRequest StoreRequest(Mode mode, std::int64_t index,
+                                   Partition partition,
+                                   const UnfoldShape& shape) {
   StorePartitionRequest msg;
   msg.mode = mode;
   msg.index = index;
   msg.shape = shape;
   msg.partition = std::move(partition);
-  return endpoint.Store(std::move(msg), nullptr);
+  return msg;
 }
 
 }  // namespace
@@ -84,7 +68,8 @@ Status StorePartition(Cluster& cluster, Mode mode, std::int64_t index,
                       Partition partition, const UnfoldShape& shape) {
   DBTF_ASSIGN_OR_RETURN(std::shared_ptr<WorkerEndpoint> endpoint,
                         ResidentEndpoint(cluster, index));
-  return StoreOnEndpoint(*endpoint, mode, index, std::move(partition), shape);
+  return endpoint->Store(
+      StoreRequest(mode, index, std::move(partition), shape));
 }
 
 namespace {
@@ -107,7 +92,7 @@ Status RestoreCoverageCore(Cluster& cluster,
       std::shared_ptr<WorkerEndpoint> endpoint = cluster.EndpointOn(m);
       if (endpoint == nullptr) continue;
       Result<std::vector<std::int64_t>> queried =
-          endpoint->ListPartitions(spec.mode, nullptr);
+          endpoint->ListPartitions(spec.mode);
       if (!queried.ok()) {
         // kIoError means the worker process died since it was attached
         // (e.g. SIGKILLed while a checkpointed run was down). Treat it like
@@ -147,8 +132,9 @@ Status RestoreCoverageCore(Cluster& cluster,
       // First surviving machine in ring order after the original owner —
       // deterministic, and it spreads adopted partitions across survivors.
       const int owner = cluster.OwnerOf(p);
-      const Partition& partition = partitions[static_cast<std::size_t>(p)];
-      const std::int64_t bytes = PartitionPackedBytes(partition);
+      const StorePartitionRequest msg = StoreRequest(
+          spec.mode, p, std::move(partitions[static_cast<std::size_t>(p)]),
+          spec.shape);
       bool stored = false;
       for (int step = 1; step <= machines && !stored; ++step) {
         const int target_machine = (owner + step) % machines;
@@ -157,11 +143,12 @@ Status RestoreCoverageCore(Cluster& cluster,
         if (target == nullptr) continue;
         // The copy keeps the partition available for the next ring step
         // when this target's worker process turns out to be dead too.
-        const Status status =
-            StoreOnEndpoint(*target, spec.mode, p, partition, spec.shape);
+        const Status status = target->Store(msg);
         if (status.ok()) {
           stored = true;
-          if (charge) cluster.ChargeReprovision(target_machine, bytes);
+          if (charge) {
+            cluster.ChargeReprovision(target_machine, msg.WireBytes());
+          }
         } else if (status.code() == StatusCode::kIoError) {
           cluster.RestoreDeadMachine(target_machine);
         } else {
@@ -193,29 +180,7 @@ Status RestorePartitionCoverage(Cluster& cluster,
   return RestoreCoverageCore(cluster, specs, rebuild, /*charge=*/false);
 }
 
-Status RestoreWorkerFactors(Cluster& cluster,
-                            const WorkerFactorRestore& restore) {
-  FactorDelta msg;
-  msg.mode = restore.mode;
-  msg.rows = restore.rows;
-  msg.mf_slot = restore.mf_slot;
-  msg.ms_slot = restore.ms_slot;
-  msg.cache_group_size = restore.cache_group_size;
-  msg.enable_caching = restore.enable_caching;
-  for (const FactorSlotRestore& slot : restore.slots) {
-    if (slot.content == nullptr) {
-      return Status::InvalidArgument(
-          "factor slot restore carries no content");
-    }
-    MatrixDelta d;
-    d.slot = slot.slot;
-    d.generation = slot.generation;
-    d.full = true;
-    d.dense = *slot.content;
-    d.rows = slot.content->rows();
-    d.cols = slot.content->cols();
-    msg.updates.push_back(std::move(d));
-  }
+Status RestoreWorkerFactors(Cluster& cluster, const FactorDelta& msg) {
   // Direct per-endpoint delivery, bypassing Cluster routing on purpose:
   // rehydration re-creates state the interrupted run already shipped and
   // charged, so neither the comm ledger nor the fault injector's delivery

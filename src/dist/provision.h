@@ -7,7 +7,7 @@
 
 #include "common/status.h"
 #include "dbtf/partition.h"
-#include "tensor/bit_matrix.h"
+#include "dist/messages.h"
 #include "tensor/unfold.h"
 
 namespace dbtf {
@@ -88,36 +88,13 @@ Status RestorePartitionCoverage(Cluster& cluster,
                                 const std::vector<ReprovisionSpec>& specs,
                                 const UnfoldingRebuilder& rebuild);
 
-/// One worker factor slot to rehydrate: full content at the checkpointed
-/// generation of the broadcast-state shadow. `content` must outlive the
-/// RestoreWorkerFactors call.
-struct FactorSlotRestore {
-  int slot = 0;
-  std::uint64_t generation = 0;
-  const BitMatrix* content = nullptr;
-};
-
-/// Worker rehydration payload for the checkpoint cursor's in-flight mode
-/// update: every committed factor slot plus the mode/cache parameters of
-/// that update, mirroring the FactorDelta broadcast the interrupted run had
-/// already delivered.
-struct WorkerFactorRestore {
-  Mode mode = Mode::kOne;
-  std::int64_t rows = 0;
-  int mf_slot = 2;
-  int ms_slot = 1;
-  int cache_group_size = 1;
-  bool enable_caching = true;
-  std::vector<FactorSlotRestore> slots;
-};
-
-/// Delivers the rehydration payload to every attached worker directly — no
-/// routing, so no ledger charges and no fault-injector counter advances.
-/// Each worker re-learns the shipped factor content at its checkpointed
-/// generations and rebuilds mode masks and Khatri-Rao cache tables for the
-/// cursor mode, exactly as Handle(FactorDelta) does for a routed broadcast.
-Status RestoreWorkerFactors(Cluster& cluster,
-                            const WorkerFactorRestore& restore);
+/// Delivers `msg` — the rehydration message FactorBroadcastState::
+/// RestoreMessage builds — to every attached worker directly: no routing, so
+/// no ledger charges and no fault-injector counter advances. Each worker
+/// re-learns the shipped factor content at its checkpointed generations and
+/// rebuilds mode masks and Khatri-Rao cache tables for the cursor mode,
+/// exactly as for a routed broadcast.
+Status RestoreWorkerFactors(Cluster& cluster, const FactorDelta& msg);
 
 }  // namespace dbtf
 

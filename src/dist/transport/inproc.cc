@@ -1,58 +1,51 @@
-#include "dist/transport/inproc.h"
-
 #include <memory>
 #include <utility>
+#include <vector>
 
-#include "common/check.h"
 #include "common/timer.h"
+#include "dist/transport/transport.h"
 #include "dist/worker.h"
 
 namespace dbtf {
 namespace {
 
+// In-process transport: each endpoint owns a driver-process Worker and
+// delivers messages as direct handler calls, timing each with the thread-CPU
+// clock so the virtual machine clocks charge exactly what the socket
+// transport's reply envelopes would carry. This is the bitwise oracle the
+// socket transport is checked against, and the configuration the sanitizer
+// presets exercise (one process means TSan sees every handler).
 class InProcessEndpoint final : public WorkerEndpoint {
  public:
-  explicit InProcessEndpoint(std::shared_ptr<Worker> worker)
-      : worker_(std::move(worker)) {
-    DBTF_CHECK(worker_ != nullptr);
-  }
+  explicit InProcessEndpoint(int machine) : worker_(machine) {}
 
-  int machine() const override { return worker_->machine(); }
+  int machine() const override { return worker_.machine(); }
 
   Status Deliver(const FactorDelta& msg, double* compute_seconds) override {
-    return Timed(compute_seconds, [&] { return worker_->Handle(msg); });
+    return Timed(compute_seconds, [&] { return worker_.Handle(msg); });
   }
 
   Status RunColumn(const RunUpdateColumn& run, const CollectErrorsRequest& req,
                    CollectErrorsResponse* response,
                    double* compute_seconds) override {
     return Timed(compute_seconds,
-                 [&] { return worker_->Handle(run, req, response); });
+                 [&] { return worker_.Handle(run, req, response); });
   }
 
   Status Query(const QueryRequest& msg, QueryResponse* response,
                double* compute_seconds) override {
     return Timed(compute_seconds,
-                 [&] { return worker_->Handle(msg, response); });
+                 [&] { return worker_.Handle(msg, response); });
   }
 
-  Status Store(StorePartitionRequest msg, double* compute_seconds) override {
-    return Timed(compute_seconds, [&] {
-      worker_->AdoptPartition(msg.mode, msg.index, std::move(msg.partition),
-                              msg.shape);
-      return Status::OK();
-    });
+  Status Store(StorePartitionRequest msg) override {
+    worker_.AdoptPartition(msg.mode, msg.index, std::move(msg.partition),
+                            msg.shape);
+    return Status::OK();
   }
 
-  Result<std::vector<std::int64_t>> ListPartitions(
-      Mode mode, double* compute_seconds) override {
-    std::vector<std::int64_t> indexes;
-    const Status status = Timed(compute_seconds, [&] {
-      indexes = worker_->LocalPartitionIndexes(mode);
-      return Status::OK();
-    });
-    if (!status.ok()) return status;
-    return indexes;
+  Result<std::vector<std::int64_t>> ListPartitions(Mode mode) override {
+    return worker_.LocalPartitionIndexes(mode);
   }
 
  private:
@@ -68,27 +61,18 @@ class InProcessEndpoint final : public WorkerEndpoint {
     return status;
   }
 
-  std::shared_ptr<Worker> worker_;
-};
-
-class InProcessTransport final : public Transport {
- public:
-  TransportKind kind() const override { return TransportKind::kInProcess; }
-
-  Result<std::shared_ptr<WorkerEndpoint>> StartEndpoint(int machine) override {
-    return MakeInProcessEndpoint(std::make_shared<Worker>(machine));
-  }
+  Worker worker_;
 };
 
 }  // namespace
 
-std::shared_ptr<WorkerEndpoint> MakeInProcessEndpoint(
-    std::shared_ptr<Worker> worker) {
-  return std::make_shared<InProcessEndpoint>(std::move(worker));
-}
-
-std::shared_ptr<Transport> CreateInProcessTransport() {
-  return std::make_shared<InProcessTransport>();
+std::vector<std::shared_ptr<WorkerEndpoint>> StartInProcessEndpoints(
+    int num_machines) {
+  std::vector<std::shared_ptr<WorkerEndpoint>> endpoints;
+  for (int m = 0; m < num_machines; ++m) {
+    endpoints.push_back(std::make_shared<InProcessEndpoint>(m));
+  }
+  return endpoints;
 }
 
 }  // namespace dbtf

@@ -32,7 +32,7 @@ Status IoErrno(const std::string& what) {
   return Status::IoError(what + ": " + std::strerror(errno));
 }
 
-/// RAII socket directory shared by every endpoint of one transport: created
+/// RAII socket directory shared by every endpoint of one cluster: created
 /// with mkdtemp when the caller did not name one, removed (best effort) once
 /// the last endpoint is gone.
 struct SocketDirState {
@@ -102,22 +102,19 @@ class SocketEndpoint final : public WorkerEndpoint {
     return reader.ExpectEnd();
   }
 
-  Status Store(StorePartitionRequest msg, double* compute_seconds) override {
+  Status Store(StorePartitionRequest msg) override {
     ByteWriter payload;
     EncodeStorePartitionRequest(msg, &payload);
     DBTF_ASSIGN_OR_RETURN(WireReply reply,
                           Call(WireKind::kStorePartition, payload));
-    Credit(compute_seconds, reply);
     return reply.status;
   }
 
-  Result<std::vector<std::int64_t>> ListPartitions(
-      Mode mode, double* compute_seconds) override {
+  Result<std::vector<std::int64_t>> ListPartitions(Mode mode) override {
     ByteWriter payload;
     EncodeListPartitionsRequest(mode, &payload);
     DBTF_ASSIGN_OR_RETURN(WireReply reply,
                           Call(WireKind::kListPartitions, payload));
-    Credit(compute_seconds, reply);
     DBTF_RETURN_IF_ERROR(reply.status);
     ByteReader reader(reply.body);
     DBTF_ASSIGN_OR_RETURN(std::vector<std::int64_t> indexes,
@@ -160,108 +157,99 @@ class SocketEndpoint final : public WorkerEndpoint {
   std::shared_ptr<SocketDirState> state_;
 };
 
-class SocketTransport final : public Transport {
- public:
-  explicit SocketTransport(std::shared_ptr<SocketDirState> state)
-      : state_(std::move(state)) {}
+/// Spawns machine `machine`'s dbtf-worker and connects its endpoint.
+Result<std::shared_ptr<WorkerEndpoint>> StartSocketEndpoint(
+    const std::shared_ptr<SocketDirState>& state, int machine) {
+  const std::string path =
+      state->dir + "/worker-" + std::to_string(machine) + ".sock";
 
-  TransportKind kind() const override { return TransportKind::kSocket; }
+  sockaddr_un addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sun_family = AF_UNIX;
+  if (path.size() + 1 > sizeof(addr.sun_path)) {
+    return Status::InvalidArgument("socket path too long: " + path);
+  }
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
 
-  Result<std::shared_ptr<WorkerEndpoint>> StartEndpoint(int machine) override {
-    const std::string path =
-        state_->dir + "/worker-" + std::to_string(machine) + ".sock";
-
-    sockaddr_un addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sun_family = AF_UNIX;
-    if (path.size() + 1 > sizeof(addr.sun_path)) {
-      return Status::InvalidArgument("socket path too long: " + path);
-    }
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-
-    (void)::unlink(path.c_str());
-    const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (listen_fd < 0) return IoErrno("socket");
-    if (::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
-               sizeof(addr)) != 0) {
-      const Status status = IoErrno("bind " + path);
-      (void)::close(listen_fd);
-      return status;
-    }
-    if (::listen(listen_fd, 1) != 0) {
-      const Status status = IoErrno("listen " + path);
-      (void)::close(listen_fd);
-      (void)::unlink(path.c_str());
-      return status;
-    }
-
-    // argv storage must be built before fork: only async-signal-safe calls
-    // are legal in the child of a multithreaded parent.
-    std::string machine_arg = "--machine=" + std::to_string(machine);
-    std::string socket_arg = "--socket=" + path;
-    std::vector<char*> argv = {
-        const_cast<char*>(state_->worker_binary.c_str()),
-        const_cast<char*>(machine_arg.c_str()),
-        const_cast<char*>(socket_arg.c_str()), nullptr};
-
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      const Status status = IoErrno("fork");
-      (void)::close(listen_fd);
-      (void)::unlink(path.c_str());
-      return status;
-    }
-    if (pid == 0) {
-      // Child: listen_fd is CLOEXEC, so exec leaves only std fds open.
-      ::execv(argv[0], argv.data());
-      ::_exit(127);
-    }
-
-    pollfd waiter;
-    waiter.fd = listen_fd;
-    waiter.events = POLLIN;
-    waiter.revents = 0;
-    int polled;
-    do {
-      polled = ::poll(&waiter, 1, kAcceptTimeoutMillis);
-    } while (polled < 0 && errno == EINTR);
-    if (polled <= 0) {
-      const Status status =
-          polled == 0
-              ? Status::IoError("worker " + std::to_string(machine) +
-                                " did not connect within 30s (exec of '" +
-                                state_->worker_binary + "' likely failed)")
-              : IoErrno("poll");
-      (void)::close(listen_fd);
-      (void)::unlink(path.c_str());
-      int wstatus = 0;
-      (void)::kill(pid, SIGKILL);
-      (void)::waitpid(pid, &wstatus, 0);
-      return status;
-    }
-
-    int conn_fd;
-    do {
-      conn_fd = ::accept(listen_fd, nullptr, nullptr);
-    } while (conn_fd < 0 && errno == EINTR);
+  (void)::unlink(path.c_str());
+  const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (listen_fd < 0) return IoErrno("socket");
+  if (::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
+             sizeof(addr)) != 0) {
+    const Status status = IoErrno("bind " + path);
+    (void)::close(listen_fd);
+    return status;
+  }
+  if (::listen(listen_fd, 1) != 0) {
+    const Status status = IoErrno("listen " + path);
     (void)::close(listen_fd);
     (void)::unlink(path.c_str());
-    if (conn_fd < 0) {
-      const Status status = IoErrno("accept");
-      int wstatus = 0;
-      (void)::kill(pid, SIGKILL);
-      (void)::waitpid(pid, &wstatus, 0);
-      return status;
-    }
-
-    std::shared_ptr<WorkerEndpoint> endpoint =
-        std::make_shared<SocketEndpoint>(machine, conn_fd, pid, state_);
-    return endpoint;
+    return status;
   }
 
- private:
-  std::shared_ptr<SocketDirState> state_;
-};
+  // argv storage must be built before fork: only async-signal-safe calls
+  // are legal in the child of a multithreaded parent.
+  std::string machine_arg = "--machine=" + std::to_string(machine);
+  std::string socket_arg = "--socket=" + path;
+  std::vector<char*> argv = {
+      const_cast<char*>(state->worker_binary.c_str()),
+      const_cast<char*>(machine_arg.c_str()),
+      const_cast<char*>(socket_arg.c_str()), nullptr};
+
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    const Status status = IoErrno("fork");
+    (void)::close(listen_fd);
+    (void)::unlink(path.c_str());
+    return status;
+  }
+  if (pid == 0) {
+    // Child: listen_fd is CLOEXEC, so exec leaves only std fds open.
+    ::execv(argv[0], argv.data());
+    ::_exit(127);
+  }
+
+  pollfd waiter;
+  waiter.fd = listen_fd;
+  waiter.events = POLLIN;
+  waiter.revents = 0;
+  int polled;
+  do {
+    polled = ::poll(&waiter, 1, kAcceptTimeoutMillis);
+  } while (polled < 0 && errno == EINTR);
+  if (polled <= 0) {
+    const Status status =
+        polled == 0
+            ? Status::IoError("worker " + std::to_string(machine) +
+                              " did not connect within 30s (exec of '" +
+                              state->worker_binary + "' likely failed)")
+            : IoErrno("poll");
+    (void)::close(listen_fd);
+    (void)::unlink(path.c_str());
+    int wstatus = 0;
+    (void)::kill(pid, SIGKILL);
+    (void)::waitpid(pid, &wstatus, 0);
+    return status;
+  }
+
+  int conn_fd;
+  do {
+    conn_fd = ::accept(listen_fd, nullptr, nullptr);
+  } while (conn_fd < 0 && errno == EINTR);
+  (void)::close(listen_fd);
+  (void)::unlink(path.c_str());
+  if (conn_fd < 0) {
+    const Status status = IoErrno("accept");
+    int wstatus = 0;
+    (void)::kill(pid, SIGKILL);
+    (void)::waitpid(pid, &wstatus, 0);
+    return status;
+  }
+
+  std::shared_ptr<WorkerEndpoint> endpoint =
+      std::make_shared<SocketEndpoint>(machine, conn_fd, pid, state);
+  return endpoint;
+}
 
 }  // namespace
 
@@ -356,9 +344,8 @@ Result<std::string> ResolveWorkerBinary(const std::string& explicit_path) {
   return path;
 }
 
-Result<std::shared_ptr<Transport>> CreateSocketTransport(
+Result<std::vector<std::shared_ptr<WorkerEndpoint>>> StartSocketEndpoints(
     const TransportOptions& options, int num_machines) {
-  DBTF_RETURN_IF_ERROR(options.Validate(num_machines));
   auto state = std::make_shared<SocketDirState>();
   DBTF_ASSIGN_OR_RETURN(state->worker_binary,
                         ResolveWorkerBinary(options.worker_binary));
@@ -370,9 +357,13 @@ Result<std::shared_ptr<Transport>> CreateSocketTransport(
   } else {
     state->dir = options.socket_dir;
   }
-  std::shared_ptr<Transport> transport =
-      std::make_shared<SocketTransport>(std::move(state));
-  return transport;
+  std::vector<std::shared_ptr<WorkerEndpoint>> endpoints;
+  for (int m = 0; m < num_machines; ++m) {
+    DBTF_ASSIGN_OR_RETURN(std::shared_ptr<WorkerEndpoint> endpoint,
+                          StartSocketEndpoint(state, m));
+    endpoints.push_back(std::move(endpoint));
+  }
+  return endpoints;
 }
 
 }  // namespace dbtf

@@ -18,7 +18,7 @@ namespace dbtf {
 // daemon, so the child's connect can never race the accept; the daemon then
 // serves request frames until it reads EOF or a kShutdown frame.
 //
-// Factory: CreateSocketTransport (declared in transport.h). This header adds
+// Starter: StartSocketEndpoints (declared in transport.h). This header adds
 // only the blocking frame I/O helpers shared by the driver-side endpoint
 // (socket.cc, routing library) and the worker-side server loop
 // (worker_server.cc / worker_main.cc, which link against this library).

@@ -12,7 +12,6 @@ constexpr std::size_t kSocketFileBudget = sizeof("/worker-99999.sock");
 }  // namespace
 
 WorkerEndpoint::~WorkerEndpoint() = default;
-Transport::~Transport() = default;
 
 const char* TransportKindName(TransportKind kind) {
   switch (kind) {
@@ -31,21 +30,11 @@ Result<TransportKind> ParseTransportKind(const std::string& name) {
       "unknown transport '" + name + "' (expected inproc or socket)");
 }
 
-Status TransportOptions::Validate(int num_machines) const {
+Status TransportOptions::Validate() const {
   if (kind != TransportKind::kInProcess && kind != TransportKind::kSocket) {
     return Status::InvalidArgument("unknown transport kind");
   }
-  if (socket_workers < 0) {
-    return Status::InvalidArgument("socket_workers must be >= 0");
-  }
   if (kind == TransportKind::kInProcess) return Status::OK();
-  if (socket_workers != 0 && socket_workers != num_machines) {
-    return Status::InvalidArgument(
-        "socket_workers (" + std::to_string(socket_workers) +
-        ") does not match num_machines (" + std::to_string(num_machines) +
-        "); the socket transport runs exactly one worker process per "
-        "machine");
-  }
   if (!socket_dir.empty() &&
       socket_dir.size() + kSocketFileBudget > kSunPathBytes) {
     return Status::InvalidArgument(

@@ -46,15 +46,8 @@ struct TransportOptions {
   /// running executable.
   std::string worker_binary;
 
-  /// Expected worker-process count; 0 means "one per machine" (the only
-  /// valid topology — the field exists so a mis-specified deployment is
-  /// rejected by Validate instead of silently under-provisioning).
-  int socket_workers = 0;
-
-  /// Validates the options against the cluster size. Rejects a socket_dir
-  /// too long for sun_path and a socket_workers count that does not match
-  /// `num_machines`.
-  Status Validate(int num_machines) const;
+  /// Rejects an unknown kind and a socket_dir too long for sun_path.
+  Status Validate() const;
 };
 
 /// One machine's message endpoint as the routing layer sees it: the typed
@@ -64,12 +57,12 @@ struct TransportOptions {
 /// worker process — that seam is what keeps factors, error trajectories,
 /// and ledgers bitwise identical across transports.
 ///
-/// Every method adds the worker-side CPU seconds consumed by the handler
-/// into `*compute_seconds` when non-null (the socket transport carries the
-/// measurement back in the reply envelope), so the virtual machine clocks
-/// charge the same quantity either way. An endpoint whose worker process
-/// died fails with kIoError; the retrying router maps that onto a permanent
-/// machine loss.
+/// Every routed method adds the worker-side CPU seconds consumed by the
+/// handler into `*compute_seconds` when non-null (the socket transport
+/// carries the measurement back in the reply envelope), so the virtual
+/// machine clocks charge the same quantity either way. An endpoint whose
+/// worker process died fails with kIoError; the retrying router maps that
+/// onto a permanent machine loss.
 ///
 /// Deliveries to one endpoint are serialized by construction — driver-side
 /// by the machine's delivery lock in Cluster, plus the provisioning seam's
@@ -99,9 +92,8 @@ class WorkerEndpoint {
                        double* compute_seconds) = 0;
 
   /// Provisioning plane (dist/provision.h; charged there when applicable).
-  virtual Status Store(StorePartitionRequest msg, double* compute_seconds) = 0;
-  virtual Result<std::vector<std::int64_t>> ListPartitions(
-      Mode mode, double* compute_seconds) = 0;
+  virtual Status Store(StorePartitionRequest msg) = 0;
+  virtual Result<std::vector<std::int64_t>> ListPartitions(Mode mode) = 0;
 
   /// OS process id of the worker behind this endpoint. Fails with
   /// kFailedPrecondition for in-process endpoints. Exists for the crash
@@ -112,30 +104,20 @@ class WorkerEndpoint {
   }
 };
 
-/// Factory seam beneath Cluster: one Transport instance per provisioned
-/// cluster mints the per-machine endpoints. Endpoints share ownership of
-/// whatever state they need (socket directory, worker process), so the
-/// Transport object itself may be dropped once provisioning is done.
-class Transport {
- public:
-  virtual ~Transport();
+/// Endpoint starters, one per TransportKind; ProvisionWorkers
+/// (dist/provision.h) picks one and attaches what it returns.
 
-  virtual TransportKind kind() const = 0;
+/// One in-process endpoint per machine, each over a fresh Worker. Defined in
+/// dist/transport/inproc.cc, which is compiled into the core library
+/// because it needs the Worker handlers.
+std::vector<std::shared_ptr<WorkerEndpoint>> StartInProcessEndpoints(
+    int num_machines);
 
-  /// Creates (and, for the socket transport, spawns) machine `machine`'s
-  /// endpoint.
-  virtual Result<std::shared_ptr<WorkerEndpoint>> StartEndpoint(
-      int machine) = 0;
-};
-
-/// In-process transport factory. Defined in dist/transport/inproc.cc, which
-/// is compiled into the core library because it needs the Worker handlers.
-std::shared_ptr<Transport> CreateInProcessTransport();
-
-/// Socket transport factory: prepares the socket directory and resolves the
-/// worker binary; StartEndpoint then spawns one dbtf-worker process per
-/// machine. Defined in dist/transport/socket.cc.
-Result<std::shared_ptr<Transport>> CreateSocketTransport(
+/// One socket endpoint per machine: prepares the socket directory, resolves
+/// the worker binary, and spawns one dbtf-worker process per machine. The
+/// endpoints share the directory, which goes away with the last of them.
+/// Defined in dist/transport/socket.cc.
+Result<std::vector<std::shared_ptr<WorkerEndpoint>>> StartSocketEndpoints(
     const TransportOptions& options, int num_machines);
 
 }  // namespace dbtf

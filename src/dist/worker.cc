@@ -77,19 +77,6 @@ std::vector<std::int64_t> Worker::LocalPartitionIndexes(Mode mode) const {
   return indexes;
 }
 
-std::int64_t Worker::LocalPartitionBytes() const {
-  std::int64_t bytes = 0;
-  for (const ModeState& st : modes_) {
-    for (const LocalPartition& lp : st.partitions) {
-      for (const PartitionBlock& block : lp.data.blocks) {
-        bytes += block.rows.rows() * block.rows.words_per_row() *
-                 static_cast<std::int64_t>(sizeof(BitWord));
-      }
-    }
-  }
-  return bytes;
-}
-
 Status Worker::ApplyMatrixDelta(const MatrixDelta& d) {
   DBTF_CHECK_LE(0, d.slot);
   DBTF_CHECK_LT(d.slot, 3);

@@ -26,21 +26,20 @@ namespace dbtf {
 /// paper's claim that only factor matrices cross the wire (Lemmas 6–7).
 ///
 /// Message handlers are invoked through the machine's transport endpoint
-/// (dist/transport/): in-process by InProcessTransport on the routing
-/// thread, or inside a dedicated worker process by the dbtf-worker server
-/// loop. Either way a worker's handlers are never invoked concurrently with
-/// each other — Cluster holds the machine's delivery lock around every
-/// delivery driver-side, and the socket server loop is single-threaded —
-/// which is why Worker deliberately has no mutex: adding one would paper
-/// over a routing bug instead of surfacing it under TSan.
+/// (dist/transport/): called directly on the routing thread by the
+/// in-process endpoint, or inside a dedicated worker process by the
+/// dbtf-worker server loop. Either way a worker's handlers are never invoked
+/// concurrently with each other — Cluster holds the machine's delivery lock
+/// around every delivery driver-side, and the socket server loop is
+/// single-threaded — which is why Worker deliberately has no mutex: adding
+/// one would paper over a routing bug instead of surfacing it under TSan.
 class Worker {
  public:
   explicit Worker(int machine) : machine_(machine) {}
 
-  // Not copyable and not movable: a worker is shared, not handed over — the
-  // in-process endpoint holds it through a shared_ptr
-  // (dist/transport/inproc.h) — so it lives at one address for its whole
-  // life.
+  // Not copyable and not movable: the in-process endpoint owns it as a
+  // member (dist/transport/inproc.cc), so it lives at one address for its
+  // whole life.
   Worker(const Worker&) = delete;
   Worker& operator=(const Worker&) = delete;
   Worker(Worker&&) = delete;
@@ -64,10 +63,6 @@ class Worker {
   /// machine — residency after a recovery no longer matches the placement
   /// policy, so ownership must be queried, not derived.
   std::vector<std::int64_t> LocalPartitionIndexes(Mode mode) const;
-
-  /// Packed bytes of all resident partition slices (Lemma 5's partition
-  /// term, restricted to this machine).
-  std::int64_t LocalPartitionBytes() const;
 
   // --- Message handlers (call via the transport endpoint only) -------------
 

@@ -61,15 +61,9 @@ const BitMatrix& ServeEngine::factor(int slot) const {
 Status ServeEngine::Rebroadcast() {
   FactorDelta msg = ApplyOnlyDelta();
   for (int slot = 0; slot < 3; ++slot) {
-    const BitMatrix& m = factors_[static_cast<std::size_t>(slot)];
-    MatrixDelta d;
-    d.slot = slot;
-    d.generation = generations_[static_cast<std::size_t>(slot)];
-    d.full = true;
-    d.dense = m;
-    d.rows = m.rows();
-    d.cols = m.cols();
-    msg.updates.push_back(std::move(d));
+    const std::size_t s = static_cast<std::size_t>(slot);
+    msg.updates.push_back(
+        MatrixDelta::Full(slot, generations_[s], factors_[s]));
   }
   ++stats_.rebroadcasts;
   const Status status = cluster_->BroadcastFactors(std::move(msg));
@@ -103,10 +97,7 @@ int ServeEngine::ShardOf(const QueryRequest& msg) const {
       key = static_cast<std::int64_t>(msg.id);
       break;
   }
-  return cluster_->config().placement
-             ? cluster_->config().placement->Place(key,
-                                                   cluster_->num_machines())
-             : cluster_->OwnerOf(key);
+  return cluster_->OwnerOf(key);
 }
 
 Status ServeEngine::Route(QueryRequest msg, QueryResponse* response) {

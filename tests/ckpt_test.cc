@@ -2,6 +2,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/format.h"
 #include "common/status.h"
 #include "tensor/bit_matrix.h"
 
@@ -45,33 +47,33 @@ CheckpointState MakeState(std::uint64_t salt) {
   CheckpointState s;
   s.config_fingerprint = 0x1111 + salt;
   s.tensor_fingerprint = 0x2222 + salt;
-  s.iteration = 3;
-  s.set_index = 1;
-  s.mode_index = 2;
-  s.next_column = 5;
-  s.columns_done = 37 + static_cast<std::int64_t>(salt);
+  RunProgress& p = s.progress;
+  p.iteration = 3;
+  p.set_index = 1;
+  p.mode_index = 2;
+  p.next_column = 5;
+  p.columns_done = 37 + static_cast<std::int64_t>(salt);
   s.rng_state = {salt + 1, salt + 2, salt + 3, salt + 4};
-  s.a = PatternMatrix(6, 4, salt);
-  s.b = PatternMatrix(7, 4, salt + 1);
-  s.c = PatternMatrix(5, 4, salt + 2);
-  s.has_best = true;
-  s.best_a = PatternMatrix(6, 4, salt + 3);
-  s.best_b = PatternMatrix(7, 4, salt + 4);
-  s.best_c = PatternMatrix(5, 4, salt + 5);
-  s.best_error = 17;
-  s.update_cache_entries = 100;
-  s.update_cache_bytes = 800;
-  s.update_cells_changed = 12;
-  s.update_final_error = 44;
-  s.iter_error = 55;
-  s.iter_cells_changed = 21;
-  s.iter_cache_entries = 110;
-  s.iter_cache_bytes = 880;
-  s.iteration_errors = {90, 70, 60};
-  s.cells_changed = 123;
-  s.cache_entries = 140;
-  s.cache_bytes = 1120;
-  s.checkpoints_written = 4;
+  p.current.a = PatternMatrix(6, 4, salt);
+  p.current.b = PatternMatrix(7, 4, salt + 1);
+  p.current.c = PatternMatrix(5, 4, salt + 2);
+  p.best.a = PatternMatrix(6, 4, salt + 3);
+  p.best.b = PatternMatrix(7, 4, salt + 4);
+  p.best.c = PatternMatrix(5, 4, salt + 5);
+  p.best_error = 17;
+  p.update_stats.cache_entries = 100;
+  p.update_stats.cache_bytes = 800;
+  p.update_stats.cells_changed = 12;
+  p.update_stats.final_error = 44;
+  p.iter_stats.error = 55;
+  p.iter_stats.cells_changed = 21;
+  p.iter_stats.cache_entries = 110;
+  p.iter_stats.cache_bytes = 880;
+  p.iteration_errors = {90, 70, 60};
+  p.cells_changed = 123;
+  p.cache_entries = 140;
+  p.cache_bytes = 1120;
+  p.checkpoints_written = 4;
   s.shadows[0].initialized = true;
   s.shadows[0].generation = 11 + salt;
   s.shadows[0].content = PatternMatrix(6, 4, salt + 6);
@@ -101,35 +103,34 @@ CheckpointState MakeState(std::uint64_t salt) {
 void ExpectStatesEqual(const CheckpointState& got, const CheckpointState& want) {
   EXPECT_EQ(got.config_fingerprint, want.config_fingerprint);
   EXPECT_EQ(got.tensor_fingerprint, want.tensor_fingerprint);
-  EXPECT_EQ(got.iteration, want.iteration);
-  EXPECT_EQ(got.set_index, want.set_index);
-  EXPECT_EQ(got.mode_index, want.mode_index);
-  EXPECT_EQ(got.next_column, want.next_column);
-  EXPECT_EQ(got.columns_done, want.columns_done);
+  const RunProgress& gp = got.progress;
+  const RunProgress& wp = want.progress;
+  EXPECT_EQ(gp.iteration, wp.iteration);
+  EXPECT_EQ(gp.set_index, wp.set_index);
+  EXPECT_EQ(gp.mode_index, wp.mode_index);
+  EXPECT_EQ(gp.next_column, wp.next_column);
+  EXPECT_EQ(gp.columns_done, wp.columns_done);
   EXPECT_EQ(got.rng_state, want.rng_state);
-  EXPECT_TRUE(got.a == want.a);
-  EXPECT_TRUE(got.b == want.b);
-  EXPECT_TRUE(got.c == want.c);
-  EXPECT_EQ(got.has_best, want.has_best);
-  if (got.has_best && want.has_best) {
-    EXPECT_TRUE(got.best_a == want.best_a);
-    EXPECT_TRUE(got.best_b == want.best_b);
-    EXPECT_TRUE(got.best_c == want.best_c);
-  }
-  EXPECT_EQ(got.best_error, want.best_error);
-  EXPECT_EQ(got.update_cache_entries, want.update_cache_entries);
-  EXPECT_EQ(got.update_cache_bytes, want.update_cache_bytes);
-  EXPECT_EQ(got.update_cells_changed, want.update_cells_changed);
-  EXPECT_EQ(got.update_final_error, want.update_final_error);
-  EXPECT_EQ(got.iter_error, want.iter_error);
-  EXPECT_EQ(got.iter_cells_changed, want.iter_cells_changed);
-  EXPECT_EQ(got.iter_cache_entries, want.iter_cache_entries);
-  EXPECT_EQ(got.iter_cache_bytes, want.iter_cache_bytes);
-  EXPECT_EQ(got.iteration_errors, want.iteration_errors);
-  EXPECT_EQ(got.cells_changed, want.cells_changed);
-  EXPECT_EQ(got.cache_entries, want.cache_entries);
-  EXPECT_EQ(got.cache_bytes, want.cache_bytes);
-  EXPECT_EQ(got.checkpoints_written, want.checkpoints_written);
+  EXPECT_TRUE(gp.current.a == wp.current.a);
+  EXPECT_TRUE(gp.current.b == wp.current.b);
+  EXPECT_TRUE(gp.current.c == wp.current.c);
+  EXPECT_TRUE(gp.best.a == wp.best.a);
+  EXPECT_TRUE(gp.best.b == wp.best.b);
+  EXPECT_TRUE(gp.best.c == wp.best.c);
+  EXPECT_EQ(gp.best_error, wp.best_error);
+  EXPECT_EQ(gp.update_stats.cache_entries, wp.update_stats.cache_entries);
+  EXPECT_EQ(gp.update_stats.cache_bytes, wp.update_stats.cache_bytes);
+  EXPECT_EQ(gp.update_stats.cells_changed, wp.update_stats.cells_changed);
+  EXPECT_EQ(gp.update_stats.final_error, wp.update_stats.final_error);
+  EXPECT_EQ(gp.iter_stats.error, wp.iter_stats.error);
+  EXPECT_EQ(gp.iter_stats.cells_changed, wp.iter_stats.cells_changed);
+  EXPECT_EQ(gp.iter_stats.cache_entries, wp.iter_stats.cache_entries);
+  EXPECT_EQ(gp.iter_stats.cache_bytes, wp.iter_stats.cache_bytes);
+  EXPECT_EQ(gp.iteration_errors, wp.iteration_errors);
+  EXPECT_EQ(gp.cells_changed, wp.cells_changed);
+  EXPECT_EQ(gp.cache_entries, wp.cache_entries);
+  EXPECT_EQ(gp.cache_bytes, wp.cache_bytes);
+  EXPECT_EQ(gp.checkpoints_written, wp.checkpoints_written);
   for (int i = 0; i < 3; ++i) {
     SCOPED_TRACE(i);
     const auto& gs = got.shadows[static_cast<std::size_t>(i)];
@@ -341,16 +342,25 @@ TEST(CheckpointStoreTest, ZeroDimensionMatricesRoundTrip) {
   auto store = CheckpointStore::Open(dir, 1);
   ASSERT_TRUE(store.ok());
   CheckpointState s = MakeState(0);
-  s.has_best = false;
-  s.best_a = BitMatrix();
-  s.best_b = BitMatrix();
-  s.best_c = BitMatrix();
+  s.progress.best = FactorSet{};
+  s.progress.best_error = -1;
   s.fault_delivery_counters.clear();
   s.dead_machines.clear();
   ASSERT_TRUE(store->Write(s).ok());
   auto got = store->LoadNewestValid();
   ASSERT_TRUE(got.ok());
   ExpectStatesEqual(got.value(), s);
+}
+
+TEST(CheckpointFormatTest, HasBestFlagMustAgreeWithBestError) {
+  // The factors blob's has-best byte is implied by best_error; a blob where
+  // the two disagree is corrupt, whatever its CRC says.
+  std::vector<std::uint8_t> bytes = ckpt_format::SerializeFactors(MakeState(0));
+  CheckpointState parsed;
+  ASSERT_TRUE(ckpt_format::ParseFactors(bytes, &parsed).ok());
+  std::fill(bytes.end() - 8, bytes.end(), 0xFF);  // best_error := -1
+  EXPECT_EQ(ckpt_format::ParseFactors(bytes, &parsed).code(),
+            StatusCode::kIoError);
 }
 
 }  // namespace

@@ -157,13 +157,6 @@ TEST_F(CliPipeline, FactorizeTransportValidation) {
                            "--transport=socket", long_dir.c_str(),
                            out_flag.c_str()})
                    .ok());
-  // A worker count that does not match the machine count is a mis-specified
-  // deployment, rejected before any process is spawned.
-  EXPECT_FALSE(RunCommand(RunFactorize,
-                          {in_flag.c_str(), "--rank=3", "--max-iterations=2",
-                           "--transport=socket", "--machines=2",
-                           "--socket-workers=3", out_flag.c_str()})
-                   .ok());
 }
 
 TEST_F(CliPipeline, FactorizeOverSocketTransportMatchesInproc) {

@@ -66,15 +66,6 @@ TEST(ClusterConfig, ValidationCoversTransportOptions) {
   config.transport.kind = TransportKind::kSocket;
   EXPECT_TRUE(config.Validate().ok());
 
-  // Worker-count mismatch: socket_workers must be 0 (one per machine) or
-  // exactly num_machines.
-  config.transport.socket_workers = config.num_machines + 1;
-  EXPECT_FALSE(config.Validate().ok());
-  config.transport.socket_workers = -2;
-  EXPECT_FALSE(config.Validate().ok());
-  config.transport.socket_workers = config.num_machines;
-  EXPECT_TRUE(config.Validate().ok());
-
   // Socket paths live in sun_path (~108 bytes); a directory that cannot
   // hold "<dir>/worker-<m>.sock" is rejected up front.
   config = SmallConfig();
@@ -83,13 +74,6 @@ TEST(ClusterConfig, ValidationCoversTransportOptions) {
   EXPECT_FALSE(config.Validate().ok());
   config.transport.socket_dir = "/tmp/short";
   EXPECT_TRUE(config.Validate().ok());
-
-  // The in-process transport ignores socket tuning but still rejects a
-  // nonsensical worker count (the config is wrong, whatever the transport).
-  config = SmallConfig();
-  config.transport.kind = TransportKind::kInProcess;
-  config.transport.socket_workers = -1;
-  EXPECT_FALSE(config.Validate().ok());
 }
 
 TEST(Cluster, CreateRejectsBadConfig) {

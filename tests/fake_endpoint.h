@@ -121,10 +121,8 @@ class FakeEndpoint final : public WorkerEndpoint {
     response->id = msg.id;
     return Status::OK();
   }
-  Status Store(StorePartitionRequest, double*) override {
-    return Status::OK();
-  }
-  Result<std::vector<std::int64_t>> ListPartitions(Mode, double*) override {
+  Status Store(StorePartitionRequest) override { return Status::OK(); }
+  Result<std::vector<std::int64_t>> ListPartitions(Mode) override {
     return std::vector<std::int64_t>{};
   }
 

@@ -440,7 +440,7 @@ TEST(Reprovision, RebuildsLostPartitionsOntoSurvivors) {
   const std::shared_ptr<WorkerEndpoint> survivor = (*cluster)->EndpointOn(0);
   ASSERT_NE(survivor, nullptr);
   Result<std::vector<std::int64_t>> listed =
-      survivor->ListPartitions(Mode::kOne, nullptr);
+      survivor->ListPartitions(Mode::kOne);
   ASSERT_TRUE(listed.ok());
   std::vector<std::int64_t> indexes = *std::move(listed);
   ASSERT_EQ(static_cast<std::int64_t>(indexes.size()), num_partitions);

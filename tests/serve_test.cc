@@ -16,9 +16,11 @@
 #include "common/serde.h"
 #include "dist/cluster.h"
 #include "dist/fault.h"
+#include "dist/placement.h"
 #include "dist/provision.h"
 #include "dist/transport/transport.h"
 #include "dist/transport/wire.h"
+#include "fake_endpoint.h"
 #include "serve/workload.h"
 #include "tensor/bit_matrix.h"
 #include "tensor/unfold.h"
@@ -326,6 +328,47 @@ TEST(ServeEngine, PortableAndActiveKernelsAnswerIdentically) {
   ASSERT_TRUE(SetKernelBackend(active).ok());
   EXPECT_EQ(portable_digest, active_digest)
       << "SIMD dispatch must not change a single answer byte";
+}
+
+// --- Shard routing ----------------------------------------------------------
+
+TEST(ServeEngine, QueriesRouteToThePlacementPolicysShardOwner) {
+  // Block placement groups neighbouring shard keys on one machine, which
+  // round-robin never does: keys 0..1 land on machine 0, 2..3 on 1, and so
+  // on, with every key past 7 on the last machine.
+  constexpr int kMachines = 4;
+  ClusterConfig config = InprocConfig(kMachines);
+  config.placement = std::make_shared<BlockPlacement>(8);
+  auto cluster = Cluster::Create(config);
+  ASSERT_TRUE(cluster.ok());
+  std::vector<std::shared_ptr<FakeEndpoint>> fakes;
+  for (int m = 0; m < kMachines; ++m) {
+    fakes.push_back(std::make_shared<FakeEndpoint>(m));
+    ASSERT_TRUE((*cluster)->AttachEndpoint(m, fakes.back()).ok());
+  }
+  Rng rng(71);
+  auto engine = ServeEngine::Create(
+      cluster->get(), RandomFactor(&rng, kDimI, kRank),
+      RandomFactor(&rng, kDimJ, kRank), RandomFactor(&rng, kDimK, kRank));
+  ASSERT_TRUE(engine.ok());
+  ASSERT_TRUE((*engine)->Load().ok());
+
+  // A membership query's shard key is its coordinate sum.
+  std::vector<int> expected(kMachines, 0);
+  for (std::int64_t key = 0; key < 12; ++key) {
+    QueryResponse response;
+    ASSERT_TRUE((*engine)->Membership(key, 0, 0, &response).ok());
+    ++expected[static_cast<std::size_t>(config.placement->Place(key,
+                                                                kMachines))];
+  }
+  EXPECT_EQ(expected, (std::vector<int>{2, 2, 2, 6}));
+  for (int m = 0; m < kMachines; ++m) {
+    EXPECT_EQ(fakes[static_cast<std::size_t>(m)]->deliveries(
+                  MessageKind::kCollect),
+              expected[static_cast<std::size_t>(m)])
+        << "machine " << m;
+  }
+  (*cluster)->DetachWorkers();
 }
 
 // --- Fault tolerance --------------------------------------------------------

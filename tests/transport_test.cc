@@ -51,27 +51,16 @@ TEST(TransportKind, NamesRoundTrip) {
 
 TEST(TransportOptions, ValidateAcceptsDefaults) {
   TransportOptions options;
-  EXPECT_TRUE(options.Validate(4).ok());
+  EXPECT_TRUE(options.Validate().ok());
   options.kind = TransportKind::kSocket;
-  EXPECT_TRUE(options.Validate(4).ok());
-}
-
-TEST(TransportOptions, ValidateRejectsWorkerCountMismatch) {
-  TransportOptions options;
-  options.kind = TransportKind::kSocket;
-  options.socket_workers = 3;
-  EXPECT_EQ(options.Validate(4).code(), StatusCode::kInvalidArgument);
-  options.socket_workers = 4;
-  EXPECT_TRUE(options.Validate(4).ok());
-  options.socket_workers = -1;
-  EXPECT_EQ(options.Validate(4).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(options.Validate().ok());
 }
 
 TEST(TransportOptions, ValidateRejectsOverlongSocketDir) {
   TransportOptions options;
   options.kind = TransportKind::kSocket;
   options.socket_dir = std::string(200, 'd');  // sun_path is ~108 bytes
-  EXPECT_EQ(options.Validate(2).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
 }
 
 /// The transport options validate through ClusterConfig::Validate, so a bad
@@ -81,10 +70,10 @@ TEST(TransportOptions, ClusterConfigValidatesTransport) {
   config.num_machines = 2;
   config.num_threads = 1;
   config.transport.kind = TransportKind::kSocket;
-  config.transport.socket_workers = 5;
+  config.transport.socket_dir = std::string(200, 'd');
   EXPECT_FALSE(config.Validate().ok());
   EXPECT_FALSE(Cluster::Create(config).ok());
-  config.transport.socket_workers = 2;
+  config.transport.socket_dir.clear();
   EXPECT_TRUE(config.Validate().ok());
 }
 
@@ -140,7 +129,7 @@ TEST(SocketTransport, SpawnsOneProcessPerMachineAndStoresPartitions) {
   }
   std::int64_t seen = 0;
   for (int m = 0; m < 2; ++m) {
-    auto local = (*cluster)->EndpointOn(m)->ListPartitions(Mode::kOne, nullptr);
+    auto local = (*cluster)->EndpointOn(m)->ListPartitions(Mode::kOne);
     ASSERT_TRUE(local.ok()) << local.status().ToString();
     for (const std::int64_t index : *local) {
       EXPECT_EQ((*cluster)->OwnerOf(index), m);
@@ -179,7 +168,7 @@ TEST(SocketTransport, HandlerErrorsCrossTheWireAsStatuses) {
       << status.ToString();
 
   // The endpoint survives the rejection: the connection is still good.
-  auto local = endpoint->ListPartitions(Mode::kOne, nullptr);
+  auto local = endpoint->ListPartitions(Mode::kOne);
   ASSERT_TRUE(local.ok());
   EXPECT_TRUE(local->empty());
   (*cluster)->DetachWorkers();

@@ -1,5 +1,6 @@
-// Fixture: a miniature checkpoint schema that every consumer covers — the
-// ckpt-coverage rule must pass this tree with zero findings.
+// Fixture: a miniature checkpoint schema, with an embedded progress struct,
+// that the codecs cover field by field — the ckpt-coverage rule must pass
+// this tree with zero findings.
 #ifndef FIXTURE_CKPT_CHECKPOINT_H_
 #define FIXTURE_CKPT_CHECKPOINT_H_
 
@@ -14,10 +15,14 @@ struct FactorShadowSnapshot {
   std::vector<std::uint64_t> content;
 };
 
-struct CheckpointState {
-  std::uint64_t config_fingerprint = 0;
+struct RunProgress {
   std::int64_t iteration = 0;
   double best_error = 0.0;
+};
+
+struct CheckpointState {
+  std::uint64_t config_fingerprint = 0;
+  RunProgress progress;
   FactorShadowSnapshot shadow;
 };
 

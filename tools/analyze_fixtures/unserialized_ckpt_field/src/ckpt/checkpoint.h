@@ -1,5 +1,5 @@
-// Fixture: CheckpointState::best_error is captured and restored by the
-// session but never serialized or parsed by a blob codec — a snapshot would
+// Fixture: RunProgress::best_error, a field of a struct CheckpointState
+// embeds, is never serialized or parsed by a blob codec — a snapshot would
 // silently restore it to its default. The ckpt-coverage rule must flag the
 // field against both the Serialize* and the Parse* consumer.
 #ifndef FIXTURE_CKPT_CHECKPOINT_H_
@@ -9,10 +9,14 @@
 
 namespace dbtf {
 
-struct CheckpointState {
-  std::uint64_t config_fingerprint = 0;
+struct RunProgress {
   std::int64_t iteration = 0;
   double best_error = 0.0;
+};
+
+struct CheckpointState {
+  std::uint64_t config_fingerprint = 0;
+  RunProgress progress;
 };
 
 }  // namespace dbtf

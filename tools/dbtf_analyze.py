@@ -18,13 +18,17 @@ checks whole-program properties (see DESIGN.md, "Correctness tooling"):
                       cycle, printing the witness path. A cycle is a
                       potential deadlock even if today's schedules never
                       interleave it.
-  ckpt-coverage       every CheckpointState (and FactorShadowSnapshot) field
-                      must be written by Session::BuildCheckpoint, read by
-                      Session::RestoreFromCheckpoint, serialized by a
-                      ckpt_format::Serialize* blob codec, and parsed by the
-                      matching ckpt_format::Parse* codec. Adding a field
-                      without serializing it (or bumping kFormatVersion) is
-                      a build-time failure, not a silent resume corruption.
+  ckpt-coverage       every field of every checkpointed struct — CheckpointState
+                      plus each struct of ckpt/checkpoint.h it embeds,
+                      directly or transitively (RunProgress, FactorSet,
+                      FactorShadowSnapshot, ...) — must be serialized by a
+                      ckpt_format::Serialize* blob codec and parsed by a
+                      ckpt_format::Parse* codec. The session and the
+                      broadcast state run on those same structs, so the
+                      codecs are the only place a field can be forgotten.
+                      Adding a field without serializing it (or bumping
+                      kFormatVersion) is a build-time failure, not a silent
+                      resume corruption.
   wire-coverage       every field of every message struct in dist/messages.h
                       must be referenced by both its Encode* and Decode*
                       codec in dist/transport/wire.cc, and both codecs must
@@ -857,23 +861,6 @@ def check_lock_order(files: list[SourceFile],
 # Rules 3a/3b: schema coverage
 # ---------------------------------------------------------------------------
 
-def _struct_fields(sf: SourceFile, struct_name: str) -> list[tuple[str, int]]:
-    for cls in extract_classes(sf.tokens):
-        if cls.name == struct_name:
-            return [(name, line) for name, line, _ in
-                    extract_members(cls.body)]
-    return []
-
-
-def _function_body_tokens(sf: SourceFile, name: str,
-                          qualifier: str | None = None) -> list[Token] | None:
-    for fn in extract_functions(sf.tokens):
-        if fn.name == name and (qualifier is None
-                                or fn.qualifier == qualifier):
-            return fn.body
-    return None
-
-
 def _member_tokens(body: list[Token]) -> set[str]:
     """Identifiers appearing as member accesses (after '.', '->') or as
     designated initializers / bare identifiers — the superset is fine for
@@ -881,64 +868,53 @@ def _member_tokens(body: list[Token]) -> set[str]:
     return {t.text for t in body if t.kind == "id"}
 
 
+def checkpointed_structs(header: SourceFile) -> list[ClassInfo]:
+    """CheckpointState plus every struct of the header it embeds, directly
+    or through another embedded struct, in discovery order."""
+    classes = {cls.name: cls for cls in extract_classes(header.tokens)}
+    found: list[str] = []
+    pending = ["CheckpointState"]
+    while pending:
+        name = pending.pop(0)
+        if name in found or name not in classes:
+            continue
+        found.append(name)
+        for _, _, decl in extract_members(classes[name].body):
+            pending.extend(tok for tok in decl.split() if tok in classes)
+    return [classes[name] for name in found]
+
+
 def check_ckpt_coverage(by_rel: dict[str, SourceFile]) -> list[Finding]:
     header = by_rel.get("src/ckpt/checkpoint.h")
-    if header is None:
-        return []
-    findings: list[Finding] = []
-
-    consumers = []  # (what, fields-must-appear-in, description)
-    session = by_rel.get("src/dbtf/session.cc")
     fmt = by_rel.get("src/ckpt/format.cc")
-    if session is not None:
-        build = _function_body_tokens(session, "BuildCheckpoint", "Session")
-        restore = _function_body_tokens(session, "RestoreFromCheckpoint",
-                                        "Session")
-        if build is None:
-            findings.append(Finding(
-                "src/dbtf/session.cc", 1, "ckpt-coverage",
-                "Session::BuildCheckpoint not found — the ckpt-coverage "
-                "rule needs it to prove every field is captured"))
-        else:
-            consumers.append((_member_tokens(build),
-                              "Session::BuildCheckpoint (field never "
-                              "written into the snapshot)"))
-        if restore is None:
-            findings.append(Finding(
-                "src/dbtf/session.cc", 1, "ckpt-coverage",
-                "Session::RestoreFromCheckpoint not found — the "
-                "ckpt-coverage rule needs it to prove every field is "
-                "consumed on resume"))
-        else:
-            consumers.append((_member_tokens(restore),
-                              "Session::RestoreFromCheckpoint (field never "
-                              "read on resume)"))
-    if fmt is not None:
-        ser_tokens: set[str] = set()
-        par_tokens: set[str] = set()
-        for fn in extract_functions(fmt.tokens):
-            if fn.name.startswith("Serialize"):
-                ser_tokens |= _member_tokens(fn.body)
-            elif fn.name.startswith("Parse"):
-                par_tokens |= _member_tokens(fn.body)
-        consumers.append((ser_tokens,
-                          "any ckpt_format::Serialize* blob codec (field "
-                          "never serialized — add it to a blob and bump "
-                          "kFormatVersion)"))
-        consumers.append((par_tokens,
-                          "any ckpt_format::Parse* blob codec (field never "
-                          "parsed — a snapshot would restore it to its "
-                          "default)"))
+    if header is None or fmt is None:
+        return []
+    ser_tokens: set[str] = set()
+    par_tokens: set[str] = set()
+    for fn in extract_functions(fmt.tokens):
+        if fn.name.startswith("Serialize"):
+            ser_tokens |= _member_tokens(fn.body)
+        elif fn.name.startswith("Parse"):
+            par_tokens |= _member_tokens(fn.body)
+    consumers = [
+        (ser_tokens, "any ckpt_format::Serialize* blob codec (field never "
+                     "serialized — add it to a blob and bump "
+                     "kFormatVersion)"),
+        (par_tokens, "any ckpt_format::Parse* blob codec (field never "
+                     "parsed — a snapshot would restore it to its "
+                     "default)"),
+    ]
 
-    for struct in ("CheckpointState", "FactorShadowSnapshot"):
-        for fld, line in _struct_fields(header, struct):
+    findings: list[Finding] = []
+    for cls in checkpointed_structs(header):
+        for fld, line, _ in extract_members(cls.body):
             if header.suppressed(line, "ckpt-coverage"):
                 continue
             for tokens, description in consumers:
                 if fld not in tokens:
                     findings.append(Finding(
                         "src/ckpt/checkpoint.h", line, "ckpt-coverage",
-                        f"{struct}::{fld} is not referenced by "
+                        f"{cls.name}::{fld} is not referenced by "
                         f"{description}"))
     return findings
 

@@ -116,10 +116,11 @@ class FixtureTest(unittest.TestCase):
     def test_unserialized_ckpt_field_fixture_trips(self):
         findings = run("unserialized_ckpt_field")
         self.assertEqual(rules_in(findings), {"ckpt-coverage"})
-        # best_error is missing from both the Serialize* and Parse* side.
+        # best_error, a field of the embedded RunProgress, is missing from
+        # both the Serialize* and Parse* side.
         self.assertEqual(len(findings), 2)
         for f in findings:
-            self.assertIn("CheckpointState::best_error", f.message)
+            self.assertIn("RunProgress::best_error", f.message)
 
     def test_unhandled_wire_field_fixture_trips(self):
         findings = run("unhandled_wire_field")
@@ -189,9 +190,17 @@ class RepoTest(unittest.TestCase):
         self.assertIn("EncodeFrame", names | {"EncodeFrame"})  # sanity
 
         header = by_rel["src/ckpt/checkpoint.h"]
-        fields = dbtf_analyze._struct_fields(header, "CheckpointState")
-        self.assertGreater(len(fields), 20)
-        self.assertIn("rng_state", [f for f, _ in fields])
+        structs = {c.name: c for c in
+                   dbtf_analyze.checkpointed_structs(header)}
+        for expected in ("CheckpointState", "RunProgress", "FactorSet",
+                         "UpdateFactorStats", "FactorShadowSnapshot"):
+            self.assertIn(expected, structs)
+        self.assertNotIn("CheckpointStore", structs)
+        fields = [name for c in structs.values()
+                  for name, _, _ in dbtf_analyze.extract_members(c.body)]
+        self.assertGreater(len(fields), 30)
+        self.assertIn("rng_state", fields)
+        self.assertIn("next_column", fields)
 
         messages = by_rel["src/dist/messages.h"]
         structs = [c.name for c in

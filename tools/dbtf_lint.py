@@ -39,9 +39,9 @@ the driver/worker runtime (see DESIGN.md, "Correctness tooling"):
   transport-syscalls  raw process and socket syscalls (socket/bind/listen/
                       accept/connect, fork/exec/waitpid/kill, mkdtemp,
                       send/recv) appear only in src/dist/transport/, where
-                      the SocketTransport owns process lifecycles and frame
+                      the socket transport owns process lifecycles and frame
                       I/O. Anywhere else they would spawn workers or move
-                      bytes outside the Transport seam, invisible to the
+                      bytes outside the transport seam, invisible to the
                       CommStats ledger and the fault injector.
   async-seam          the runtime is blocking: routing calls deliver under
                       Cluster's per-machine delivery locks, on the pool or
@@ -93,7 +93,7 @@ RECOVERY_RECORD_RE = re.compile(
 # checkpoint store and the tensor text codecs; see `filesystem-write` above.
 FILESYSTEM_WRITE_RE = re.compile(
     r"(?<![\w:])(?:std::)?(?:ofstream\b|fopen\s*\(|rename\s*\()")
-# Raw process/socket syscalls belong to the SocketTransport. The lookbehind
+# Raw process/socket syscalls belong to the socket transport. The lookbehind
 # keeps qualified names like std::bind out; string literals are blanked
 # before matching (usage text mentions "socket (" legitimately).
 TRANSPORT_SYSCALL_RE = re.compile(
@@ -212,9 +212,9 @@ def check_file(rel: str, text: str) -> list[tuple[int, str, str]]:
             findings.append((
                 lineno, "transport-syscalls",
                 "raw process/socket syscalls live only in "
-                "src/dist/transport/ (the SocketTransport owns process "
+                "src/dist/transport/ (the socket transport owns process "
                 "lifecycles and frame I/O); route work through the "
-                "Transport seam"))
+                "transport seam"))
         if ASYNC_PRIMITIVE_RE.search(line):
             findings.append((
                 lineno, "async-seam",
