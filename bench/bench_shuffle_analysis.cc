@@ -42,7 +42,7 @@ int Main() {
     // Analytical bounds with explicit constants matching the implementation:
     // shuffle ships each non-zero of 3 unfoldings as 3 uint32s.
     const std::int64_t shuffle_bound = 3 * tensor->NumNonZeros() * 12;
-    // Per UpdateFactor: broadcast 3 packed factors to M machines; per
+    // Per factor update: broadcast 3 packed factors to M machines; per
     // column, each of the M machines replies with one zigzag varint per
     // row (an error difference, |diff| <= dim^2 cells of the row) plus at
     // most 5 varints of counts and scalars. 3 updates per iteration.

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/serde.h"
+#include "tensor/bit_matrix.h"
 
 namespace dbtf {
 namespace ckpt_format {
@@ -13,68 +14,6 @@ namespace {
 /// Largest name a manifest entry may carry. Blob names are short constants
 /// (run.bin & co.); anything bigger is corruption, not data.
 constexpr std::uint64_t kMaxEntryNameBytes = 256;
-
-void WriteMatrix(ByteWriter& w, const BitMatrix& m) {
-  w.WriteI64(m.rows());
-  w.WriteI64(m.cols());
-  for (std::int64_t r = 0; r < m.rows(); ++r) {
-    const BitWord* row = m.RowData(r);
-    for (std::int64_t k = 0; k < m.words_per_row(); ++k) {
-      w.WriteU64(row[k]);
-    }
-  }
-}
-
-// Largest matrix dimension a blob may declare. Generous relative to any
-// real factor (2^32 rows) while keeping rows * words_per_row * 8 far from
-// u64 wrap-around; mirrors kMaxWireDim in dist/transport/wire.cc.
-constexpr std::int64_t kMaxMatrixDim = std::int64_t{1} << 32;
-
-Result<BitMatrix> ReadMatrix(ByteReader& r) {
-  DBTF_ASSIGN_OR_RETURN(const std::int64_t rows, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(const std::int64_t cols, r.ReadI64());
-  // The dimension cap keeps every later size computation inside u64 (and
-  // rejects absurd shapes outright); the byte bound is phrased as a division
-  // because rows * words_per_row * 8 on hostile shapes wraps around u64 —
-  // fuzz_ckpt_manifest found exactly that (wild write through a BitMatrix
-  // sized by the wrapped product; inputs pinned under fuzz/crashes/).
-  if (rows < 0 || cols < 0 || rows > kMaxMatrixDim || cols > kMaxMatrixDim) {
-    return Status::IoError("checkpoint: matrix shape out of range");
-  }
-  const std::uint64_t words_per_row =
-      (static_cast<std::uint64_t>(cols) + 63) / 64;
-  if (words_per_row > 0 &&
-      static_cast<std::uint64_t>(rows) >
-          r.remaining() / (words_per_row * sizeof(BitWord))) {
-    return Status::IoError("checkpoint: matrix larger than its blob");
-  }
-  DBTF_ASSIGN_OR_RETURN(BitMatrix m, BitMatrix::Create(rows, cols));
-  for (std::int64_t row = 0; row < rows; ++row) {
-    BitWord* data = m.MutableRowData(row);
-    for (std::int64_t k = 0; k < m.words_per_row(); ++k) {
-      DBTF_ASSIGN_OR_RETURN(data[k], r.ReadU64());
-    }
-  }
-  return m;
-}
-
-void WriteI64Vector(ByteWriter& w, const std::vector<std::int64_t>& values) {
-  w.WriteU64(values.size());
-  for (const std::int64_t value : values) w.WriteI64(value);
-}
-
-Result<std::vector<std::int64_t>> ReadI64Vector(ByteReader& r) {
-  DBTF_ASSIGN_OR_RETURN(const std::uint64_t count, r.ReadU64());
-  // Division, not multiplication: count * 8 wraps u64 on hostile counts.
-  if (count > r.remaining() / 8) {
-    return Status::IoError("checkpoint: vector larger than its blob");
-  }
-  std::vector<std::int64_t> values(static_cast<std::size_t>(count));
-  for (std::int64_t& value : values) {
-    DBTF_ASSIGN_OR_RETURN(value, r.ReadI64());
-  }
-  return values;
-}
 
 }  // namespace
 
@@ -159,7 +98,7 @@ std::vector<std::uint8_t> SerializeRun(const CheckpointState& state) {
   w.WriteI64(p.iter_stats.cells_changed);
   w.WriteI64(p.iter_stats.cache_entries);
   w.WriteI64(p.iter_stats.cache_bytes);
-  WriteI64Vector(w, p.iteration_errors);
+  w.WriteI64Vector(p.iteration_errors);
   w.WriteI64(p.cells_changed);
   w.WriteI64(p.cache_entries);
   w.WriteI64(p.cache_bytes);
@@ -189,7 +128,7 @@ Status ParseRun(const std::vector<std::uint8_t>& bytes,
   DBTF_ASSIGN_OR_RETURN(p.iter_stats.cells_changed, r.ReadI64());
   DBTF_ASSIGN_OR_RETURN(p.iter_stats.cache_entries, r.ReadI64());
   DBTF_ASSIGN_OR_RETURN(p.iter_stats.cache_bytes, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(p.iteration_errors, ReadI64Vector(r));
+  DBTF_ASSIGN_OR_RETURN(p.iteration_errors, r.ReadI64Vector());
   DBTF_ASSIGN_OR_RETURN(p.cells_changed, r.ReadI64());
   DBTF_ASSIGN_OR_RETURN(p.cache_entries, r.ReadI64());
   DBTF_ASSIGN_OR_RETURN(p.cache_bytes, r.ReadI64());
@@ -200,14 +139,14 @@ Status ParseRun(const std::vector<std::uint8_t>& bytes,
 std::vector<std::uint8_t> SerializeFactors(const CheckpointState& state) {
   const RunProgress& p = state.progress;
   ByteWriter w;
-  WriteMatrix(w, p.current.a);
-  WriteMatrix(w, p.current.b);
-  WriteMatrix(w, p.current.c);
+  WriteBitMatrix(p.current.a, &w);
+  WriteBitMatrix(p.current.b, &w);
+  WriteBitMatrix(p.current.c, &w);
   // The has-best flag byte is implied by best_error (RunProgress doc).
   w.WriteU8(p.best_error >= 0 ? 1 : 0);
-  WriteMatrix(w, p.best.a);
-  WriteMatrix(w, p.best.b);
-  WriteMatrix(w, p.best.c);
+  WriteBitMatrix(p.best.a, &w);
+  WriteBitMatrix(p.best.b, &w);
+  WriteBitMatrix(p.best.c, &w);
   w.WriteI64(p.best_error);
   return w.bytes();
 }
@@ -216,14 +155,14 @@ Status ParseFactors(const std::vector<std::uint8_t>& bytes,
                     CheckpointState* state) {
   RunProgress& p = state->progress;
   ByteReader r(bytes);
-  DBTF_ASSIGN_OR_RETURN(p.current.a, ReadMatrix(r));
-  DBTF_ASSIGN_OR_RETURN(p.current.b, ReadMatrix(r));
-  DBTF_ASSIGN_OR_RETURN(p.current.c, ReadMatrix(r));
+  DBTF_ASSIGN_OR_RETURN(p.current.a, ReadBitMatrix(&r));
+  DBTF_ASSIGN_OR_RETURN(p.current.b, ReadBitMatrix(&r));
+  DBTF_ASSIGN_OR_RETURN(p.current.c, ReadBitMatrix(&r));
   DBTF_ASSIGN_OR_RETURN(const std::uint8_t has_best, r.ReadU8());
   if (has_best > 1) return Status::IoError("checkpoint: bad has_best flag");
-  DBTF_ASSIGN_OR_RETURN(p.best.a, ReadMatrix(r));
-  DBTF_ASSIGN_OR_RETURN(p.best.b, ReadMatrix(r));
-  DBTF_ASSIGN_OR_RETURN(p.best.c, ReadMatrix(r));
+  DBTF_ASSIGN_OR_RETURN(p.best.a, ReadBitMatrix(&r));
+  DBTF_ASSIGN_OR_RETURN(p.best.b, ReadBitMatrix(&r));
+  DBTF_ASSIGN_OR_RETURN(p.best.c, ReadBitMatrix(&r));
   DBTF_ASSIGN_OR_RETURN(p.best_error, r.ReadI64());
   if ((has_best != 0) != (p.best_error >= 0)) {
     return Status::IoError("checkpoint: has_best flag contradicts best_error");
@@ -236,7 +175,7 @@ std::vector<std::uint8_t> SerializeBcast(const CheckpointState& state) {
   for (const FactorShadowSnapshot& shadow : state.shadows) {
     w.WriteU8(shadow.initialized ? 1 : 0);
     w.WriteU64(shadow.generation);
-    WriteMatrix(w, shadow.content);
+    WriteBitMatrix(shadow.content, &w);
   }
   return w.bytes();
 }
@@ -251,7 +190,7 @@ Status ParseBcast(const std::vector<std::uint8_t>& bytes,
     }
     shadow.initialized = initialized != 0;
     DBTF_ASSIGN_OR_RETURN(shadow.generation, r.ReadU64());
-    DBTF_ASSIGN_OR_RETURN(shadow.content, ReadMatrix(r));
+    DBTF_ASSIGN_OR_RETURN(shadow.content, ReadBitMatrix(&r));
   }
   return r.ExpectEnd();
 }
@@ -272,7 +211,7 @@ std::vector<std::uint8_t> SerializeDist(const CheckpointState& state) {
   w.WriteI64(state.recovery.reprovisions);
   w.WriteI64(state.recovery.reshipped_bytes);
   w.WriteDouble(state.recovery.recovery_seconds);
-  WriteI64Vector(w, state.fault_delivery_counters);
+  w.WriteI64Vector(state.fault_delivery_counters);
   w.WriteU64(state.dead_machines.size());
   for (const int machine : state.dead_machines) {
     w.WriteI64(machine);
@@ -302,7 +241,7 @@ Status ParseDist(const std::vector<std::uint8_t>& bytes,
   DBTF_ASSIGN_OR_RETURN(state->recovery.reprovisions, r.ReadI64());
   DBTF_ASSIGN_OR_RETURN(state->recovery.reshipped_bytes, r.ReadI64());
   DBTF_ASSIGN_OR_RETURN(state->recovery.recovery_seconds, r.ReadDouble());
-  DBTF_ASSIGN_OR_RETURN(state->fault_delivery_counters, ReadI64Vector(r));
+  DBTF_ASSIGN_OR_RETURN(state->fault_delivery_counters, r.ReadI64Vector());
   DBTF_ASSIGN_OR_RETURN(const std::uint64_t dead_count, r.ReadU64());
   if (dead_count > r.remaining() / 8) {
     return Status::IoError("checkpoint: dead-machine list larger than blob");

@@ -9,8 +9,9 @@
 ///
 /// The annotations attach to `dbtf::Mutex` / `dbtf::MutexLock`
 /// (common/mutex.h); a plain `std::mutex` carries no capability and cannot
-/// be checked, which is why the project linter (tools/dbtf_lint.py) rejects
-/// naked mutex members without a GUARDED_BY on the data they protect.
+/// be checked, which is why the analyzer's naked-mutex rule
+/// (tools/dbtf_analyze.py) rejects mutex members without a GUARDED_BY on the
+/// data they protect.
 ///
 /// Reference: https://clang.llvm.org/docs/ThreadSafetyAnalysis.html
 

@@ -18,7 +18,7 @@ namespace dbtf {
 // typed wire schema every driver<->worker byte crosses — and arrives here
 // via dist/cluster.h. Worker internals stay invisible: the engine routes
 // value messages through Cluster's typed methods and never names a Worker
-// member (tools/dbtf_lint.py enforces the boundary).
+// member (the analyzer's worker-include rule enforces the boundary).
 
 /// Draws one generation from the process-wide counter that stamps factor
 /// content shipped to workers (see FactorBroadcastState). The serving layer

@@ -418,8 +418,8 @@ Status Session::RestoreFromCheckpoint(CheckpointState ck,
   // restore partition coverage onto the same survivors the interrupted run
   // chose, and rehydrate the workers' resident factor content at the cursor
   // mode's roles.
-  DBTF_RETURN_IF_ERROR(cluster_->RestoreFaultDeliveryState(
-      ck.fault_delivery_counters, ck.dead_machines));
+  DBTF_RETURN_IF_ERROR(
+      cluster_->RestoreFaultDeliveryState(ck.fault_delivery_counters));
   for (const int machine : ck.dead_machines) {
     cluster_->RestoreDeadMachine(machine);
   }

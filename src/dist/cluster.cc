@@ -215,6 +215,18 @@ Status Cluster::DeliverWithRetry(
   // One delivery per machine at a time, across all routing threads. Every
   // charge below takes mu_ while this is held, never the other way round.
   MutexLock delivery(delivery_locks_[static_cast<std::size_t>(machine)]);
+  bool dead = false;
+  {
+    MutexLock lock(mu_);
+    dead = dead_[static_cast<std::size_t>(machine)];
+  }
+  if (dead) {
+    // Dead is dead: a delivery from a registry snapshot taken before the
+    // machine was lost fails here, before the fault injector counts it.
+    recovery_.RecordFailedDelivery();
+    return Status::Unavailable("machine " + std::to_string(machine) +
+                               " is dead");
+  }
   const RetryPolicy& retry = config_.retry;
   double backoff = retry.backoff_seconds;
   Status last = Status::OK();
@@ -324,8 +336,7 @@ std::vector<std::int64_t> Cluster::FaultDeliveryCounters() const {
 }
 
 Status Cluster::RestoreFaultDeliveryState(
-    const std::vector<std::int64_t>& deliveries,
-    const std::vector<int>& dead_machines) {
+    const std::vector<std::int64_t>& deliveries) {
   if (injector_ == nullptr) {
     if (!deliveries.empty()) {
       return Status::FailedPrecondition(
@@ -334,7 +345,7 @@ Status Cluster::RestoreFaultDeliveryState(
     }
     return Status::OK();
   }
-  injector_->RestoreDeliveryState(deliveries, dead_machines);
+  injector_->RestoreDeliveryState(deliveries);
   return Status::OK();
 }
 

@@ -200,7 +200,7 @@ class Cluster {
 
   /// Recovery ledger (retries, machine losses, re-provisions, virtual
   /// seconds lost). Read via recovery().Snapshot(); the Record* mutators are
-  /// reserved for cluster.cc (enforced by tools/dbtf_lint.py).
+  /// reserved for cluster.cc (analyzer rule recovery-stats-mutation).
   const RecoveryLedger& recovery() const { return recovery_; }
 
   // --- Checkpoint/restore seam (src/ckpt/, dbtf/session.cc) ----------------
@@ -215,12 +215,11 @@ class Cluster {
   /// indexed machine * 3 + kind. Empty when no fault plan is configured.
   std::vector<std::int64_t> FaultDeliveryCounters() const;
 
-  /// Restores the state captured by FaultDeliveryCounters() plus the dead
-  /// flags of `dead_machines` inside the injector. Fails with
-  /// kFailedPrecondition when counters were checkpointed but this cluster
-  /// has no fault plan (the configurations diverged).
-  Status RestoreFaultDeliveryState(const std::vector<std::int64_t>& deliveries,
-                                   const std::vector<int>& dead_machines);
+  /// Restores the counters captured by FaultDeliveryCounters(); the dead
+  /// set is restored by RestoreDeadMachine. Fails with kFailedPrecondition
+  /// when counters were checkpointed but this cluster has no fault plan (the
+  /// configurations diverged).
+  Status RestoreFaultDeliveryState(const std::vector<std::int64_t>& deliveries);
 
   /// Re-marks `machine` permanently dead during restore: the endpoint is
   /// detached and excluded from routing, but — unlike an injected crash —
@@ -311,7 +310,9 @@ class Cluster {
                 const SlotHandler& handler) DBTF_EXCLUDES(mu_);
 
   /// Runs one delivery to `machine` through the fault injector and the retry
-  /// policy, holding the machine's delivery lock across every attempt.
+  /// policy, holding the machine's delivery lock across every attempt. A
+  /// dead machine is refused under that lock, before the injector is
+  /// consulted, so its fault counters never advance again.
   /// `handler` invokes the endpoint and adds the worker CPU seconds it
   /// consumed into its argument, which are charged to the machine's clock;
   /// it runs at most once per attempt and never after a crash.

@@ -63,7 +63,7 @@ struct CommSnapshot {
 /// The counters are lock-free atomics, so no mutex (and no GUARDED_BY) is
 /// needed. Within src/, only Cluster's Charge* methods may call the Record*
 /// mutators — every routed message is charged exactly once at the routing
-/// layer, and tools/dbtf_lint.py rejects any other mutation site. Tests may
+/// layer; analyzer rule comm-stats-mutation rejects any other site. Tests may
 /// drive a standalone CommStats directly.
 class CommStats {
  public:

@@ -371,15 +371,6 @@ FaultInjector::Outcome FaultInjector::OnDelivery(int machine,
   if (machine < 0) return outcome;
   const auto slot = static_cast<std::size_t>(SlotIndex(machine, message));
   if (deliveries_.size() <= slot) deliveries_.resize(slot + 1, 0);
-  if (dead_.size() <= static_cast<std::size_t>(machine)) {
-    dead_.resize(static_cast<std::size_t>(machine) + 1, false);
-  }
-  if (dead_[static_cast<std::size_t>(machine)]) {
-    outcome.status = Status::Unavailable(
-        "machine " + std::to_string(machine) + " is dead");
-    outcome.machine_lost = true;
-    return outcome;
-  }
   const std::int64_t ordinal = ++deliveries_[slot];
   for (const FaultSpec& spec : plan_.faults) {
     if (spec.machine != machine || spec.message != message) continue;
@@ -394,7 +385,6 @@ FaultInjector::Outcome FaultInjector::OnDelivery(int machine,
             std::to_string(ordinal) + ")");
         return outcome;
       case FaultKind::kCrash:
-        dead_[static_cast<std::size_t>(machine)] = true;
         outcome.status = Status::Unavailable(
             "injected crash on machine " + std::to_string(machine) + " (" +
             MessageKindToString(message) + " delivery " +
@@ -412,29 +402,15 @@ FaultInjector::Outcome FaultInjector::OnDelivery(int machine,
   return outcome;
 }
 
-bool FaultInjector::IsDead(int machine) const {
-  MutexLock lock(mu_);
-  return machine >= 0 && static_cast<std::size_t>(machine) < dead_.size() &&
-         dead_[static_cast<std::size_t>(machine)];
-}
-
 std::vector<std::int64_t> FaultInjector::DeliveryCounters() const {
   MutexLock lock(mu_);
   return deliveries_;
 }
 
 void FaultInjector::RestoreDeliveryState(
-    const std::vector<std::int64_t>& deliveries,
-    const std::vector<int>& dead_machines) {
+    const std::vector<std::int64_t>& deliveries) {
   MutexLock lock(mu_);
   deliveries_ = deliveries;
-  for (const int machine : dead_machines) {
-    if (machine < 0) continue;
-    if (static_cast<std::size_t>(machine) >= dead_.size()) {
-      dead_.resize(static_cast<std::size_t>(machine) + 1, false);
-    }
-    dead_[static_cast<std::size_t>(machine)] = true;
-  }
 }
 
 }  // namespace dbtf

@@ -109,7 +109,7 @@ struct RecoveryStats {
 
 /// Thread-safe ledger behind RecoveryStats. Within src/, only Cluster's
 /// charging layer (src/dist/cluster.cc) may call the Record* mutators —
-/// tools/dbtf_lint.py (rule recovery-stats-mutation) rejects any other
+/// tools/dbtf_analyze.py (rule recovery-stats-mutation) rejects any other
 /// mutation site, so recovery costs are counted exactly once. Tests may
 /// drive a standalone RecoveryLedger directly.
 class RecoveryLedger {
@@ -135,7 +135,9 @@ class RecoveryLedger {
 /// message delivery. Counters are per (machine, message kind), so parallel
 /// deliveries to different machines cannot perturb each other's fault
 /// schedule — the outcome sequence each machine sees is a pure function of
-/// the plan, independent of thread interleaving.
+/// the plan, independent of thread interleaving. The injector keeps no
+/// dead-machine state: a crash outcome tells Cluster, which owns the dead
+/// set and never consults the injector for a dead machine again.
 class FaultInjector {
  public:
   explicit FaultInjector(FaultPlan plan);
@@ -151,20 +153,14 @@ class FaultInjector {
   /// happens to this attempt.
   Outcome OnDelivery(int machine, MessageKind message) DBTF_EXCLUDES(mu_);
 
-  /// True once `machine` has hit a kCrash fault.
-  bool IsDead(int machine) const DBTF_EXCLUDES(mu_);
-
   /// Snapshot of the per-(machine, message-kind) delivery counters, indexed
   /// machine * 3 + kind — read-only, for checkpointing. A resumed run that
   /// restores these counters replays the remainder of its fault plan's
   /// schedule exactly.
   std::vector<std::int64_t> DeliveryCounters() const DBTF_EXCLUDES(mu_);
 
-  /// Restores the state captured by DeliveryCounters() plus the dead flags
-  /// of the machines in `dead_machines` (the checkpoint records them via
-  /// Cluster::DeadMachines()).
-  void RestoreDeliveryState(const std::vector<std::int64_t>& deliveries,
-                            const std::vector<int>& dead_machines)
+  /// Restores the counters captured by DeliveryCounters().
+  void RestoreDeliveryState(const std::vector<std::int64_t>& deliveries)
       DBTF_EXCLUDES(mu_);
 
  private:
@@ -173,7 +169,6 @@ class FaultInjector {
   mutable Mutex mu_;
   /// Delivery counters, indexed machine * 3 + kind (grown on demand).
   std::vector<std::int64_t> deliveries_ DBTF_GUARDED_BY(mu_);
-  std::vector<bool> dead_ DBTF_GUARDED_BY(mu_);
 };
 
 }  // namespace dbtf

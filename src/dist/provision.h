@@ -19,8 +19,8 @@ class Cluster;
 /// Driver code (session, factor update, engine callers) never names a Worker
 /// member: it provisions endpoints and places partition data through these
 /// free functions, then communicates exclusively via Cluster routing.
-/// tools/dbtf_lint.py enforces the boundary — outside src/dist/ only
-/// src/dbtf/engine.cc (the routing call sites) may include dist/worker.h.
+/// The analyzer's worker-include rule enforces the boundary: outside
+/// src/dist/ only src/dbtf/engine.cc may include dist/worker.h.
 
 /// Creates one worker endpoint per machine over the transport named in the
 /// cluster config (in-process Workers, or one dbtf-worker OS process per

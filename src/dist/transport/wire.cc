@@ -38,45 +38,6 @@ bool IsWireKind(std::uint8_t kind) {
   return false;
 }
 
-void EncodeBitMatrix(const BitMatrix& m, ByteWriter* writer) {
-  writer->WriteI64(m.rows());
-  writer->WriteI64(m.cols());
-  for (std::int64_t r = 0; r < m.rows(); ++r) {
-    const BitWord* row = m.RowData(r);
-    for (std::int64_t w = 0; w < m.words_per_row(); ++w) {
-      writer->WriteU64(row[w]);
-    }
-  }
-}
-
-Result<BitMatrix> DecodeBitMatrix(ByteReader* reader) {
-  DBTF_ASSIGN_OR_RETURN(const std::int64_t rows, reader->ReadI64());
-  DBTF_ASSIGN_OR_RETURN(const std::int64_t cols, reader->ReadI64());
-  if (rows < 0 || cols < 0 || rows > kMaxWireDim || cols > kMaxWireDim) {
-    return Corrupt("bit-matrix shape out of range");
-  }
-  const std::int64_t words_per_row = (cols + 63) / 64;
-  const std::uint64_t needed = static_cast<std::uint64_t>(rows) *
-                               static_cast<std::uint64_t>(words_per_row) * 8;
-  if (needed > reader->remaining()) {
-    return Corrupt("bit-matrix payload truncated");
-  }
-  DBTF_ASSIGN_OR_RETURN(BitMatrix matrix, BitMatrix::Create(rows, cols));
-  // Padding bits of the final word must be zero — that invariant backs the
-  // whole-word row operations (and operator==) everywhere else, so a payload
-  // violating it is rejected rather than silently masked.
-  for (std::int64_t r = 0; r < rows; ++r) {
-    BitWord* row = matrix.MutableRowData(r);
-    for (std::int64_t w = 0; w < words_per_row; ++w) {
-      DBTF_ASSIGN_OR_RETURN(row[w], reader->ReadU64());
-    }
-    if (!TailPaddingZero(matrix.Row(r))) {
-      return Corrupt("bit-matrix padding bits set");
-    }
-  }
-  return matrix;
-}
-
 void EncodeMode(Mode mode, ByteWriter* writer) {
   writer->WriteU8(static_cast<std::uint8_t>(mode));
 }
@@ -101,7 +62,7 @@ void EncodeMatrixDelta(const MatrixDelta& d, ByteWriter* writer) {
   writer->WriteI64(d.rows);
   writer->WriteI64(d.cols);
   if (d.full) {
-    EncodeBitMatrix(d.dense, writer);
+    WriteBitMatrix(d.dense, writer);
     return;
   }
   writer->WriteU64(d.columns.size());
@@ -129,7 +90,7 @@ Result<MatrixDelta> DecodeMatrixDelta(ByteReader* reader) {
     return Corrupt("matrix-delta shape out of range");
   }
   if (d.full) {
-    DBTF_ASSIGN_OR_RETURN(d.dense, DecodeBitMatrix(reader));
+    DBTF_ASSIGN_OR_RETURN(d.dense, ReadBitMatrix(reader));
     if (d.dense.rows() != d.rows || d.dense.cols() != d.cols) {
       return Corrupt("full payload does not match the delta's shape");
     }
@@ -280,27 +241,6 @@ Result<CollectErrorsRequest> DecodeCollectErrorsRequest(ByteReader* reader) {
 
 namespace {
 
-void EncodeInt64Vector(const std::vector<std::int64_t>& values,
-                       ByteWriter* writer) {
-  writer->WriteU64(values.size());
-  for (const std::int64_t v : values) writer->WriteI64(v);
-}
-
-Result<std::vector<std::int64_t>> DecodeInt64Vector(ByteReader* reader) {
-  DBTF_ASSIGN_OR_RETURN(const std::uint64_t count, reader->ReadU64());
-  // Division, not multiplication: count * 8 wraps u64 on hostile counts
-  // (found by fuzz_wire_frame; the input is pinned under fuzz/crashes/).
-  if (count > reader->remaining() / 8) {
-    return Corrupt("int64 vector truncated");
-  }
-  std::vector<std::int64_t> values(static_cast<std::size_t>(count), 0);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    DBTF_ASSIGN_OR_RETURN(values[static_cast<std::size_t>(i)],
-                          reader->ReadI64());
-  }
-  return values;
-}
-
 /// Packed bit string: logical length prefix, then exactly WordsForBits(len)
 /// storage words. The vector must be sized to the length.
 void EncodePackedBits(const std::vector<BitWord>& words, std::int64_t bits,
@@ -349,6 +289,7 @@ Result<std::int64_t> ReadZigZag(ByteReader* reader) {
 }
 
 }  // namespace
+
 
 void EncodeCollectErrorsResponse(const CollectErrorsResponse& msg,
                                  ByteWriter* writer) {
@@ -401,7 +342,7 @@ void EncodeStorePartitionRequest(const StorePartitionRequest& msg,
     writer->WriteI64(block.word_begin);
     writer->WriteU64(block.last_word_mask);
     writer->WriteU8(static_cast<std::uint8_t>(block.type));
-    EncodeBitMatrix(block.rows, writer);
+    WriteBitMatrix(block.rows, writer);
     writer->WriteU64(block.row_nnz.size());
     for (const std::int32_t nnz : block.row_nnz) {
       writer->WriteU32(static_cast<std::uint32_t>(nnz));
@@ -442,7 +383,7 @@ Result<StorePartitionRequest> DecodeStorePartitionRequest(ByteReader* reader) {
       return Corrupt("block type out of range");
     }
     block.type = static_cast<BlockType>(type);
-    DBTF_ASSIGN_OR_RETURN(block.rows, DecodeBitMatrix(reader));
+    DBTF_ASSIGN_OR_RETURN(block.rows, ReadBitMatrix(reader));
     DBTF_ASSIGN_OR_RETURN(const std::uint64_t nnz_count, reader->ReadU64());
     if (nnz_count * 4 > reader->remaining()) {
       return Corrupt("row-nnz vector truncated");
@@ -468,12 +409,12 @@ Result<Mode> DecodeListPartitionsRequest(ByteReader* reader) {
 
 void EncodeListPartitionsResponse(const std::vector<std::int64_t>& indexes,
                                   ByteWriter* writer) {
-  EncodeInt64Vector(indexes, writer);
+  writer->WriteI64Vector(indexes);
 }
 
 Result<std::vector<std::int64_t>> DecodeListPartitionsResponse(
     ByteReader* reader) {
-  return DecodeInt64Vector(reader);
+  return reader->ReadI64Vector();
 }
 
 void EncodeQueryRequest(const QueryRequest& msg, ByteWriter* writer) {
@@ -520,8 +461,8 @@ void EncodeQueryResponse(const QueryResponse& msg, ByteWriter* writer) {
   writer->WriteU8(msg.member ? 1 : 0);
   writer->WriteU64(msg.explain_mask);
   EncodePackedBits(msg.fiber_bits, msg.fiber_len, writer);
-  EncodeInt64Vector(msg.concept_ids, writer);
-  EncodeInt64Vector(msg.concept_scores, writer);
+  writer->WriteI64Vector(msg.concept_ids);
+  writer->WriteI64Vector(msg.concept_scores);
   writer->WriteU64(msg.generations.size());
   for (const std::uint64_t g : msg.generations) writer->WriteU64(g);
 }
@@ -534,8 +475,8 @@ Result<QueryResponse> DecodeQueryResponse(ByteReader* reader) {
   DBTF_ASSIGN_OR_RETURN(PackedBits fiber, DecodePackedBits(reader));
   msg.fiber_bits = std::move(fiber.words);
   msg.fiber_len = fiber.bits;
-  DBTF_ASSIGN_OR_RETURN(msg.concept_ids, DecodeInt64Vector(reader));
-  DBTF_ASSIGN_OR_RETURN(msg.concept_scores, DecodeInt64Vector(reader));
+  DBTF_ASSIGN_OR_RETURN(msg.concept_ids, reader->ReadI64Vector());
+  DBTF_ASSIGN_OR_RETURN(msg.concept_scores, reader->ReadI64Vector());
   if (msg.concept_ids.size() != msg.concept_scores.size()) {
     return Corrupt("ranked concept lists disagree on length");
   }

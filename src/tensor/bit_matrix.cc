@@ -1,6 +1,7 @@
 #include "tensor/bit_matrix.h"
 
 #include "common/check.h"
+#include "common/serde.h"
 
 namespace dbtf {
 
@@ -99,6 +100,47 @@ std::string BitMatrix::ToString() const {
     if (r + 1 < rows_) out += '\n';
   }
   return out;
+}
+
+void WriteBitMatrix(const BitMatrix& m, ByteWriter* writer) {
+  writer->WriteI64(m.rows());
+  writer->WriteI64(m.cols());
+  for (std::int64_t r = 0; r < m.rows(); ++r) {
+    const BitWord* row = m.RowData(r);
+    for (std::int64_t w = 0; w < m.words_per_row(); ++w) {
+      writer->WriteU64(row[w]);
+    }
+  }
+}
+
+Result<BitMatrix> ReadBitMatrix(ByteReader* reader) {
+  // The dimension cap keeps every size computation below inside u64; the
+  // byte bound is a division because rows * words_per_row * 8 wraps u64 on
+  // hostile shapes (fuzz_ckpt_manifest found a wild write through a matrix
+  // sized by the wrapped product; the inputs are pinned under fuzz/crashes/).
+  constexpr std::int64_t kMaxDim = std::int64_t{1} << 32;
+  DBTF_ASSIGN_OR_RETURN(const std::int64_t rows, reader->ReadI64());
+  DBTF_ASSIGN_OR_RETURN(const std::int64_t cols, reader->ReadI64());
+  if (rows < 0 || cols < 0 || rows > kMaxDim || cols > kMaxDim) {
+    return Status::IoError("bit matrix: shape out of range");
+  }
+  const std::uint64_t row_bytes =
+      WordsForBits(static_cast<std::size_t>(cols)) * sizeof(BitWord);
+  if (row_bytes > 0 &&
+      static_cast<std::uint64_t>(rows) > reader->remaining() / row_bytes) {
+    return Status::IoError("bit matrix: payload truncated");
+  }
+  DBTF_ASSIGN_OR_RETURN(BitMatrix m, BitMatrix::Create(rows, cols));
+  for (std::int64_t r = 0; r < rows; ++r) {
+    BitWord* row = m.MutableRowData(r);
+    for (std::int64_t w = 0; w < m.words_per_row(); ++w) {
+      DBTF_ASSIGN_OR_RETURN(row[w], reader->ReadU64());
+    }
+    if (!TailPaddingZero(m.Row(r))) {
+      return Status::IoError("bit matrix: padding bits set");
+    }
+  }
+  return m;
 }
 
 }  // namespace dbtf

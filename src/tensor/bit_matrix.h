@@ -13,6 +13,9 @@
 
 namespace dbtf {
 
+class ByteReader;
+class ByteWriter;
+
 /// Dense binary matrix with bit-packed rows (64 entries per word, row-major).
 ///
 /// This is the workhorse representation for Boolean factor matrices and for
@@ -115,6 +118,16 @@ class BitMatrix {
   std::int64_t words_per_row_;
   std::vector<BitWord> data_;
 };
+
+/// The one byte codec of a BitMatrix, shared by the wire (dist/transport/
+/// wire.cc) and checkpoint blobs (ckpt/format.cc): rows and cols as i64,
+/// then every row's words as u64, padding bits included.
+void WriteBitMatrix(const BitMatrix& m, ByteWriter* writer);
+
+/// Inverse of WriteBitMatrix for untrusted bytes. Fails with kIoError on a
+/// shape outside [0, 2^32], a payload shorter than the shape needs, or a set
+/// padding bit — the invariant behind whole-word row ops and operator==.
+Result<BitMatrix> ReadBitMatrix(ByteReader* reader);
 
 }  // namespace dbtf
 

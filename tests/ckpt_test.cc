@@ -363,5 +363,25 @@ TEST(CheckpointFormatTest, HasBestFlagMustAgreeWithBestError) {
             StatusCode::kIoError);
 }
 
+TEST(CheckpointFormatTest, MatrixWithPaddingBitsSetIsRejected) {
+  // A 4-column matrix uses 4 bits of its row word; the other 60 are padding
+  // and must stay zero, or whole-word row ops and operator== would see
+  // entries that do not exist. A blob carrying one is corrupt.
+  CheckpointState state = MakeState(0);
+  state.progress.current.b.MutableRowData(2)[0] |= BitWord{1} << 63;
+  CheckpointState parsed;
+  EXPECT_EQ(ckpt_format::ParseFactors(ckpt_format::SerializeFactors(state),
+                                      &parsed)
+                .code(),
+            StatusCode::kIoError);
+
+  state = MakeState(0);
+  state.shadows[2].content.MutableRowData(0)[0] |= BitWord{1} << 4;
+  EXPECT_EQ(
+      ckpt_format::ParseBcast(ckpt_format::SerializeBcast(state), &parsed)
+          .code(),
+      StatusCode::kIoError);
+}
+
 }  // namespace
 }  // namespace dbtf

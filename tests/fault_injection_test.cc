@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -161,19 +162,15 @@ TEST(FaultInjector, CountersArePerMachineAndMessageKind) {
             StatusCode::kUnavailable);
 }
 
-TEST(FaultInjector, CrashIsPermanent) {
+TEST(FaultInjector, CrashReportsTheMachineLost) {
   FaultInjector injector(MustParse("1:collect:crash@2"));
-  EXPECT_FALSE(injector.IsDead(1));
   EXPECT_TRUE(injector.OnDelivery(1, MessageKind::kCollect).status.ok());
   const auto crash = injector.OnDelivery(1, MessageKind::kCollect);
   EXPECT_EQ(crash.status.code(), StatusCode::kUnavailable);
   EXPECT_TRUE(crash.machine_lost);
-  EXPECT_TRUE(injector.IsDead(1));
-  // Dead is dead: every later delivery to the machine fails, on any kind.
-  const auto later = injector.OnDelivery(1, MessageKind::kDispatch);
-  EXPECT_EQ(later.status.code(), StatusCode::kUnavailable);
-  EXPECT_TRUE(later.machine_lost);
-  EXPECT_FALSE(injector.IsDead(0));
+  // The injector keeps no dead set: Cluster owns it and never consults the
+  // injector for the machine again (ClusterFaults.DeadIsDead).
+  EXPECT_FALSE(injector.OnDelivery(0, MessageKind::kCollect).machine_lost);
 }
 
 TEST(FaultInjector, OverlappingStallsAccumulate) {
@@ -363,6 +360,76 @@ TEST(ClusterFaults, CrashDetachesEndpointAndReportsDeadMachine) {
   ASSERT_TRUE(RunEmptyColumn(**cluster).ok());
   EXPECT_EQ(fakes[0]->deliveries(MessageKind::kDispatch), 2);
   EXPECT_EQ(fakes[1]->deliveries(MessageKind::kDispatch), 0);
+}
+
+TEST(ClusterFaults, DeadIsDead) {
+  auto cluster = Cluster::Create(FaultyConfig("1:collect:crash@2"));
+  ASSERT_TRUE(cluster.ok());
+  const auto fakes = AttachFakes(**cluster, {0, 1});
+  QueryResponse response;
+  ASSERT_TRUE((*cluster)->QueryWorker(1, QueryRequest{}, &response).ok());
+  EXPECT_EQ((*cluster)->QueryWorker(1, QueryRequest{}, &response).code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ((*cluster)->DeadMachines(), std::vector<int>{1});
+  const std::vector<std::int64_t> counters =
+      (*cluster)->FaultDeliveryCounters();
+
+  // Every later delivery to the machine fails, on any kind, without
+  // reaching the endpoint or advancing the machine's fault counters.
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    EXPECT_EQ((*cluster)->QueryWorker(1, QueryRequest{}, &response).code(),
+              StatusCode::kUnavailable);
+  }
+  EXPECT_EQ((*cluster)->FaultDeliveryCounters(), counters);
+  ASSERT_TRUE(RunEmptyColumn(**cluster).ok());
+  ASSERT_TRUE((*cluster)->BroadcastFactors(BroadcastOfWords(8)).ok());
+  const std::vector<std::int64_t> after = (*cluster)->FaultDeliveryCounters();
+  ASSERT_EQ(after.size(), counters.size());
+  for (std::size_t kind = 3; kind < 6; ++kind) {  // machine 1's counters
+    EXPECT_EQ(after[kind], counters[kind]) << "kind " << kind - 3;
+  }
+  EXPECT_EQ(fakes[1]->log().size(), 1u) << "only the first query arrived";
+  EXPECT_EQ((*cluster)->recovery().Snapshot().machines_lost, 1);
+}
+
+TEST(ClusterFaults, StaleSnapshotDeliveryToADeadMachineIsRefused) {
+  // A fault plan that never fires, so the cluster has an injector whose
+  // counters would show a delivery that slipped through.
+  auto cluster = Cluster::Create(FaultyConfig("0:broadcast:transient@99"));
+  ASSERT_TRUE(cluster.ok());
+  const auto fakes = AttachFakes(**cluster, {0, 1});
+  Latch latch;
+  fakes[1]->HoldOn(&latch);
+
+  // A query holds machine 1's delivery lock on the latch, so the broadcast
+  // below snapshots both machines and queues its delivery to machine 1.
+  Status query_status;
+  std::thread query([&] {
+    QueryResponse response;
+    query_status = (*cluster)->QueryWorker(1, QueryRequest{}, &response);
+  });
+  latch.WaitForArrivals(1);
+  Status broadcast_status;
+  std::thread broadcast([&] {
+    broadcast_status = (*cluster)->BroadcastFactors(BroadcastOfWords(8));
+  });
+  while (fakes[0]->deliveries(MessageKind::kBroadcast) == 0) {
+    std::this_thread::yield();
+  }
+  // Machine 1 dies while the broadcast is queued on it.
+  (*cluster)->RestoreDeadMachine(1);
+  const std::vector<std::int64_t> counters =
+      (*cluster)->FaultDeliveryCounters();
+  latch.Open();
+  query.join();
+  broadcast.join();
+
+  EXPECT_TRUE(query_status.ok()) << "the delivery in flight completes";
+  EXPECT_EQ(broadcast_status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(fakes[1]->deliveries(MessageKind::kBroadcast), 0)
+      << "refused under the delivery lock, before the endpoint";
+  EXPECT_EQ((*cluster)->FaultDeliveryCounters(), counters)
+      << "refused before the fault injector counted it";
 }
 
 TEST(ClusterFaults, RoutingAfterTotalLossIsUnavailableNotUsageError) {

@@ -76,7 +76,7 @@ inline SparseTensor RandomTensor(std::int64_t dim_i, std::int64_t dim_j,
 }
 
 /// Greedy column-wise factor update against the dense unfolding, recomputing
-/// every Boolean row summation — the reference for UpdateFactor tests.
+/// every Boolean row summation — the reference for the factor-update tests.
 /// Updates `factor` in place and returns the factor's final error.
 inline std::int64_t ReferenceUpdateFactor(const BitMatrix& unfolded,
                                           BitMatrix* factor,

@@ -26,7 +26,7 @@ class Worker {
  private:
   Mutex mu_a_;
   Mutex mu_b_;
-  int count_ DBTF_GUARDED_BY(mu_b_) = 0;
+  int count_ DBTF_GUARDED_BY(mu_a_) = 0;
   std::vector<int> values_ DBTF_GUARDED_BY(mu_b_);
 };
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""DBTF project analyzer: AST-grade rules the regex linter cannot express.
+"""DBTF project analyzer: structural rules the compiler cannot check.
 
-Where tools/dbtf_lint.py matches per-line patterns, this tool lexes the C++
-sources into a token stream, recovers the class/function structure, and
-checks whole-program properties (see DESIGN.md, "Correctness tooling"):
+Lexes the C++ sources under src/ and tests/ into a token stream (comments
+and string literals are opaque), recovers the class/function structure, and
+checks whole-program properties and the runtime's layering seams (see
+DESIGN.md, "Correctness tooling"):
 
   discarded-status    a call whose result is dbtf::Status or Result<T> and
                       whose value is not consumed is an error. Backed by
@@ -51,6 +52,12 @@ checks whole-program properties (see DESIGN.md, "Correctness tooling"):
                       bit-for-bit identical and the portable oracle remains
                       the single semantic definition.
 
+Layering seams, over src/ only: worker-include, naked-mutex,
+thread-construction, comm-stats-mutation, fault-handling,
+recovery-stats-mutation, filesystem-write, transport-syscalls and
+async-seam. Each confines a token pattern to the files that own its seam;
+the SEAMS table below gives the owners, DESIGN.md the reasons.
+
 Backends:
   internal   a built-in C++ lexer + structural parser; no dependencies
              beyond the standard library. Always available; implements all
@@ -79,9 +86,13 @@ import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 RULES = ("discarded-status", "lock-order", "ckpt-coverage", "wire-coverage",
-         "guarded-by", "kernel-confinement")
+         "guarded-by", "kernel-confinement", "worker-include", "naked-mutex",
+         "thread-construction", "comm-stats-mutation", "fault-handling",
+         "recovery-stats-mutation", "filesystem-write", "transport-syscalls",
+         "async-seam")
 
 # ---------------------------------------------------------------------------
 # Lexer
@@ -1260,6 +1271,223 @@ def check_kernel_confinement(files: list[SourceFile]) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
+# Layering seams
+# ---------------------------------------------------------------------------
+#
+# Each seam is a short token pattern that may appear only in the files that
+# own the seam. The token stream already hides comments and string or
+# character literals, and token texts are unambiguous across kinds (a
+# literal keeps its quotes, a directive its '#'), so the matchers compare
+# texts only. Scope is src/: tests legitimately spawn threads and signal
+# through condition variables.
+
+def _text(toks: list[Token], i: int) -> str:
+    return toks[i].text if 0 <= i < len(toks) else ""
+
+
+def _std(toks: list[Token], i: int, names: set[str]) -> str | None:
+    """'std::<name>' for a std::-qualified name in `names` at i."""
+    if (_text(toks, i) in names and _text(toks, i - 1) == "::"
+            and _text(toks, i - 2) == "std"):
+        return f"std::{toks[i].text}"
+    return None
+
+
+def _call(toks: list[Token], i: int, names: set[str],
+          qualified_ok: tuple[str, ...] = ()) -> str | None:
+    """'<name>()' for a call of one of `names` at i, unqualified or through
+    the global '::'. A call through a class or namespace qualifier (std::bind)
+    is another function, unless the qualifier is one of `qualified_ok`."""
+    name = _text(toks, i)
+    if name not in names or _text(toks, i + 1) != "(":
+        return None
+    if (_text(toks, i - 1) == "::" and i >= 2
+            and ((toks[i - 2].kind == "id"
+                  and toks[i - 2].text not in CONTROL_KEYWORDS)
+                 or toks[i - 2].text == ">")
+            and toks[i - 2].text not in qualified_ok):
+        return None
+    return f"{name}()"
+
+
+def _member_call(toks: list[Token], i: int, names: set[str]) -> str | None:
+    """'<name>()' for a call of one of `names` through '.' or '->' at i."""
+    if (_text(toks, i) in names and _text(toks, i - 1) in (".", "->")
+            and _text(toks, i + 1) == "("):
+        return f"{toks[i].text}()"
+    return None
+
+
+WORKER_INCLUDE_RE = re.compile(r'#\s*include\s+"dist/worker\.h"')
+GUARD_MACROS = {"DBTF_GUARDED_BY", "GUARDED_BY"}
+COMM_RECORDS = {"RecordShuffle", "RecordBroadcast", "RecordCollect",
+                "RecordQuery"}
+RECOVERY_RECORDS = {"RecordFailedDelivery", "RecordRetry", "RecordMachineLost",
+                    "RecordReprovision", "RecordStall"}
+TRANSPORT_SYSCALLS = {"socket", "socketpair", "bind", "listen", "accept",
+                      "connect", "setsockopt", "send", "sendmsg", "recv",
+                      "recvmsg", "fork", "vfork", "execv", "execve", "execvp",
+                      "execvpe", "execl", "execle", "execlp", "waitpid", "kill",
+                      "mkdtemp"}
+ASYNC_PRIMITIVES = {"promise", "future", "shared_future", "packaged_task",
+                    "async"}
+
+
+def _worker_include(toks: list[Token], i: int) -> str | None:
+    return ('"dist/worker.h"' if toks[i].kind == "pp"
+            and WORKER_INCLUDE_RE.match(toks[i].text) else None)
+
+
+def _naked_mutex(toks: list[Token], i: int) -> str | None:
+    """A '[mutable] [std::|dbtf::]Mutex name_;' member — a plain mutex, not
+    a container of them — whose name no DBTF_GUARDED_BY in the file cites."""
+    if not (_text(toks, i) in ("Mutex", "mutex") and i + 2 < len(toks)
+            and toks[i + 1].kind == "id" and toks[i + 1].text.endswith("_")
+            and _text(toks, i + 2) == ";"):
+        return None
+    j = i - 1
+    if _text(toks, j) == "::" and _text(toks, j - 1) in ("std", "dbtf"):
+        j -= 2
+    if _text(toks, j) == "mutable":
+        j -= 1
+    if j >= 0 and toks[j].kind != "pp" and toks[j].text not in (";", "{",
+                                                                "}", ":"):
+        return None
+    name = toks[i + 1].text
+    guarded = {_text(toks, k + 2) for k, t in enumerate(toks)
+               if t.text in GUARD_MACROS and _text(toks, k + 1) == "("}
+    return None if name in guarded else name
+
+
+def _comm_mutation(toks: list[Token], i: int) -> str | None:
+    hit = _member_call(toks, i, COMM_RECORDS)
+    if hit is None and _member_call(toks, i, {"Reset"}):
+        # Reset() mutates the ledger only when called on a CommStats: the
+        # cluster's comm_ member or its comm() accessor.
+        if _text(toks, i - 2) == "comm_" or (
+                _text(toks, i - 2) == ")" and _text(toks, i - 3) == "("
+                and _text(toks, i - 4) == "comm"):
+            hit = "Reset()"
+    return hit
+
+
+def _sleep(toks: list[Token], i: int) -> str | None:
+    if (_text(toks, i) in ("sleep_for", "sleep_until")
+            and _text(toks, i - 1) == "::"
+            and _text(toks, i - 2) == "this_thread"):
+        return f"this_thread::{toks[i].text}"
+    if _text(toks, i) in ("usleep", "nanosleep") and _text(toks, i + 1) == "(":
+        return f"{toks[i].text}()"
+    return _call(toks, i, {"sleep"})
+
+
+def _unavailable(toks: list[Token], i: int) -> str | None:
+    if (_text(toks, i) == "Unavailable" and _text(toks, i - 1) == "::"
+            and _text(toks, i - 2) == "Status" and _text(toks, i + 1) == "("):
+        return "Status::Unavailable()"
+    return None
+
+
+def _filesystem_write(toks: list[Token], i: int) -> str | None:
+    if _text(toks, i) == "ofstream" and (_text(toks, i - 1) != "::"
+                                         or _text(toks, i - 2) == "std"):
+        return "ofstream"
+    return _call(toks, i, {"fopen", "rename"}, qualified_ok=("std",))
+
+
+@dataclass(frozen=True)
+class Seam:
+    """One confined pattern. `match(tokens, i)` names the violation that
+    starts at tokens[i] (None: no match); `message` may cite it as {hit}.
+    `only` and `exempt` are src/-relative path prefixes: the pattern is
+    checked in files under some `only` prefix and no `exempt` one."""
+    rule: str
+    match: Callable[[list[Token], int], str | None]
+    message: str
+    exempt: tuple[str, ...] = ()
+    only: tuple[str, ...] = ("",)
+
+
+SEAMS = (
+    Seam("worker-include", _worker_include,
+         "dist/worker.h is only visible to src/dist/ and src/dbtf/engine.cc; "
+         "drive workers through Cluster routing or dist/provision.h",
+         exempt=("dist/", "dbtf/engine.cc")),
+    Seam("naked-mutex", _naked_mutex,
+         "mutex member '{hit}' guards nothing: annotate the protected "
+         "members with DBTF_GUARDED_BY({hit})",
+         exempt=("common/mutex.h",)),
+    Seam("thread-construction",
+         lambda toks, i: (_std(toks, i, {"thread"})
+                          if _text(toks, i + 1) != "::" else None),
+         "std::thread objects are created only by src/dist/thread_pool."
+         "{{h,cc}}; submit work to the pool instead",
+         exempt=("dist/thread_pool.h", "dist/thread_pool.cc")),
+    Seam("comm-stats-mutation", _comm_mutation,
+         "the CommStats ledger is charged only by Cluster "
+         "(src/dist/cluster.cc) so routed bytes are counted exactly once",
+         exempt=("dist/cluster.cc",)),
+    Seam("fault-handling", _sleep,
+         "wall-clock sleep {hit} in the runtime: faults, stalls, and retry "
+         "backoff are charged to the virtual clocks via dist/fault.h",
+         only=("dist/", "dbtf/")),
+    Seam("fault-handling", _unavailable,
+         "Status::Unavailable is manufactured only by the fault seam "
+         "(dist/fault.cc) and the retrying router (dist/cluster.cc); express "
+         "failures through dist/fault.h",
+         exempt=("dist/fault.cc", "dist/cluster.cc"), only=("dist/", "dbtf/")),
+    Seam("recovery-stats-mutation",
+         lambda toks, i: _member_call(toks, i, RECOVERY_RECORDS),
+         "the RecoveryLedger is charged only by Cluster (src/dist/cluster.cc) "
+         "so every retry and re-provision is counted exactly once",
+         exempt=("dist/cluster.cc",)),
+    Seam("filesystem-write", _filesystem_write,
+         "{hit} writes a file outside the checkpoint store (src/ckpt/) and "
+         "the tensor text codecs (src/tensor/io.cc): durable state written "
+         "elsewhere escapes the atomic tmp+fsync+rename discipline",
+         exempt=("ckpt/", "tensor/io.cc", "tensor/io.h")),
+    Seam("transport-syscalls",
+         lambda toks, i: _call(toks, i, TRANSPORT_SYSCALLS),
+         "raw process/socket syscall {hit} outside src/dist/transport/ (the "
+         "socket transport owns process lifecycles and frame I/O); route "
+         "work through the transport seam",
+         exempt=("dist/transport/",)),
+    Seam("async-seam", lambda toks, i: _std(toks, i, ASYNC_PRIMITIVES),
+         "no {hit} in src/: route through Cluster's blocking calls, which "
+         "deliver under the per-machine delivery locks in call order"),
+    Seam("async-seam",
+         lambda toks, i: _std(toks, i, {"condition_variable",
+                                        "condition_variable_any"}),
+         "{hit} is confined to common/mutex.h and dist/thread_pool.h; wait "
+         "with MutexLock::Wait or ThreadPool::ParallelFor instead of "
+         "hand-rolled signalling",
+         exempt=("common/mutex.h", "dist/thread_pool.h")),
+)
+
+
+def check_seams(files: list[SourceFile], rules: list[str]) -> list[Finding]:
+    """Seam findings over src/, at most one per (line, seam)."""
+    findings: list[Finding] = []
+    for sf in files:
+        if not sf.rel.startswith("src/"):
+            continue
+        rel = sf.rel[len("src/"):]
+        seams = [s for s in SEAMS if s.rule in rules
+                 and rel.startswith(s.only) and not rel.startswith(s.exempt)]
+        flagged: set[tuple[int, Seam]] = set()
+        for i, t in enumerate(sf.tokens):
+            for seam in seams:
+                hit = seam.match(sf.tokens, i)
+                if (hit is None or (t.line, seam) in flagged
+                        or sf.suppressed(t.line, seam.rule)):
+                    continue
+                flagged.add((t.line, seam))
+                findings.append(Finding(sf.rel, t.line, seam.rule,
+                                        seam.message.format(hit=hit)))
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # libclang backend (optional; replaces the internal discarded-status pass)
 # ---------------------------------------------------------------------------
 
@@ -1387,6 +1615,7 @@ def analyze(root: Path, rules: list[str], backend: str) -> list[Finding]:
         findings.extend(check_guarded_by(files))
     if "kernel-confinement" in rules:
         findings.extend(check_kernel_confinement(files))
+    findings.extend(check_seams(files, rules))
     return findings
 
 

@@ -172,6 +172,102 @@ class FixtureTest(unittest.TestCase):
         finally:
             path.write_text(original)
 
+    def test_every_rule_has_a_fixture_that_trips_it(self):
+        tripped = set()
+        for root in sorted(FIXTURES.iterdir()):
+            if root.name != "clean":
+                tripped |= rules_in(run(root.name))
+        self.assertEqual(tripped, set(dbtf_analyze.RULES))
+
+
+class SeamFixtureTest(unittest.TestCase):
+    """The layering seams: each fixture trips exactly its rule, once per
+    offending line."""
+
+    CASES = {  # fixture -> (rule, findings)
+        "worker_include": ("worker-include", 1),
+        "naked_mutex": ("naked-mutex", 1),
+        "thread_construction": ("thread-construction", 1),
+        # Two Record* lane mutations and the comm().Reset() line.
+        "comm_stats_mutation": ("comm-stats-mutation", 3),
+        # Two sleeps plus one ad-hoc Status::Unavailable construction.
+        "fault_handling": ("fault-handling", 3),
+        # One ofstream, one fopen, and one publishing rename.
+        "filesystem_write": ("filesystem-write", 3),
+        "recovery_stats_mutation": ("recovery-stats-mutation", 2),
+        # socket, bind, listen, fork, execv, kill, waitpid; the "socket ("
+        # usage string and std::bind stay clean.
+        "transport_syscalls": ("transport-syscalls", 7),
+        # std::future return, std::async call, std::promise member, and a
+        # std::condition_variable member.
+        "async_seam": ("async-seam", 4),
+        # The same minus std::async, inside src/dist/: no dist exemption.
+        "async_seam_dist": ("async-seam", 3),
+    }
+
+    def test_each_fixture_trips_its_rule(self):
+        for case, (rule, count) in self.CASES.items():
+            with self.subTest(case=case):
+                findings = run(case)
+                self.assertEqual(rules_in(findings), {rule})
+                self.assertEqual(len(findings), count)
+        self.assertEqual([(f.path, f.line) for f in run("worker_include")],
+                         [("src/dbtf/session.h", 6)])
+        self.assertIn("'mu_'", run("naked_mutex")[0].message)
+        self.assertEqual({f.path for f in run("async_seam_dist")},
+                         {"src/dist/relay.h"})
+
+    def test_container_of_mutexes_is_not_a_naked_mutex(self):
+        sf = dbtf_analyze.SourceFile("src/dist/router.h", (
+            "class Router {\n"
+            "  std::vector<Mutex> delivery_locks_;\n"
+            "};\n"))
+        self.assertEqual(
+            dbtf_analyze.check_seams([sf], list(dbtf_analyze.RULES)), [])
+
+    def test_string_literals_are_not_code(self):
+        # The clean fixture quotes sleep(, std::future, std::thread, fork(
+        # and fopen( in literals; as code, the first two trip their rules.
+        rel = "src/dbtf/help.h"
+        text = (FIXTURES / "clean" / rel).read_text()
+        self.assertIn("sleep(1)", text)
+        self.assertIn("std::future", text)
+        rules = list(dbtf_analyze.RULES)
+        self.assertEqual(dbtf_analyze.check_seams(
+            [dbtf_analyze.SourceFile(rel, text)], rules), [])
+        as_code = dbtf_analyze.SourceFile(
+            rel, "void F() { sleep(1); std::future<int> f; }\n")
+        self.assertEqual(
+            rules_in(dbtf_analyze.check_seams([as_code], rules)),
+            {"fault-handling", "async-seam"})
+
+    def test_global_qualifier_does_not_hide_a_syscall(self):
+        sf = dbtf_analyze.SourceFile(
+            "src/dbtf/spawn.cc",
+            "int F() {\n  auto g = std::bind(&F);\n  return ::fork();\n}\n")
+        findings = dbtf_analyze.check_seams([sf], list(dbtf_analyze.RULES))
+        self.assertEqual([(f.rule, f.line) for f in findings],
+                         [("transport-syscalls", 3)])
+
+    def test_seams_skip_tests(self):
+        sf = dbtf_analyze.SourceFile(
+            "tests/runner_test.cc", "void F() { std::thread t([] {}); }\n")
+        self.assertEqual(
+            dbtf_analyze.check_seams([sf], list(dbtf_analyze.RULES)), [])
+
+    def test_suppression_comment_silences_a_seam(self):
+        text = "void F() { std::thread t([] {}); }\n"
+        sf = dbtf_analyze.SourceFile("src/dbtf/runner.cc", text)
+        rules = list(dbtf_analyze.RULES)
+        self.assertEqual(
+            rules_in(dbtf_analyze.check_seams([sf], rules)),
+            {"thread-construction"})
+        suppressed = dbtf_analyze.SourceFile(
+            "src/dbtf/runner.cc",
+            text.rstrip("\n")
+            + "  // analyze-ignore(thread-construction): fixture\n")
+        self.assertEqual(dbtf_analyze.check_seams([suppressed], rules), [])
+
 
 class RepoTest(unittest.TestCase):
     def test_repo_tree_is_clean(self):
@@ -239,6 +335,28 @@ class RepoTest(unittest.TestCase):
             by_rel["src/common/kernels/portable.cc"].tokens)
         self.assertLessEqual({"w", "x", "y", "d", "mask"}, ids)
 
+    def test_repo_seam_owners_engage(self):
+        """Every seam exemption is load-bearing: the pattern occurs in the
+        file that owns the seam, so the matchers see the repo's real code."""
+        by_rel = {sf.rel: sf for sf in dbtf_analyze.load_files(REPO)}
+        owners = {
+            "worker-include": "src/dist/transport/inproc.cc",
+            "naked-mutex": "src/common/mutex.h",
+            "thread-construction": "src/dist/thread_pool.h",
+            "comm-stats-mutation": "src/dist/cluster.cc",
+            "fault-handling": "src/dist/cluster.cc",
+            "recovery-stats-mutation": "src/dist/cluster.cc",
+            "filesystem-write": "src/ckpt/checkpoint.cc",
+            "transport-syscalls": "src/dist/transport/socket.cc",
+            "async-seam": "src/dist/thread_pool.h",
+        }
+        for rule, rel in owners.items():
+            toks = by_rel[rel].tokens
+            self.assertTrue(any(seam.match(toks, i)
+                                for seam in dbtf_analyze.SEAMS
+                                if seam.rule == rule
+                                for i in range(len(toks))), (rule, rel))
+
     def test_cli_exit_codes(self):
         self.assertEqual(dbtf_analyze.main(
             ["--root", str(FIXTURES / "clean"), "--backend", "internal"]), 0)
@@ -246,11 +364,15 @@ class RepoTest(unittest.TestCase):
             ["--root", str(FIXTURES / "discarded_status"),
              "--backend", "internal"]), 1)
         self.assertEqual(dbtf_analyze.main(
+            ["--root", str(FIXTURES / "worker_include"),
+             "--rule", "worker-include", "--backend", "internal"]), 1)
+        self.assertEqual(dbtf_analyze.main(
             ["--root", str(FIXTURES), "--backend", "internal"]), 2)
 
     def test_rule_filter(self):
         findings = run("discarded_status", rules=["lock-order"])
         self.assertEqual(findings, [])
+        self.assertEqual(run("transport_syscalls", rules=["async-seam"]), [])
 
 
 if __name__ == "__main__":
