@@ -79,7 +79,7 @@ int Main() {
       "recomputing a Boolean row summation costs a handful of word ORs, so\n"
       "the cache's large win in the paper's JVM/Spark setting does not\n"
       "transfer to this substrate — results are bit-identical either way,\n"
-      "and the cached/uncached times stay within ~20%% of each other.\n"
+      "and the cached/uncached times differ by up to ~30%% either way.\n"
       "See EXPERIMENTS.md for the analysis.\n");
   return 0;
 }

@@ -298,9 +298,11 @@ Result<UpdateFactorStats> RunFactorUpdate(
 
     // Decide each entry of column c: set it exactly when the candidate 1
     // has strictly less error (diff = total1 - total0 < 0), so ties prefer
-    // 0, the sparser factor. The column's error is the all-zero total plus
-    // every improvement taken.
+    // 0, the sparser factor. Only the final column's replies carry the
+    // all-zero total; that plus every improvement taken there is the
+    // update's error.
     const std::uint64_t bit = std::uint64_t{1} << static_cast<unsigned>(c);
+    const bool final_column = c == rank - 1;
     std::int64_t column_error = errors.base_error;
     for (std::int64_t r = 0; r < rows; ++r) {
       const std::int64_t diff = errors.diffs[static_cast<std::size_t>(r)];
@@ -310,9 +312,9 @@ Result<UpdateFactorStats> RunFactorUpdate(
       if (new_value != old_value) ++stats.cells_changed;
       std::uint64_t& mask = row_masks[static_cast<std::size_t>(r)];
       mask = new_value ? (mask | bit) : (mask & ~bit);
-      if (new_value) column_error += diff;
+      if (new_value && final_column) column_error += diff;
     }
-    if (c == rank - 1) stats.final_error += column_error;
+    if (final_column) stats.final_error += column_error;
     // Cache metrics piggyback on column 0's collect; fold them in here
     // rather than after the loop so (a) the checkpoint hook below sees them
     // and (b) a resumed update (which skips column 0) keeps the carried

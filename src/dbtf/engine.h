@@ -125,8 +125,10 @@ class FactorBroadcastState {
 ///   2. Per column c: one Cluster::RunColumn, one exchange per machine. The
 ///      request is RunUpdateColumn (the current row masks ride the task)
 ///      plus CollectErrorsRequest; the reply is one machine's per-row error
-///      differences (total1 - total0) and its candidate-0 error total,
-///      charged as one collect event at its exact encoded size. The greedy
+///      differences (total1 - total0) and, for the final column R - 1 only,
+///      its candidate-0 error total (the update's final error is that total
+///      plus the improvements taken in column R - 1), charged as one
+///      collect event at its exact encoded size. The greedy
 ///      decision only needs the *reduced* differences, which RunColumn
 ///      returns once every machine has answered. The driver sets each
 ///      entry whose difference is negative (ties prefer 0, the sparser

@@ -121,16 +121,21 @@ struct CollectErrorsRequest {
 /// Workers -> driver: the reply of one column exchange, from one machine
 /// or, after reduction, from all of them. The driver needs only the sign
 /// of total1 - total0 per row to decide the column, plus one sum for the
-/// final error, so that is all that travels:
+/// update's final error, so that is all that travels:
 ///
-///   diffs[r]   = Σ_partitions (err1[r] - err0[r])   (candidate 1 minus 0)
-///   base_error = Σ_partitions Σ_r err0[r]           (error with every bit 0)
+///   diffs[r]   = Σ_blocks (err1[r] - err0[r])   (candidate 1 minus 0)
+///   base_error = Σ_blocks Σ_r err0[r]           (final column only, else 0)
 ///
-/// The driver sets bit r exactly when diffs[r] < 0 (ties keep 0), and the
-/// column's error is base_error + Σ_r min(0, diffs[r]).
+/// Both sums run over every block of the machine's partitions, but a block
+/// whose M_f row lacks the column's bit contributes err1 - err0 = 0, so the
+/// workers skip it for `diffs`. The driver sets bit r exactly when
+/// diffs[r] < 0 (ties keep 0). Only the update's final column (c = R - 1)
+/// carries a base error; its sum base_error + Σ_r min(0, diffs[r]) is the
+/// update's final error. Every other reply sends base_error = 0, one varint
+/// byte.
 struct CollectErrorsResponse {
   std::vector<std::int64_t> diffs;  ///< per row: err1 - err0
-  std::int64_t base_error = 0;      ///< Σ err0 over rows and partitions
+  std::int64_t base_error = 0;      ///< Σ err0, final column only
   std::int64_t cache_entries = 0;   ///< piggybacked cache metrics
   std::int64_t cache_bytes = 0;
 

@@ -6,7 +6,6 @@
 #include "common/bitspan.h"
 #include "common/check.h"
 #include "common/kernels/kernels.h"
-#include "common/rank.h"
 
 namespace dbtf {
 namespace {
@@ -141,6 +140,7 @@ Status Worker::Handle(const FactorDelta& msg) {
     return Status::FailedPrecondition(
         "factor update before the operand factors were shipped");
   }
+  st.rank = mf.matrix.cols();
 
   // Row masks of M_f, used to derive cache keys per block. Rebuilt only when
   // the resident M_f content actually moved.
@@ -197,47 +197,48 @@ Status Worker::Handle(const RunUpdateColumn& run,
     return Status::FailedPrecondition(
         "column exchange does not match the broadcast factor shape");
   }
-  if (run.column < 0 || run.column >= kMaxRank) {
-    return Status::InvalidArgument("column index outside the rank cap");
+  if (run.column < 0 || run.column >= st.rank) {
+    return Status::InvalidArgument(
+        "column index outside the resident factor rank");
   }
   *response = CollectErrorsResponse();
   response->diffs.assign(static_cast<std::size_t>(st.rows), 0);
   std::int64_t* diffs = response->diffs.data();
+  const std::uint64_t* masks = run.row_masks.data();
   const std::uint64_t bit = std::uint64_t{1}
                             << static_cast<unsigned>(run.column);
+  // Only the update's last column reports the all-zero error total: the
+  // driver reads it there alone, and a resumed update always runs it.
+  const bool final_column = run.column == st.rank - 1;
   for (LocalPartition& lp : st.partitions) {
     if (lp.cache == nullptr) {
       return Status::FailedPrecondition(
           "column exchange before the factor broadcast");
     }
-    const Partition& part = lp.data;
     const CacheTable& cache = *lp.cache;
     const MutableBitSpan scr(lp.scratch.data(),
                              lp.scratch.size() * kBitsPerWord);
     std::int64_t base_error = 0;
-    for (std::int64_t r = 0; r < st.rows; ++r) {
-      const std::uint64_t m0 =
-          run.row_masks[static_cast<std::size_t>(r)] & ~bit;
-      std::int64_t sum0 = 0;
-      std::int64_t sum1 = 0;
-      for (const PartitionBlock& block : part.blocks) {
-        const std::uint64_t fmask =
-            st.mf_masks[static_cast<std::size_t>(block.block_index)];
-        const std::uint64_t k0 = m0 & fmask;
-        const std::int64_t b0 = BlockError(block, r, k0, cache, scr);
-        sum0 += b0;
-        if ((fmask & bit) != 0) {
+    for (const PartitionBlock& block : lp.data.blocks) {
+      const std::uint64_t fmask =
+          st.mf_masks[static_cast<std::size_t>(block.block_index)];
+      // A block whose M_f row lacks the candidate bit masks the candidate
+      // out of every key: err1 == err0 for every row, so it adds nothing
+      // to any diff and is visited only for the final column's base error.
+      const bool candidate = (fmask & bit) != 0;
+      if (!candidate && !final_column) continue;
+      const std::uint64_t keep = fmask & ~bit;
+      for (std::int64_t r = 0; r < st.rows; ++r) {
+        const std::uint64_t k0 = masks[r] & keep;
+        const std::int64_t e0 = BlockError(block, r, k0, cache, scr);
+        if (candidate) {
           // Setting the entry adds M_f's PVM row to the summation.
-          sum1 += BlockError(block, r, k0 | bit, cache, scr);
-        } else {
-          // The candidate bit is masked out by M_f: identical error.
-          sum1 += b0;
+          diffs[r] += BlockError(block, r, k0 | bit, cache, scr) - e0;
         }
+        base_error += e0;
       }
-      diffs[r] += sum1 - sum0;
-      base_error += sum0;
     }
-    response->base_error += base_error;
+    if (final_column) response->base_error += base_error;
     if (req.want_stats) {
       response->cache_entries += cache.total_entries();
       response->cache_bytes += cache.memory_bytes();

@@ -78,8 +78,14 @@ class Worker {
   /// One column exchange: scores both candidate values of `run`'s column
   /// for every row against each local partition (Algorithm 4's inner
   /// sweep) and fills `response` with the per-row error differences summed
-  /// over those partitions, the candidate-0 error total, and — when `req`
-  /// asks — the cache metrics. Nothing about the column outlives the call.
+  /// over those partitions and — when `req` asks — the cache metrics. The
+  /// sweep runs block by block and visits only the blocks whose M_f row has
+  /// the column's bit: elsewhere the candidate is masked out of every key,
+  /// so err1 == err0 and the block adds nothing. Only the final column
+  /// (rank - 1) also sums the candidate-0 error of every block into
+  /// `base_error`; every other reply carries 0 there. A column at or past
+  /// the resident rank (M_f's column count at the last broadcast) fails
+  /// with kInvalidArgument. Nothing about the column outlives the call.
   Status Handle(const RunUpdateColumn& run, const CollectErrorsRequest& req,
                 CollectErrorsResponse* response);
 
@@ -116,6 +122,7 @@ class Worker {
     std::vector<LocalPartition> partitions;
     std::vector<std::uint64_t> mf_masks;  ///< row masks of the cached M_f
     std::int64_t rows = 0;                ///< rows of the factor under update
+    std::int64_t rank = 0;                ///< columns of the cached M_f
     std::uint64_t built_mf_generation = 0;   ///< M_f gen of mf_masks
     std::uint64_t built_ms_generation = 0;   ///< M_s gen of the cache tables
     int built_cache_group_size = -1;         ///< V the tables were built with
