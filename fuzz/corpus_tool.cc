@@ -1,7 +1,8 @@
 // Seed-corpus generator: writes one representative encoded input per wire
-// message kind, serde stream, and checkpoint blob into the per-target
-// corpus directories, using the *real* encoders — so every seed is a valid
-// deep input that puts the fuzzer past the magic/CRC guards from exec one.
+// message kind, serde stream, checkpoint blob and text format into the
+// per-target corpus directories, using the *real* encoders — so every seed
+// is a valid deep input that puts the fuzzer past the magic/CRC guards from
+// exec one.
 //
 //   corpus_tool <fuzz-dir>     writes <fuzz-dir>/corpus/<target>/<name>.bin
 //
@@ -19,9 +20,12 @@
 #include "ckpt/format.h"
 #include "common/serde.h"
 #include "dbtf/partition.h"
+#include "dist/fault.h"
 #include "dist/messages.h"
 #include "dist/transport/wire.h"
 #include "tensor/bit_matrix.h"
+#include "tensor/io.h"
+#include "tensor/sparse_tensor.h"
 
 namespace dbtf {
 namespace {
@@ -292,6 +296,51 @@ bool WriteCkptSeeds(const std::string& dir) {
   return ok;
 }
 
+/// Prefixes the text file at `path` with fuzz_text_input's decoder selector,
+/// in place: the text writers only write files.
+bool PrefixSelector(const std::string& path, std::uint8_t selector) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) {
+    std::fprintf(stderr, "corpus_tool: cannot reopen %s\n", path.c_str());
+    return false;
+  }
+  std::vector<std::uint8_t> bytes{selector};
+  int c = 0;
+  while ((c = std::fgetc(file)) != EOF) {
+    bytes.push_back(static_cast<std::uint8_t>(c));
+  }
+  std::fclose(file);
+  return WriteFile(path, bytes);
+}
+
+bool WriteTextInputSeeds(const std::string& dir) {
+  // Layout understood by fuzz_text_input.cc: byte 0 picks the decoder
+  // (0 fault plan, 1 tensor text, 2 matrix text), the rest is its text.
+  bool ok = true;
+  const char* const plans[] = {
+      "1:dispatch:transient@3x2,0:collect:stall@1~0.5,2:broadcast:crash@2",
+      "1:broadcast:transient@2x3"};
+  for (int i = 0; i < 2; ++i) {
+    const std::string text = FaultPlan::Parse(plans[i]).value().ToString();
+    std::vector<std::uint8_t> seed{0};
+    seed.insert(seed.end(), text.begin(), text.end());
+    ok = WriteFile(dir + "/fault_plan_" + std::to_string(i) + ".bin", seed) &&
+         ok;
+  }
+
+  SparseTensor tensor = SparseTensor::Create(3, 4, 5).value();
+  ok = tensor.Add(0, 1, 2).ok() && tensor.Add(2, 3, 4).ok() && ok;
+  tensor.SortAndDedup();
+  const std::string tensor_path = dir + "/tensor.bin";
+  ok = WriteTensorText(tensor, tensor_path).ok() &&
+       PrefixSelector(tensor_path, 1) && ok;
+
+  const std::string matrix_path = dir + "/matrix.bin";
+  ok = WriteMatrixText(Checkerboard(3, 70), matrix_path).ok() &&
+       PrefixSelector(matrix_path, 2) && ok;
+  return ok;
+}
+
 bool EnsureDir(const std::string& path) {
   return ::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST;
 }
@@ -302,7 +351,9 @@ int Run(const std::string& fuzz_dir) {
   const std::string wire = corpus + "/fuzz_wire_frame";
   const std::string serde = corpus + "/fuzz_byte_reader";
   const std::string ckpt = corpus + "/fuzz_ckpt_manifest";
-  ok = EnsureDir(wire) && EnsureDir(serde) && EnsureDir(ckpt) && ok;
+  const std::string text = corpus + "/fuzz_text_input";
+  ok = EnsureDir(wire) && EnsureDir(serde) && EnsureDir(ckpt) &&
+       EnsureDir(text) && ok;
   if (!ok) {
     std::fprintf(stderr, "corpus_tool: cannot create corpus dirs under %s\n",
                  fuzz_dir.c_str());
@@ -311,6 +362,7 @@ int Run(const std::string& fuzz_dir) {
   ok = WriteWireFrameSeeds(wire);
   ok = WriteByteReaderSeeds(serde) && ok;
   ok = WriteCkptSeeds(ckpt) && ok;
+  ok = WriteTextInputSeeds(text) && ok;
   if (ok) std::fprintf(stderr, "corpus_tool: seeds written under %s\n",
                        corpus.c_str());
   return ok ? 0 : 1;

@@ -53,9 +53,17 @@ FactorDelta UpdateHeader(const FactorRoles& roles, Mode mode,
   return msg;
 }
 
-}  // namespace
+/// Header of every apply_only message: the codec still validates the
+/// update-path fields, so they carry the runtime's defaults.
+FactorDelta ApplyOnlyHeader() {
+  FactorDelta msg;
+  msg.apply_only = true;
+  msg.mf_slot = FactorRoles{}.mf_slot;
+  msg.ms_slot = FactorRoles{}.ms_slot;
+  return msg;
+}
 
-std::uint64_t NextFactorGeneration() { return NextGeneration(); }
+}  // namespace
 
 FactorDelta FactorBroadcastState::Plan(const FactorRoles& roles, Mode mode,
                                        std::int64_t rows, const BitMatrix& mf,
@@ -67,12 +75,22 @@ FactorDelta FactorBroadcastState::Plan(const FactorRoles& roles, Mode mode,
   return msg;
 }
 
+FactorDelta FactorBroadcastState::PlanContent(const SlotContent& content) {
+  FactorDelta msg = ApplyOnlyHeader();
+  for (int slot = 0; slot < 3; ++slot) {
+    const BitMatrix* current = content[static_cast<std::size_t>(slot)];
+    if (current != nullptr) PlanSlot(slot, *current, &msg);
+  }
+  return msg;
+}
+
 void FactorBroadcastState::PlanSlot(int slot_index, const BitMatrix& current,
                                     FactorDelta* out) {
   DBTF_CHECK_LE(0, slot_index);
   DBTF_CHECK_LT(slot_index, 3);
   const std::size_t i = static_cast<std::size_t>(slot_index);
   const FactorShadowSnapshot& shadow = shadows_[i];
+  pending_generations_[i] = 0;  // drop an earlier plan that never committed
   // The workers already hold exactly this content — ship nothing. (Freshly
   // adopted partitions still get cache tables: the worker rebuilds any
   // partition with no table from its resident copy.)
@@ -129,6 +147,13 @@ void FactorBroadcastState::Commit(const FactorRoles& roles,
   CommitSlot(roles.ms_slot, ms);
 }
 
+void FactorBroadcastState::CommitContent(const SlotContent& content) {
+  for (int slot = 0; slot < 3; ++slot) {
+    const BitMatrix* current = content[static_cast<std::size_t>(slot)];
+    if (current != nullptr) CommitSlot(slot, *current);
+  }
+}
+
 void FactorBroadcastState::CommitSlot(int slot_index,
                                       const BitMatrix& current) {
   const std::size_t i = static_cast<std::size_t>(slot_index);
@@ -151,10 +176,13 @@ void FactorBroadcastState::RestoreShadows(
   pending_generations_ = {};
 }
 
-FactorDelta FactorBroadcastState::RestoreMessage(
-    const FactorRoles& roles, Mode mode, std::int64_t rows,
-    const DbtfConfig& config) const {
-  FactorDelta msg = UpdateHeader(roles, mode, rows, config);
+std::array<std::uint64_t, 3> FactorBroadcastState::generations() const {
+  return {shadows_[0].generation, shadows_[1].generation,
+          shadows_[2].generation};
+}
+
+FactorDelta FactorBroadcastState::CatchUpMessage() const {
+  FactorDelta msg = ApplyOnlyHeader();
   for (int slot = 0; slot < 3; ++slot) {
     const FactorShadowSnapshot& shadow =
         shadows_[static_cast<std::size_t>(slot)];
@@ -163,6 +191,14 @@ FactorDelta FactorBroadcastState::RestoreMessage(
           MatrixDelta::Full(slot, shadow.generation, shadow.content));
     }
   }
+  return msg;
+}
+
+FactorDelta FactorBroadcastState::RestoreMessage(
+    const FactorRoles& roles, Mode mode, std::int64_t rows,
+    const DbtfConfig& config) const {
+  FactorDelta msg = UpdateHeader(roles, mode, rows, config);
+  msg.updates = CatchUpMessage().updates;
   return msg;
 }
 

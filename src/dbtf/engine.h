@@ -20,12 +20,6 @@ namespace dbtf {
 // value messages through Cluster's typed methods and never names a Worker
 // member (the analyzer's worker-include rule enforces the boundary).
 
-/// Draws one generation from the process-wide counter that stamps factor
-/// content shipped to workers (see FactorBroadcastState). The serving layer
-/// (src/serve/) uses this to stamp its own factor broadcasts with
-/// generations that can never collide with a factorization run's.
-std::uint64_t NextFactorGeneration();
-
 // UpdateFactorStats, the statistics RunFactorUpdate returns, is defined in
 // ckpt/checkpoint.h: a checkpoint carries the in-flight update's stats as is.
 
@@ -40,26 +34,32 @@ struct FactorRoles {
   int ms_slot = 1;      ///< slot of M_s (within x R caching unit)
 };
 
-/// Driver-side shadow of the factor content resident on the workers, used
-/// to plan delta broadcasts. Per slot it remembers the last content shipped
-/// (and its generation); Plan() ships nothing for an unchanged operand, the
-/// changed columns when the workers hold the delta's base, and the full
-/// matrix on first contact or when the delta would be no smaller.
+/// Driver-side shadow of the factor content resident on the workers, and
+/// the one planner of every broadcast of factor content: factor updates,
+/// checkpoint rehydration and the serving plane. Per slot it remembers the
+/// last content committed (and its generation); a plan ships nothing for an
+/// unchanged slot, the changed columns when the workers hold the delta's
+/// base, and the full matrix on first contact or when the delta would be no
+/// smaller.
 ///
-/// Generations are drawn from a process-wide counter, so they are unique
-/// across runs and across states: a generation match at a worker is proof of
+/// Generations name content. They come from a process-wide counter private
+/// to engine.cc, so a generation match at a worker is proof of
 /// byte-identical content even when session-resident workers outlive this
-/// state. One state serves one Factorize run (all three modes); constructing
-/// it with `delta_enabled = false` plans a full broadcast for every stale
-/// operand (the --no-delta-broadcast ablation).
+/// state. One state serves one Factorize run (all three modes) or one
+/// ServeEngine; `delta_enabled = false` plans a full broadcast for every
+/// stale slot (the --no-delta-broadcast ablation).
 ///
-/// Plan/Commit are split so recovery can re-send the planned message: Plan
+/// Plan/Commit are split so recovery can re-send the planned message: a plan
 /// assigns pending generations eagerly, Commit (after the first successful
-/// send) finalizes them and snapshots the shadows. Commit is idempotent and
-/// re-sends of a committed plan are no-ops at the workers, so the recovery
-/// rebroadcast path needs no special casing.
+/// send) finalizes them and snapshots the shadows; the next plan of a slot
+/// drops a plan that never committed. Commit is idempotent and re-sends of
+/// a committed plan are no-ops at the workers.
 class FactorBroadcastState {
  public:
+  /// Content per worker slot (A = 0, B = 1, C = 2) for PlanContent and
+  /// CommitContent; a null entry leaves that slot out.
+  using SlotContent = std::array<const BitMatrix*, 3>;
+
   explicit FactorBroadcastState(bool delta_enabled = true)
       : delta_enabled_(delta_enabled) {}
 
@@ -78,6 +78,19 @@ class FactorBroadcastState {
   void Commit(const FactorRoles& roles, const BitMatrix& mf,
               const BitMatrix& ms);
 
+  /// Plan/Commit for an apply_only message over the given slots (in index
+  /// order): workers store the content and build no factor-update state.
+  FactorDelta PlanContent(const SlotContent& content);
+  void CommitContent(const SlotContent& content);
+
+  /// Every committed slot in full at its committed generation, apply_only.
+  /// Full replacements override any resident generation, so workers behind
+  /// the committed content and workers ahead of it both converge on it.
+  FactorDelta CatchUpMessage() const;
+
+  /// Committed generation per slot (0: never committed).
+  std::array<std::uint64_t, 3> generations() const;
+
   /// The committed slots, indexed by worker slot (A = 0, B = 1, C = 2) —
   /// exactly what a checkpoint persists.
   const std::array<FactorShadowSnapshot, 3>& shadows() const {
@@ -89,11 +102,10 @@ class FactorBroadcastState {
   /// generations handed out after a resume stay globally unique.
   void RestoreShadows(std::array<FactorShadowSnapshot, 3> shadows);
 
-  /// The message that rehydrates a worker to the committed slots: every
-  /// committed slot in full at its committed generation, under the header
-  /// (mode, rows, roles, cache parameters) Plan would give this update. A
-  /// resumed run delivers it in place of the broadcast the interrupted run
-  /// had already shipped.
+  /// The message that rehydrates a worker to the committed slots: the
+  /// catch-up message's payload under the header (mode, rows, roles, cache
+  /// parameters) Plan would give this update. A resumed run delivers it in
+  /// place of the broadcast the interrupted run had already shipped.
   FactorDelta RestoreMessage(const FactorRoles& roles, Mode mode,
                              std::int64_t rows,
                              const DbtfConfig& config) const;

@@ -228,7 +228,7 @@ Result<std::unique_ptr<Session>> Session::Create(const SparseTensor& x,
   }
 
   // One cluster-owned worker endpoint per machine; each ends up owning the
-  // partitions the placement policy assigns to it.
+  // partitions Cluster::OwnerOf assigns to it.
   DBTF_RETURN_IF_ERROR(ProvisionWorkers(*cluster));
 
   // One-off partitioning of the three unfoldings (Algorithm 3). A real

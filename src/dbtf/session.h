@@ -24,7 +24,7 @@ struct RunProgress;          // ckpt/checkpoint.h
 ///
 /// Create() performs the expensive, rank-independent setup exactly once: it
 /// partitions the three unfoldings (Algorithm 3), moves every partition into
-/// the per-machine Worker that the cluster's placement policy names (the
+/// the per-machine Worker that Cluster::OwnerOf names (the
 /// driver keeps no partition data), attaches the workers to the cluster as
 /// message endpoints, and charges the one-off shuffle (Lemma 6). Factorize()
 /// then runs Algorithm 2 at any rank over the resident partitions — rank

@@ -45,7 +45,6 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const ClusterConfig& config) {
 
 Cluster::Cluster(const ClusterConfig& config)
     : config_(config),
-      placement_(config.placement ? config.placement : DefaultPlacement()),
       dead_(static_cast<std::size_t>(config.num_machines), false),
       machine_seconds_(static_cast<std::size_t>(config.num_machines), 0.0),
       delivery_locks_(static_cast<std::size_t>(config.num_machines)) {

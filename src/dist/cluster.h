@@ -12,7 +12,6 @@
 #include "dist/comm_stats.h"
 #include "dist/fault.h"
 #include "dist/messages.h"
-#include "dist/placement.h"
 #include "dist/thread_pool.h"
 #include "dist/transport/transport.h"
 
@@ -30,10 +29,6 @@ struct ClusterConfig {
   /// Driver-side per-byte processing cost (deserialize + reduce), applied to
   /// collected bytes. This is what curbs linear scaling as N and M grow.
   double driver_seconds_per_byte = 2e-9;
-  /// Partition/task placement; null selects round-robin (the default and the
-  /// paper's implicit scheme).
-  std::shared_ptr<const PlacementPolicy> placement;
-
   /// Deterministic fault schedule (dist/fault.h). Empty means no faults are
   /// injected and routing behaves exactly as before.
   FaultPlan fault_plan;
@@ -88,10 +83,10 @@ class Cluster {
   int num_machines() const { return config_.num_machines; }
   const ClusterConfig& config() const { return config_; }
 
-  /// Machine that owns task (or partition) index t, per the configured
-  /// placement policy (round-robin unless overridden).
+  /// Machine that owns task (or partition) index t >= 0: round-robin,
+  /// t mod M — the paper's implicit scheme.
   int OwnerOf(std::int64_t task) const {
-    return placement_->Place(task, config_.num_machines);
+    return static_cast<int>(task % config_.num_machines);
   }
 
   // --- Endpoint registry ---------------------------------------------------
@@ -331,7 +326,6 @@ class Cluster {
   void ChargeDriverSeconds(double seconds) DBTF_EXCLUDES(mu_);
 
   ClusterConfig config_;
-  std::shared_ptr<const PlacementPolicy> placement_;
   std::unique_ptr<ThreadPool> pool_;
   CommStats comm_;
   RecoveryLedger recovery_;

@@ -1,8 +1,10 @@
 #include "dist/fault.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <utility>
 
 #include "common/random.h"
@@ -48,6 +50,13 @@ bool ParseFaultKind(const std::string& word, FaultKind* out) {
   return true;
 }
 
+/// The "~seconds" text of a stall: six significant digits.
+std::string StallText(double seconds) {
+  char buf[32];
+  const int n = std::snprintf(buf, sizeof(buf), "%g", seconds);
+  return std::string(buf, static_cast<std::size_t>(n));
+}
+
 Result<FaultSpec> ParseSpec(const std::string& text) {
   const auto bad = [&text](const char* why) {
     return Status::InvalidArgument("fault spec \"" + text + "\": " + why);
@@ -67,9 +76,11 @@ Result<FaultSpec> ParseSpec(const std::string& text) {
   {
     const std::string machine = text.substr(0, colon1);
     char* end = nullptr;
-    spec.machine = static_cast<int>(std::strtol(machine.c_str(), &end, 10));
-    if (machine.empty() || end == nullptr || *end != '\0') {
-      return bad("machine index is not an integer");
+    const long index = std::strtol(machine.c_str(), &end, 10);
+    spec.machine = static_cast<int>(index);
+    if (machine.empty() || end == nullptr || *end != '\0' ||
+        spec.machine != index) {
+      return bad("machine index is not an int");
     }
   }
   if (!ParseMessageKind(text.substr(colon1 + 1, colon2 - colon1 - 1),
@@ -89,6 +100,12 @@ Result<FaultSpec> ParseSpec(const std::string& text) {
     spec.stall_seconds = std::strtod(stall.c_str(), &end);
     if (stall.empty() || end == nullptr || *end != '\0') {
       return bad("stall seconds is not a number");
+    }
+    // ToString must give this spec back, so reject what it cannot print.
+    if (spec.kind != FaultKind::kStall || !std::isfinite(spec.stall_seconds) ||
+        std::strtod(StallText(spec.stall_seconds).c_str(), nullptr) !=
+            spec.stall_seconds) {
+      return bad("only a stall takes ~seconds: finite, at most 6 digits");
     }
     tail = tail.substr(0, tilde);
   }
@@ -147,10 +164,9 @@ std::string FaultSpec::ToString() const {
     n += std::snprintf(buf + n, sizeof(buf) - n, "x%lld",
                        static_cast<long long>(count));
   }
-  if (kind == FaultKind::kStall) {
-    n += std::snprintf(buf + n, sizeof(buf) - n, "~%g", stall_seconds);
-  }
-  return std::string(buf, n);
+  std::string out(buf, static_cast<std::size_t>(n));
+  if (kind == FaultKind::kStall) out += "~" + StallText(stall_seconds);
+  return out;
 }
 
 Status FaultPlan::Validate(int num_machines) const {

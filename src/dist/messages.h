@@ -173,7 +173,7 @@ enum class QueryKind : std::uint8_t {
 /// Driver -> one worker: answer one serving query against the bit-packed
 /// factors resident in the worker's broadcast cache (slots 0..2 = A, B, C).
 /// Any machine holding the factors can answer any query; the engine shards
-/// by PlacementPolicy for load spreading, not for data locality.
+/// by Cluster::OwnerOf for load spreading, not for data locality.
 ///
 /// Field use by kind:
 ///   kMembership   i, j, k          (cell coordinates)

@@ -84,7 +84,7 @@ Status RestoreCoverageCore(Cluster& cluster,
   for (const ReprovisionSpec& spec : specs) {
     if (spec.num_partitions <= 0) continue;
 
-    // Residency is queried, not derived from the placement policy: after a
+    // Residency is queried, not derived from Cluster::OwnerOf: after a
     // previous recovery a partition may live anywhere that survived.
     std::vector<bool> resident(static_cast<std::size_t>(spec.num_partitions),
                                false);

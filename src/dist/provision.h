@@ -30,7 +30,7 @@ class Cluster;
 Status ProvisionWorkers(Cluster& cluster);
 
 /// Moves `partition` (index `index` of the mode-`mode` unfolding, shape
-/// `shape`) onto the machine the cluster's placement policy names, giving
+/// `shape`) onto machine Cluster::OwnerOf(index), giving
 /// the resident worker ownership. The driver keeps no partition data.
 /// Fails if that machine has no attached endpoint.
 Status StorePartition(Cluster& cluster, Mode mode, std::int64_t index,

@@ -1,26 +1,23 @@
 #include "serve/serve_engine.h"
 
+#include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/bitspan.h"
 #include "common/check.h"
 #include "common/rank.h"
-#include "dbtf/engine.h"
 #include "dist/messages.h"
 
 namespace dbtf {
 namespace {
 
-/// Serving broadcasts never drive a factor update, but FactorDelta's codec
-/// still validates the update-path header fields — fill them with the
-/// runtime's defaults.
-FactorDelta ApplyOnlyDelta() {
-  FactorDelta msg;
-  msg.apply_only = true;
-  msg.mode = Mode::kOne;
-  msg.mf_slot = 2;
-  msg.ms_slot = 1;
-  return msg;
+/// A machine lost mid-broadcast surfaces as retryable; the fan-out still
+/// delivered to every survivor (each machine's delivery is independent), so
+/// serving continues as long as anyone is left to answer.
+bool ReachedEverySurvivor(const Cluster& cluster, const Status& status) {
+  return status.ok() ||
+         (IsRetryable(status.code()) && cluster.num_attached_workers() > 0);
 }
 
 }  // namespace
@@ -59,27 +56,19 @@ const BitMatrix& ServeEngine::factor(int slot) const {
 }
 
 Status ServeEngine::Rebroadcast() {
-  FactorDelta msg = ApplyOnlyDelta();
-  for (int slot = 0; slot < 3; ++slot) {
-    const std::size_t s = static_cast<std::size_t>(slot);
-    msg.updates.push_back(
-        MatrixDelta::Full(slot, generations_[s], factors_[s]));
-  }
   ++stats_.rebroadcasts;
-  const Status status = cluster_->BroadcastFactors(std::move(msg));
-  if (status.ok()) return status;
-  // A machine lost mid-broadcast surfaces as retryable; the fan-out still
-  // delivered to every survivor (each machine's delivery is independent),
-  // so serving continues as long as anyone is left to answer.
-  if (IsRetryable(status.code()) && cluster_->num_attached_workers() > 0) {
-    return Status::OK();
-  }
-  return status;
+  const Status status =
+      cluster_->BroadcastFactors(broadcast_.CatchUpMessage());
+  return ReachedEverySurvivor(*cluster_, status) ? Status::OK() : status;
 }
 
 Status ServeEngine::Load() {
+  // The first Load commits the driver copies at fresh generations. Its plan
+  // is every slot in full, which is exactly the catch-up message that
+  // Rebroadcast sends (and a repeated Load re-sends).
   if (!loaded_) {
-    for (std::uint64_t& g : generations_) g = NextFactorGeneration();
+    broadcast_.PlanContent(content_);
+    broadcast_.CommitContent(content_);
   }
   DBTF_RETURN_IF_ERROR(Rebroadcast());
   loaded_ = true;
@@ -100,6 +89,25 @@ int ServeEngine::ShardOf(const QueryRequest& msg) const {
   return cluster_->OwnerOf(key);
 }
 
+Status ServeEngine::AskCommitted(int machine, const QueryRequest& msg,
+                                 QueryResponse* response) {
+  const std::array<std::uint64_t, 3> committed = generations();
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    if (attempt > 0) DBTF_RETURN_IF_ERROR(Rebroadcast());
+    const Status status = cluster_->QueryWorker(machine, msg, response);
+    // kFailedPrecondition: alive, but no factors (attached after Load).
+    if (status.code() == StatusCode::kFailedPrecondition) continue;
+    if (!status.ok()) return status;
+    if (std::equal(committed.begin(), committed.end(),
+                   response->generations.begin(),
+                   response->generations.end())) {
+      return status;
+    }
+  }
+  return Status::Unavailable("machine " + std::to_string(machine) +
+                             " does not serve the committed generations");
+}
+
 Status ServeEngine::Route(QueryRequest msg, QueryResponse* response) {
   DBTF_CHECK(response != nullptr);
   if (!loaded_) {
@@ -113,27 +121,12 @@ Status ServeEngine::Route(QueryRequest msg, QueryResponse* response) {
   for (int hop = 0; hop < machines; ++hop) {
     const int machine = (owner + hop) % machines;
     const std::size_t m = static_cast<std::size_t>(machine);
-    const Status status = cluster_->QueryWorker(machine, msg, response);
+    const Status status = AskCommitted(machine, msg, response);
     if (status.ok()) {
       suspected_[m] = false;
       ++stats_.queries_answered;
       if (hop > 0) ++stats_.failovers;
       return status;
-    }
-    if (status.code() == StatusCode::kFailedPrecondition) {
-      // The machine is alive but does not hold the factors (e.g. it was
-      // attached after Load). Catch it up once, then re-ask it.
-      DBTF_RETURN_IF_ERROR(Rebroadcast());
-      const Status retried = cluster_->QueryWorker(machine, msg, response);
-      if (retried.ok()) {
-        suspected_[m] = false;
-        ++stats_.queries_answered;
-        if (hop > 0) ++stats_.failovers;
-        return retried;
-      }
-      if (!IsRetryable(retried.code())) return retried;
-      last = retried;
-      continue;
     }
     if (!IsRetryable(status.code())) return status;
     // The shard owner is lost (injected crash or a dead worker process).
@@ -254,36 +247,6 @@ Status ServeEngine::ApplyUpdate(const std::vector<ServeColumnUpdate>& updates) {
     }
   }
 
-  // One MatrixDelta per touched slot, all in one FactorDelta: the broadcast
-  // is the batch's atomicity unit at every worker.
-  FactorDelta msg = ApplyOnlyDelta();
-  std::array<std::uint64_t, 3> next = generations_;
-  std::array<int, 3> delta_index{{-1, -1, -1}};
-  for (const ServeColumnUpdate& u : updates) {
-    const std::size_t slot = static_cast<std::size_t>(u.slot);
-    if (delta_index[slot] < 0) {
-      delta_index[slot] = static_cast<int>(msg.updates.size());
-      MatrixDelta d;
-      d.slot = u.slot;
-      d.generation = NextFactorGeneration();
-      d.base_generation = generations_[slot];
-      d.full = false;
-      d.rows = factors_[slot].rows();
-      d.cols = rank_;
-      msg.updates.push_back(std::move(d));
-      next[slot] = msg.updates.back().generation;
-    }
-    MatrixDelta& d = msg.updates[static_cast<std::size_t>(delta_index[slot])];
-    d.columns.push_back(u.column);
-    d.column_bits.push_back(u.bits);
-  }
-
-  const Status status = cluster_->BroadcastFactors(std::move(msg));
-  if (!status.ok() &&
-      !(IsRetryable(status.code()) && cluster_->num_attached_workers() > 0)) {
-    return status;  // nothing committed: driver copies and workers agree
-  }
-  // Committed on every survivor — commit the driver copies to match.
   for (const ServeColumnUpdate& u : updates) {
     BitMatrix& m = factors_[static_cast<std::size_t>(u.slot)];
     const BitSpan column(u.bits.data(), static_cast<std::size_t>(m.rows()));
@@ -291,9 +254,28 @@ Status ServeEngine::ApplyUpdate(const std::vector<ServeColumnUpdate>& updates) {
       m.Set(r, u.column, column.Get(static_cast<std::size_t>(r)));
     }
   }
-  generations_ = next;
-  ++stats_.updates_applied;
-  return Status::OK();
+  // One FactorDelta for every touched slot: the broadcast is the batch's
+  // atomicity unit at every worker.
+  FactorDelta plan = broadcast_.PlanContent(content_);
+  const Status status = plan.updates.empty()
+                            ? Status::OK()
+                            : cluster_->BroadcastFactors(std::move(plan));
+  // A batch that reached no survivor commits nothing, and the driver copies
+  // return to the committed content.
+  const bool committed = ReachedEverySurvivor(*cluster_, status);
+  if (committed) {
+    broadcast_.CommitContent(content_);
+    ++stats_.updates_applied;
+  } else {
+    for (std::size_t s = 0; s < 3; ++s) {
+      factors_[s] = broadcast_.shadows()[s].content;
+    }
+  }
+  if (status.ok()) return status;
+  // Some machine missed the batch, or took a batch that did not commit:
+  // full replacements at the committed generations converge both.
+  const Status caught_up = Rebroadcast();
+  return committed ? caught_up : status;
 }
 
 }  // namespace dbtf

@@ -8,6 +8,7 @@
 
 #include "common/bitops.h"
 #include "common/status.h"
+#include "dbtf/engine.h"
 #include "dist/cluster.h"
 #include "tensor/bit_matrix.h"
 #include "tensor/unfold.h"
@@ -38,23 +39,20 @@ struct ServeStats {
 /// cluster's workers.
 ///
 /// The engine is the driver side of the serving plane: it keeps the
-/// authoritative factor copies (for planning update deltas and for the
-/// tests' oracle), broadcasts them to every worker through the generation-
-/// counted FactorDelta path (apply_only — the factor-update machinery is
-/// never built), and routes each query point-to-point to the machine the
-/// cluster's placement policy names for its shard key. Factors are
-/// replicated by broadcast, so *any* machine can answer *any* query;
-/// sharding spreads load, and when the owner is lost the query fails over
-/// to the next surviving machine in ring order — after an idempotent
-/// factor rebroadcast, so a survivor that somehow missed a generation is
-/// caught up before it answers (the serving-plane mirror of the
-/// reprovision-then-retry recovery of the factorization path).
+/// authoritative factor copies (the tests' oracle), ships them to every
+/// worker through FactorBroadcastState, the planner the factorization path
+/// uses (apply_only: the factor-update machinery is never built), and
+/// routes each query to machine (shard key mod M). Factors are replicated
+/// by broadcast, so *any* machine can answer *any* query; when the owner is
+/// lost the query fails over to the next surviving machine in ring order,
+/// after a catch-up broadcast (the serving-plane mirror of the
+/// factorization path's reprovision-then-retry).
 ///
 /// Consistency: updates and queries both hold the per-machine delivery lock
-/// in Cluster, so a read served concurrently with an ApplyUpdate batch
-/// observes either the entire batch's generations or none of them — every
+/// in Cluster, so a read concurrent with an ApplyUpdate batch observes
+/// either the entire batch's generations or none of them. Every
 /// QueryResponse carries the (A, B, C) generation triple it was computed
-/// against, which is how the tests prove it.
+/// against, and Route returns only answers at the committed triple.
 ///
 /// Like Session, the engine is single-threaded from the caller's
 /// perspective: do not issue two calls concurrently.
@@ -93,14 +91,17 @@ class ServeEngine {
                      QueryResponse* response);
 
   /// Applies a batch of column replacements to the driver copies and ships
-  /// them to every worker as one generation-counted column-delta broadcast
-  /// (all touched slots in a single FactorDelta, so no worker ever serves a
-  /// torn batch). Commits only when the broadcast reached the surviving
-  /// machines.
+  /// the changed slots to every worker as one planned broadcast, so no
+  /// worker ever serves a torn batch; a batch that changes no bit sends
+  /// nothing. Commits when the broadcast reached every surviving machine. A
+  /// failed broadcast is followed by the catch-up message, so every machine
+  /// converges on the committed generations.
   Status ApplyUpdate(const std::vector<ServeColumnUpdate>& updates);
 
   /// Generation triple (A, B, C) currently committed to the workers.
-  std::array<std::uint64_t, 3> generations() const { return generations_; }
+  std::array<std::uint64_t, 3> generations() const {
+    return broadcast_.generations();
+  }
 
   /// Driver-side authoritative factor copy — the tests' dense oracle.
   const BitMatrix& factor(int slot) const;
@@ -115,23 +116,30 @@ class ServeEngine {
   ServeEngine(Cluster* cluster, BitMatrix a, BitMatrix b, BitMatrix c);
 
   /// Shard key -> owner machine, then ring-order failover with one
-  /// recovery rebroadcast. Assigns the request id.
+  /// catch-up broadcast per newly suspected machine. Assigns the request id.
   Status Route(QueryRequest msg, QueryResponse* response);
 
-  /// Machine the placement policy names for `msg`'s shard key. Cell-bearing
-  /// queries shard by coordinate sum (repeat reads of a cell hit the same
-  /// replica); top-R queries scan every concept anyway, so they shard by
-  /// request id (round-robin under the default placement).
+  /// Asks `machine` for an answer at the committed generations, catching it
+  /// up and asking once more on a miss; a second miss is kUnavailable.
+  Status AskCommitted(int machine, const QueryRequest& msg,
+                      QueryResponse* response);
+
+  /// Owner of `msg`'s shard key. Cell-bearing queries shard by coordinate
+  /// sum (repeat reads of a cell hit the same replica); top-R queries scan
+  /// every concept anyway, so they shard by request id (round-robin).
   int ShardOf(const QueryRequest& msg) const;
 
-  /// Full-factor apply_only broadcast at the *current* generations: a no-op
-  /// for machines already serving them, a catch-up for any that are not.
-  /// Tolerates machine loss as long as one endpoint survives.
+  /// Ships the planner's catch-up message: a no-op for machines already at
+  /// the committed generations. Tolerates machine loss while one survives.
   Status Rebroadcast();
 
   Cluster* cluster_;
+  /// The only driver copy (dim() must work before Load); the planner's
+  /// shadows hold what the workers were committed to, as in Session.
   std::array<BitMatrix, 3> factors_;
-  std::array<std::uint64_t, 3> generations_{{0, 0, 0}};
+  const FactorBroadcastState::SlotContent content_{
+      {&factors_[0], &factors_[1], &factors_[2]}};
+  FactorBroadcastState broadcast_;
   std::int64_t rank_ = 0;
   bool loaded_ = false;
   std::uint64_t next_id_ = 0;

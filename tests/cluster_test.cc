@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "dist/placement.h"
 #include "fake_endpoint.h"
 
 namespace dbtf {
@@ -465,29 +464,6 @@ TEST(Cluster, QueriesRacingBroadcastsNeverOverlapOnAMachine) {
   EXPECT_EQ(snap.broadcast_events, kRounds);
   EXPECT_EQ(snap.query_events, kRounds);
   (*cluster)->DetachWorkers();
-}
-
-TEST(Placement, RoundRobinAndBlockPolicies) {
-  const RoundRobinPlacement rr;
-  EXPECT_EQ(rr.Place(5, 4), 1);
-  EXPECT_EQ(rr.name(), "round-robin");
-  const BlockPlacement block(8);
-  // ceil(8 / 4) = 2 partitions per machine, in contiguous runs.
-  EXPECT_EQ(block.Place(0, 4), 0);
-  EXPECT_EQ(block.Place(1, 4), 0);
-  EXPECT_EQ(block.Place(2, 4), 1);
-  EXPECT_EQ(block.Place(7, 4), 3);
-  EXPECT_EQ(block.Place(100, 4), 3) << "indices past N wrap to the last";
-}
-
-TEST(Cluster, PlacementPolicyIsPluggable) {
-  ClusterConfig config = SmallConfig();
-  config.placement = std::make_shared<BlockPlacement>(8);
-  auto cluster = Cluster::Create(config);
-  ASSERT_TRUE(cluster.ok());
-  EXPECT_EQ((*cluster)->OwnerOf(0), 0);
-  EXPECT_EQ((*cluster)->OwnerOf(1), 0);
-  EXPECT_EQ((*cluster)->OwnerOf(7), 3);
 }
 
 TEST(CommStats, SnapshotAndReset) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstdint>
+#include <iterator>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -97,7 +98,8 @@ inline CollectErrorsResponse FakeColumnReply(std::int64_t rows) {
 /// then waits on the latch if one is set, then returns the status scripted
 /// for its kind. A column exchange is one dispatch-kind delivery whose
 /// successful reply is FakeColumnReply(reply_rows); queries are collect-kind
-/// traffic, as in Cluster.
+/// traffic, as in Cluster. Like a worker, it answers a query with the
+/// generation triple its successful broadcasts last delivered.
 class FakeEndpoint final : public WorkerEndpoint {
  public:
   explicit FakeEndpoint(int machine, std::int64_t reply_rows = 0)
@@ -106,7 +108,12 @@ class FakeEndpoint final : public WorkerEndpoint {
   int machine() const override { return machine_; }
 
   Status Deliver(const FactorDelta& msg, double*) override {
-    return Receive({MessageKind::kBroadcast, msg.rows});
+    DBTF_RETURN_IF_ERROR(Receive({MessageKind::kBroadcast, msg.rows}));
+    MutexLock lock(mu_);
+    for (const MatrixDelta& d : msg.updates) {
+      generations_[static_cast<std::size_t>(d.slot)] = d.generation;
+    }
+    return Status::OK();
   }
   Status RunColumn(const RunUpdateColumn& run, const CollectErrorsRequest&,
                    CollectErrorsResponse* response, double*) override {
@@ -119,6 +126,9 @@ class FakeEndpoint final : public WorkerEndpoint {
     DBTF_RETURN_IF_ERROR(
         Receive({MessageKind::kCollect, static_cast<std::int64_t>(msg.id)}));
     response->id = msg.id;
+    MutexLock lock(mu_);
+    response->generations.assign(std::begin(generations_),
+                                 std::end(generations_));
     return Status::OK();
   }
   Status Store(StorePartitionRequest) override { return Status::OK(); }
@@ -186,6 +196,7 @@ class FakeEndpoint final : public WorkerEndpoint {
   Latch* latch_ DBTF_GUARDED_BY(mu_) = nullptr;
   int in_flight_ DBTF_GUARDED_BY(mu_) = 0;
   int max_in_flight_ DBTF_GUARDED_BY(mu_) = 0;
+  std::uint64_t generations_[3] DBTF_GUARDED_BY(mu_) = {0, 0, 0};
 };
 
 }  // namespace dbtf

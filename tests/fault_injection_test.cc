@@ -77,6 +77,20 @@ TEST(FaultPlan, ParseRejectsMalformedSpecs) {
   EXPECT_FALSE(FaultPlan::Parse("0:collect:stall@1~fast").ok());
 }
 
+TEST(FaultPlan, ParseRejectsWhatToStringCannotGiveBack) {
+  // Each of these parsed to a plan whose ToString named a different one.
+  EXPECT_FALSE(FaultPlan::Parse("0:dispatch:transient@1~0.5").ok())
+      << "a stall time on a non-stall fault was dropped by ToString";
+  EXPECT_FALSE(FaultPlan::Parse("0:collect:stall@1~0.1234567").ok())
+      << "ToString keeps six significant digits";
+  EXPECT_FALSE(FaultPlan::Parse("0:collect:stall@1~nan").ok());
+  EXPECT_FALSE(FaultPlan::Parse("0:collect:stall@1~inf").ok());
+  EXPECT_FALSE(FaultPlan::Parse("4294967297:dispatch:transient@1").ok())
+      << "the machine index wrapped to 1";
+  EXPECT_EQ(MustParse("0:collect:stall@1~0.123456").ToString(),
+            "0:collect:stall@1~0.123456");
+}
+
 TEST(FaultPlan, ValidateChecksRangesAndSurvivors) {
   EXPECT_TRUE(MustParse("1:dispatch:transient@1").Validate(2).ok());
   // Machine out of range for the cluster size.

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include "test_util.h"
@@ -85,6 +86,22 @@ TEST(TensorIo, NegativeCoordinateFails) {
   std::remove(path.c_str());
 }
 
+TEST(TensorIo, CoordinatePast32BitsFails) {
+  // Each coordinate would wrap to 0 if narrowed to 32 bits; with and
+  // without a header the reader must reject it instead of reading a cell.
+  for (const char* text : {"10 10 10 1\n4294967296 0 0\n",
+                           "0 4294967296 0\n", "0 0 4294967295\n"}) {
+    std::istringstream in(text);
+    EXPECT_EQ(ParseTensorText(in, "text").status().code(),
+              StatusCode::kIoError)
+        << text;
+  }
+  std::istringstream in("4294967294 0 0\n");
+  auto t = ParseTensorText(in, "text");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(t->dim_i(), 4294967295);
+}
+
 TEST(MatrixIo, RoundTrip) {
   auto m = BitMatrix::FromStrings({"0101", "1110", "0000"});
   ASSERT_TRUE(m.ok());
@@ -128,6 +145,33 @@ TEST(MatrixIo, BadCharacterFails) {
   }
   EXPECT_FALSE(ReadMatrixText(path).ok());
   std::remove(path.c_str());
+}
+
+TEST(MatrixIo, HeaderClaimingMoreRowsThanTheFileHoldsFails) {
+  // 16 bytes whose header asks for a 32 GB matrix: rejected before the
+  // reader allocates the shape.
+  const std::string path = TempPath("matrix_huge_header.txt");
+  {
+    std::ofstream out(path);
+    out << "4000000000 64\n0\n";
+  }
+  EXPECT_EQ(ReadMatrixText(path).status().code(), StatusCode::kIoError);
+  std::remove(path.c_str());
+  for (const char* text : {"3 2\n01\n10\n", "1 4294967296\n0\n",
+                           "4294967297 0\n"}) {
+    std::istringstream in(text);
+    EXPECT_EQ(ParseMatrixText(in, "text").status().code(),
+              StatusCode::kIoError)
+        << text;
+  }
+}
+
+TEST(MatrixIo, HeaderOnlyMatrixWithoutNewlineParses) {
+  std::istringstream in("0 5");
+  auto m = ParseMatrixText(in, "text");
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  EXPECT_EQ(m->rows(), 0);
+  EXPECT_EQ(m->cols(), 5);
 }
 
 TEST(MatrixIo, MissingFileFails) {

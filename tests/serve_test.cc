@@ -16,7 +16,6 @@
 #include "common/serde.h"
 #include "dist/cluster.h"
 #include "dist/fault.h"
-#include "dist/placement.h"
 #include "dist/provision.h"
 #include "dist/transport/transport.h"
 #include "dist/transport/wire.h"
@@ -332,13 +331,9 @@ TEST(ServeEngine, PortableAndActiveKernelsAnswerIdentically) {
 
 // --- Shard routing ----------------------------------------------------------
 
-TEST(ServeEngine, QueriesRouteToThePlacementPolicysShardOwner) {
-  // Block placement groups neighbouring shard keys on one machine, which
-  // round-robin never does: keys 0..1 land on machine 0, 2..3 on 1, and so
-  // on, with every key past 7 on the last machine.
+TEST(ServeEngine, QueriesRouteToShardKeyModMachines) {
   constexpr int kMachines = 4;
   ClusterConfig config = InprocConfig(kMachines);
-  config.placement = std::make_shared<BlockPlacement>(8);
   auto cluster = Cluster::Create(config);
   ASSERT_TRUE(cluster.ok());
   std::vector<std::shared_ptr<FakeEndpoint>> fakes;
@@ -355,13 +350,12 @@ TEST(ServeEngine, QueriesRouteToThePlacementPolicysShardOwner) {
 
   // A membership query's shard key is its coordinate sum.
   std::vector<int> expected(kMachines, 0);
-  for (std::int64_t key = 0; key < 12; ++key) {
+  for (std::int64_t key = 0; key < 14; ++key) {
     QueryResponse response;
     ASSERT_TRUE((*engine)->Membership(key, 0, 0, &response).ok());
-    ++expected[static_cast<std::size_t>(config.placement->Place(key,
-                                                                kMachines))];
+    ++expected[static_cast<std::size_t>(key % kMachines)];
   }
-  EXPECT_EQ(expected, (std::vector<int>{2, 2, 2, 6}));
+  EXPECT_EQ(expected, (std::vector<int>{4, 4, 3, 3}));
   for (int m = 0; m < kMachines; ++m) {
     EXPECT_EQ(fakes[static_cast<std::size_t>(m)]->deliveries(
                   MessageKind::kCollect),
@@ -464,6 +458,95 @@ TEST(ServeEngine, UpdatesCommitAtomicallyAndReadsAreNeverTorn) {
     }
   }
   EXPECT_EQ(s.engine->stats().updates_applied, 6);
+}
+
+TEST(ServeEngine, AMachineThatMissesAnUpdateIsCaughtUpBeforeItAnswers) {
+  for (const TransportKind transport :
+       {TransportKind::kInProcess, TransportKind::kSocket}) {
+    SCOPED_TRACE(TransportKindName(transport));
+    ClusterConfig config = InprocConfig(2);
+    config.transport.kind = transport;
+    // Every attempt of machine 1's second broadcast fails: the first update
+    // exhausts its retries there while machine 1 stays attached.
+    config.fault_plan = FaultPlan::Parse("1:broadcast:transient@2x3").value();
+    Serving s = MakeServing(config, 53);
+    Rng rng(10);
+    for (int round = 0; round < 4; ++round) {
+      // Always slot 0, so each update's column delta builds on the last one.
+      std::vector<ServeColumnUpdate> batch(1);
+      batch[0].slot = 0;
+      batch[0].column = static_cast<std::int64_t>(rng.NextBounded(kRank));
+      batch[0].bits.assign(WordsForBits(kDimI), 0);
+      batch[0].bits[0] = rng.NextUint64() & ((BitWord{1} << kDimI) - 1);
+      ASSERT_TRUE(s.engine->ApplyUpdate(batch).ok()) << "round " << round;
+      const std::array<std::uint64_t, 3> committed = s.engine->generations();
+      // Coordinate sums 0..19 cover both machines' shards.
+      for (std::int64_t i = 0; i < kDimI; ++i) {
+        QueryResponse response;
+        ASSERT_TRUE(s.engine->Membership(i, 0, 0, &response).ok());
+        EXPECT_EQ(response.generations,
+                  (std::vector<std::uint64_t>(committed.begin(),
+                                              committed.end())))
+            << "round " << round << ", cell " << i;
+        EXPECT_EQ(response.explain_mask, OracleExplain(*s.engine, i, 0, 0))
+            << "round " << round << ", cell " << i;
+      }
+    }
+    EXPECT_EQ(s.engine->stats().updates_applied, 4);
+    EXPECT_EQ(s.engine->stats().failovers, 0);
+    s.cluster->DetachWorkers();
+  }
+}
+
+TEST(ServeEngine, AFailedUpdateCommitsNothingAndRollsEveryMachineBack) {
+  constexpr int kMachines = 2;
+  auto cluster = Cluster::Create(InprocConfig(kMachines));
+  ASSERT_TRUE(cluster.ok());
+  std::vector<std::shared_ptr<FakeEndpoint>> fakes;
+  for (int m = 0; m < kMachines; ++m) {
+    fakes.push_back(std::make_shared<FakeEndpoint>(m));
+    ASSERT_TRUE((*cluster)->AttachEndpoint(m, fakes.back()).ok());
+  }
+  Rng rng(72);
+  auto engine = ServeEngine::Create(
+      cluster->get(), RandomFactor(&rng, kDimI, kRank),
+      RandomFactor(&rng, kDimJ, kRank), RandomFactor(&rng, kDimK, kRank));
+  ASSERT_TRUE(engine.ok());
+  ServeEngine& e = **engine;
+  ASSERT_TRUE(e.Load().ok());
+  const std::array<std::uint64_t, 3> before = e.generations();
+  const BitMatrix a_before = e.factor(0);
+
+  // Machine 1 refuses the update for good; machine 0 takes it, so it is
+  // ahead of a batch that cannot commit.
+  fakes[1]->Fail(MessageKind::kBroadcast, Status::Internal("disk on fire"));
+  std::vector<ServeColumnUpdate> batch(1);
+  batch[0].slot = 0;
+  batch[0].column = 1;
+  batch[0].bits.assign(WordsForBits(kDimI), 0);
+  for (std::int64_t r = 0; r < kDimI; ++r) {
+    if (!a_before.Get(r, 1)) batch[0].bits[0] |= BitWord{1} << r;
+  }
+  EXPECT_EQ(e.ApplyUpdate(batch).code(), StatusCode::kInternal);
+  EXPECT_EQ(e.generations(), before);
+  EXPECT_EQ(e.factor(0), a_before) << "the driver copy rolls back";
+  EXPECT_EQ(e.stats().updates_applied, 0);
+  // Load, the update, then the catch-up at the committed generations.
+  EXPECT_EQ(fakes[0]->deliveries(MessageKind::kBroadcast), 3);
+  QueryResponse response;
+  ASSERT_TRUE(e.Membership(0, 0, 0, &response).ok());  // key 0: machine 0
+  EXPECT_EQ(response.generations,
+            (std::vector<std::uint64_t>(before.begin(), before.end())))
+      << "machine 0 was rolled back to the committed triple";
+  EXPECT_EQ(fakes[0]->deliveries(MessageKind::kCollect), 1)
+      << "answered at the committed triple on the first ask";
+
+  // Once machine 1 accepts broadcasts again, the same batch commits.
+  fakes[1]->Fail(MessageKind::kBroadcast, Status::OK());
+  ASSERT_TRUE(e.ApplyUpdate(batch).ok());
+  EXPECT_NE(e.generations()[0], before[0]);
+  EXPECT_EQ(e.generations()[1], before[1]);
+  (*cluster)->DetachWorkers();
 }
 
 TEST(ServeEngine, RejectedUpdatesLeaveStateUntouched) {

@@ -135,18 +135,19 @@ std::unique_ptr<Cluster> StartCluster(const Problem& p, const HandlerCase& hc,
                                p.unfolding.shape())
                     .ok());
   }
-  FactorDelta broadcast;
-  broadcast.mode = Mode::kOne;
-  broadcast.rows = p.factor.rows();
-  broadcast.mf_slot = kMfSlot;
-  broadcast.ms_slot = kMsSlot;
-  broadcast.cache_group_size = hc.v;
-  broadcast.enable_caching = hc.caching;
-  broadcast.updates.push_back(
-      MatrixDelta::Full(kMfSlot, NextFactorGeneration(), p.mf));
-  broadcast.updates.push_back(
-      MatrixDelta::Full(kMsSlot, NextFactorGeneration(), p.ms));
-  EXPECT_TRUE(cluster->BroadcastFactors(broadcast).ok());
+  // A fresh planner ships both operands in full at new generations.
+  DbtfConfig dbtf_config;
+  dbtf_config.cache_group_size = hc.v;
+  dbtf_config.enable_caching = hc.caching;
+  FactorRoles roles;
+  roles.mf_slot = kMfSlot;
+  roles.ms_slot = kMsSlot;
+  FactorBroadcastState broadcast;
+  EXPECT_TRUE(cluster
+                  ->BroadcastFactors(broadcast.Plan(roles, Mode::kOne,
+                                                    p.factor.rows(), p.mf,
+                                                    p.ms, dbtf_config))
+                  .ok());
   return cluster;
 }
 

@@ -58,16 +58,9 @@ recovery-stats-mutation, filesystem-write, transport-syscalls and
 async-seam. Each confines a token pattern to the files that own its seam;
 the SEAMS table below gives the owners, DESIGN.md the reasons.
 
-Backends:
-  internal   a built-in C++ lexer + structural parser; no dependencies
-             beyond the standard library. Always available; implements all
-             rules.
-  libclang   when python3 clang bindings (clang.cindex) and a libclang
-             shared object are installed, the discarded-status rule is
-             re-derived from the real clang AST over the exported
-             compile_commands.json, which sees through typedefs and
-             template instantiation. Missing bindings degrade to the
-             internal backend with a note — never to a weaker check.
+The whole analysis is a built-in C++ lexer + structural parser with no
+dependencies beyond the standard library, so every host and CI runs the
+same check.
 
 Suppression: a line may opt out of one rule with a trailing
 `// analyze-ignore(<rule>): reason` comment. Suppressions are deliberate
@@ -1488,76 +1481,6 @@ def check_seams(files: list[SourceFile], rules: list[str]) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# libclang backend (optional; replaces the internal discarded-status pass)
-# ---------------------------------------------------------------------------
-
-def try_libclang_discarded(root: Path, compdb_dir: Path) -> \
-        list[Finding] | None:
-    """Re-derives the discarded-status rule from the clang AST when the
-    python bindings and a libclang shared object are installed. Returns None
-    (degrade to the internal backend) when anything is missing — never a
-    weaker check."""
-    try:
-        from clang import cindex  # type: ignore
-    except Exception:
-        return None
-    try:
-        index = cindex.Index.create()
-        compdb = cindex.CompilationDatabase.fromDirectory(str(compdb_dir))
-    except Exception:
-        return None
-
-    findings: list[Finding] = []
-    try:
-        commands = list(compdb.getAllCompileCommands())
-        for cmd in commands:
-            path = Path(cmd.filename)
-            try:
-                rel = path.resolve().relative_to(root.resolve()).as_posix()
-            except ValueError:
-                continue
-            if not rel.startswith(("src/", "tests/")):
-                continue
-            args = [a for a in list(cmd.arguments)[1:]
-                    if a not in (str(path), "-c", "-o")]
-            # Drop the object-file operand the '-o' used to take.
-            cleaned = []
-            skip = False
-            for a in args:
-                if skip:
-                    skip = False
-                    continue
-                if a == "-o":
-                    skip = True
-                    continue
-                cleaned.append(a)
-            tu = index.parse(str(path), args=cleaned)
-            for cursor in tu.cursor.walk_preorder():
-                if cursor.kind != cindex.CursorKind.CALL_EXPR:
-                    continue
-                if cursor.location.file is None or \
-                        Path(str(cursor.location.file)) != path:
-                    continue
-                rtype = cursor.type.spelling
-                if not (rtype.endswith("Status")
-                        or "Result<" in rtype):
-                    continue
-                parent = cursor.semantic_parent
-                # Heuristic parent check: clang exposes unused results via
-                # -Wunused-result diagnostics; collect those instead.
-            for diag in tu.diagnostics:
-                if "ignoring return value" in diag.spelling and \
-                        diag.location.file is not None and \
-                        Path(str(diag.location.file)) == path:
-                    findings.append(Finding(
-                        rel, diag.location.line, "discarded-status",
-                        "clang AST: " + diag.spelling))
-    except Exception:
-        return None
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -1578,33 +1501,14 @@ def load_files(root: Path) -> list[SourceFile]:
     return files
 
 
-def analyze(root: Path, rules: list[str], backend: str) -> list[Finding]:
+def analyze(root: Path, rules: list[str]) -> list[Finding]:
     files = load_files(root)
     by_rel = {sf.rel: sf for sf in files}
     findings: list[Finding] = []
 
     if "discarded-status" in rules:
-        clang_findings = None
-        if backend in ("auto", "libclang"):
-            compdb = root / "build"
-            if (compdb / "compile_commands.json").is_file():
-                clang_findings = try_libclang_discarded(root, compdb)
-            if clang_findings is None and backend == "libclang":
-                print("dbtf_analyze: libclang backend requested but "
-                      "clang.cindex/libclang is unavailable", file=sys.stderr)
-                raise SystemExit(2)
         status_names = collect_status_returning(files)
-        internal = check_discarded_status(files, status_names)
-        if clang_findings is not None:
-            # The AST pass is authoritative where it ran; keep internal
-            # findings too (macros/templates clang may have folded away),
-            # deduplicated by site.
-            seen = {(f.path, f.line) for f in internal}
-            findings.extend(internal)
-            findings.extend(f for f in clang_findings
-                            if (f.path, f.line) not in seen)
-        else:
-            findings.extend(internal)
+        findings.extend(check_discarded_status(files, status_names))
     if "lock-order" in rules:
         findings.extend(check_lock_order(files, LOCK_ORDER_PREFIXES))
     if "ckpt-coverage" in rules:
@@ -1627,12 +1531,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--rule", action="append", choices=RULES, dest="rules",
         help="run only the named rule (repeatable; default: all)")
-    parser.add_argument(
-        "--backend", choices=("auto", "internal", "libclang"),
-        default="auto",
-        help="auto: libclang for discarded-status when importable, internal "
-             "otherwise; internal: never touch libclang; libclang: require "
-             "it (exit 2 when missing)")
     args = parser.parse_args(argv)
 
     root = args.root.resolve()
@@ -1640,7 +1538,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"dbtf_analyze: no src/ under {root}", file=sys.stderr)
         return 2
     rules = args.rules or list(RULES)
-    findings = analyze(root, rules, args.backend)
+    findings = analyze(root, rules)
     for finding in sorted(findings, key=lambda f: (f.path, f.line, f.rule)):
         print(finding.render())
     if findings:

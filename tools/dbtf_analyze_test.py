@@ -20,8 +20,7 @@ REPO = Path(__file__).resolve().parent.parent
 def run(case: str, rules: list[str] | None = None) -> list:
     root = FIXTURES / case
     assert (root / "src").is_dir(), f"missing fixture {case}"
-    return dbtf_analyze.analyze(root, rules or list(dbtf_analyze.RULES),
-                                backend="internal")
+    return dbtf_analyze.analyze(root, rules or list(dbtf_analyze.RULES))
 
 
 def rules_in(findings: list) -> set[str]:
@@ -271,8 +270,7 @@ class SeamFixtureTest(unittest.TestCase):
 
 class RepoTest(unittest.TestCase):
     def test_repo_tree_is_clean(self):
-        findings = dbtf_analyze.analyze(REPO, list(dbtf_analyze.RULES),
-                                        backend="internal")
+        findings = dbtf_analyze.analyze(REPO, list(dbtf_analyze.RULES))
         self.assertEqual([f.render() for f in findings], [])
 
     def test_repo_rules_engage(self):
@@ -359,15 +357,13 @@ class RepoTest(unittest.TestCase):
 
     def test_cli_exit_codes(self):
         self.assertEqual(dbtf_analyze.main(
-            ["--root", str(FIXTURES / "clean"), "--backend", "internal"]), 0)
+            ["--root", str(FIXTURES / "clean")]), 0)
         self.assertEqual(dbtf_analyze.main(
-            ["--root", str(FIXTURES / "discarded_status"),
-             "--backend", "internal"]), 1)
+            ["--root", str(FIXTURES / "discarded_status")]), 1)
         self.assertEqual(dbtf_analyze.main(
             ["--root", str(FIXTURES / "worker_include"),
-             "--rule", "worker-include", "--backend", "internal"]), 1)
-        self.assertEqual(dbtf_analyze.main(
-            ["--root", str(FIXTURES), "--backend", "internal"]), 2)
+             "--rule", "worker-include"]), 1)
+        self.assertEqual(dbtf_analyze.main(["--root", str(FIXTURES)]), 2)
 
     def test_rule_filter(self):
         findings = run("discarded_status", rules=["lock-order"])
