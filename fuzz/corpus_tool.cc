@@ -225,6 +225,22 @@ bool WriteWireFrameSeeds(const std::string& dir) {
     ok = WriteFile(dir + "/reply_query.bin",
                    Frame(WireKind::kReply, w)) && ok;
   }
+  {
+    // Streams for the FrameReader mode: two frames back to back, and a
+    // frame followed by one cut off inside its CRC.
+    ByteWriter list;
+    EncodeListPartitionsRequest(Mode::kTwo, &list);
+    std::vector<std::uint8_t> stream = Frame(WireKind::kListPartitions, list);
+    WireReply reply;
+    reply.status = Status::NotFound("no partition");
+    ByteWriter w;
+    EncodeReply(reply, &w);
+    const std::vector<std::uint8_t> second = Frame(WireKind::kReply, w);
+    stream.insert(stream.end(), second.begin(), second.end());
+    ok = WriteFile(dir + "/stream_two_frames.bin", stream) && ok;
+    stream.resize(stream.size() - 2);
+    ok = WriteFile(dir + "/stream_cut_second_frame.bin", stream) && ok;
+  }
   return ok;
 }
 

@@ -8,18 +8,29 @@
 // re-encoding, aborting on failure: encode -> decode -> encode must be a
 // fixed point (the byte-stability the transport documents).
 //
+// Every input is also read as a stream: the bytes go through the socket
+// transport's FrameReader in pseudo-random chunks, with a pseudo-random
+// buffer size, both drawn from a hash of the input (so a replay is exact).
+// The reader must agree with DecodeFrame: each frame it yields is what
+// DecodeFrame makes of exactly those bytes, it fails only where DecodeFrame
+// rejects the rest of the stream as a frame, and it ends cleanly only at the
+// end of the input.
+//
 // Build modes: a real libFuzzer binary under clang (-fsanitize=fuzzer);
 // under GCC the same TestOneInput links against replay_main.cc and replays
 // the committed corpus + crash regressions as a ctest case.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "common/serde.h"
 #include "common/status.h"
 #include "dist/messages.h"
+#include "dist/transport/socket.h"
 #include "dist/transport/wire.h"
 
 namespace {
@@ -116,6 +127,72 @@ void DecodePayload(dbtf::WireKind kind,
   }
 }
 
+/// xorshift64 over a FNV-1a hash of the input: the stream mode's chunk and
+/// buffer sizes.
+class InputRng {
+ public:
+  explicit InputRng(const std::vector<std::uint8_t>& bytes) {
+    for (const std::uint8_t b : bytes) {
+      state_ = (state_ ^ b) * 0x100000001b3ULL;
+    }
+    state_ |= 1;
+  }
+  std::uint64_t Next() {
+    state_ ^= state_ << 13;
+    state_ ^= state_ >> 7;
+    state_ ^= state_ << 17;
+    return state_;
+  }
+
+ private:
+  std::uint64_t state_ = 0xcbf29ce484222325ULL;
+};
+
+void ReadAsStream(const std::vector<std::uint8_t>& bytes) {
+  InputRng rng(bytes);
+  const std::size_t buffer_bytes = std::size_t{16} << (rng.Next() % 13);
+  std::size_t offset = 0;
+  dbtf::FrameReader reader(
+      [&bytes, &offset, &rng](std::uint8_t* data, std::size_t size)
+          -> dbtf::Result<std::size_t> {
+        std::size_t chunk = bytes.size() - offset;
+        if (rng.Next() % 4 != 0) {
+          chunk = std::min<std::size_t>(chunk, 1 + rng.Next() % 64);
+        }
+        chunk = std::min(chunk, size);
+        if (chunk > 0) std::memcpy(data, bytes.data() + offset, chunk);
+        offset += chunk;
+        return chunk;
+      },
+      buffer_bytes);
+  std::size_t consumed = 0;  // bytes of the frames read so far
+  for (;;) {
+    auto read = reader.Next();
+    if (!read.ok()) {
+      const std::vector<std::uint8_t> rest(
+          bytes.begin() + static_cast<std::ptrdiff_t>(consumed), bytes.end());
+      Require(!dbtf::DecodeFrame(rest).ok());
+      return;
+    }
+    if (read.value().eof) {
+      Require(consumed == bytes.size());
+      return;
+    }
+    const dbtf::WireFrame& frame = read.value().frame;
+    const std::size_t size =
+        dbtf::kFrameHeaderBytes + frame.payload.size() + dbtf::kFrameCrcBytes;
+    Require(size <= bytes.size() - consumed);
+    const auto begin =
+        bytes.begin() + static_cast<std::ptrdiff_t>(consumed);
+    auto direct = dbtf::DecodeFrame(std::vector<std::uint8_t>(
+        begin, begin + static_cast<std::ptrdiff_t>(size)));
+    Require(direct.ok());
+    Require(direct.value().kind == frame.kind);
+    Require(direct.value().payload == frame.payload);
+    consumed += size;
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
@@ -130,5 +207,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   if (frame.ok()) {
     DecodePayload(frame.value().kind, frame.value().payload);
   }
+  ReadAsStream(bytes);
   return 0;
 }

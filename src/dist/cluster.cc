@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
+#include <numeric>
 #include <thread>
 #include <utility>
 
 #include "common/check.h"
 #include "common/logging.h"
+#include "dist/transport/wire.h"
 
 namespace dbtf {
 
@@ -120,10 +123,12 @@ Status Cluster::BroadcastFactors(FactorDelta msg) {
   // broadcast, whether or not a delivery later fails (the bytes left the
   // driver either way).
   ChargeBroadcast(msg.WireBytes());
-  return FanOut(workers, MessageKind::kBroadcast,
-                [&msg](std::size_t, WorkerEndpoint& endpoint, double* seconds) {
-                  return endpoint.Deliver(msg, seconds);
-                });
+  return FanOut(
+      workers, MessageKind::kBroadcast,
+      [&msg](std::size_t, WorkerEndpoint& endpoint, double* seconds) {
+        return endpoint.Deliver(msg, seconds);
+      },
+      [&msg] { return EncodeFactorDeltaFrame(msg); }, nullptr);
 }
 
 Status Cluster::RunColumn(RunUpdateColumn run, const CollectErrorsRequest& req,
@@ -144,7 +149,8 @@ Status Cluster::RunColumn(RunUpdateColumn run, const CollectErrorsRequest& req,
       [&run, &req, &replies](std::size_t slot, WorkerEndpoint& endpoint,
                              double* seconds) {
         return endpoint.RunColumn(run, req, &replies[slot], seconds);
-      }));
+      },
+      [&run, &req] { return EncodeRunColumnFrame(run, req); }, &replies));
   // One collect event for the whole column (Lemma 7): the exact encoded
   // size of every machine's reply.
   std::int64_t wire_bytes = 0;
@@ -175,11 +181,11 @@ Status Cluster::QueryWorker(int machine, QueryRequest msg,
   // one dispatch, so query replies are the only collect traffic, and the
   // checkpointed counter layout (machine * 3 + kind) stays unchanged. The
   // delivery runs right here on the calling thread.
-  DBTF_RETURN_IF_ERROR(DeliverWithRetry(
-      machine, MessageKind::kCollect,
-      [&endpoint, &msg, response](double* seconds) {
-        return endpoint->Query(msg, response, seconds);
-      }));
+  DBTF_RETURN_IF_ERROR(
+      MachineDelivery(*this, machine, MessageKind::kCollect)
+          .Run([&endpoint, &msg, response](double* seconds) {
+            return endpoint->Query(msg, response, seconds);
+          }));
   // One query event for the round trip, charged only on success — a failed
   // query charges nothing, like a failed collect.
   ChargeQuery(msg.WireBytes() + response->WireBytes());
@@ -187,18 +193,67 @@ Status Cluster::QueryWorker(int machine, QueryRequest msg,
 }
 
 Status Cluster::FanOut(const std::vector<AttachedWorker>& workers,
-                       MessageKind kind, const SlotHandler& handler) {
+                       MessageKind kind, const SlotHandler& handler,
+                       const std::function<std::vector<std::uint8_t>()>& frame,
+                       std::vector<CollectErrorsResponse>* replies) {
   std::vector<Status> statuses(workers.size());
-  pool_->ParallelFor(
-      static_cast<std::int64_t>(workers.size()),
-      [this, &workers, kind, &handler, &statuses](std::int64_t i) {
-        const auto slot = static_cast<std::size_t>(i);
-        const AttachedWorker& w = workers[slot];
-        statuses[slot] = DeliverWithRetry(
-            w.machine, kind, [&handler, &w, slot](double* seconds) {
-              return handler(slot, *w.endpoint, seconds);
-            });
+  const bool posted =
+      std::all_of(workers.begin(), workers.end(), [](const AttachedWorker& w) {
+        return w.endpoint->PostsFrames();
       });
+  if (posted) {
+    // Every machine's frame is on the wire before any reply is read, so
+    // the workers compute while the driver waits on the first reply. The
+    // frame is encoded once. Deliveries open in machine order, the one
+    // order any thread takes several delivery locks in, and each machine's
+    // lock is held from its send to its final reply.
+    const std::vector<std::uint8_t> bytes = frame();
+    std::vector<std::size_t> order(workers.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(),
+              [&workers](std::size_t a, std::size_t b) {
+                return workers[a].machine < workers[b].machine;
+              });
+    std::deque<MachineDelivery> deliveries;  // open ones, in machine order
+    std::vector<bool> sent(workers.size(), false);
+    for (const std::size_t slot : order) {
+      MachineDelivery& delivery =
+          deliveries.emplace_back(*this, workers[slot].machine, kind);
+      if (!delivery.Begin()) continue;
+      const Status status = workers[slot].endpoint->SendFrame(bytes);
+      sent[slot] = status.ok();
+      if (!status.ok()) delivery.End(status, 0.0);
+    }
+    for (const std::size_t slot : order) {
+      WorkerEndpoint& endpoint = *workers[slot].endpoint;
+      CollectErrorsResponse* reply =
+          replies == nullptr ? nullptr : &(*replies)[slot];
+      MachineDelivery& delivery = deliveries.front();
+      if (sent[slot]) {
+        double seconds = 0.0;
+        const Status status = endpoint.ReceiveReply(reply, &seconds);
+        delivery.End(status, seconds);
+      }
+      // A machine whose attempt failed retries alone, one whole exchange
+      // per attempt.
+      statuses[slot] = delivery.Run([&endpoint, &bytes, reply](double* s) {
+        DBTF_RETURN_IF_ERROR(endpoint.SendFrame(bytes));
+        return endpoint.ReceiveReply(reply, s);
+      });
+      deliveries.pop_front();  // releases the machine's delivery lock
+    }
+  } else {
+    pool_->ParallelFor(
+        static_cast<std::int64_t>(workers.size()),
+        [this, &workers, kind, &handler, &statuses](std::int64_t i) {
+          const auto slot = static_cast<std::size_t>(i);
+          const AttachedWorker& w = workers[slot];
+          statuses[slot] = MachineDelivery(*this, w.machine, kind)
+                               .Run([&handler, &w, slot](double* seconds) {
+                                 return handler(slot, *w.endpoint, seconds);
+                               });
+        });
+  }
   for (const Status& status : statuses) {
     if (!status.ok() && !IsRetryable(status.code())) return status;
   }
@@ -208,78 +263,112 @@ Status Cluster::FanOut(const std::vector<AttachedWorker>& workers,
   return Status::OK();
 }
 
-Status Cluster::DeliverWithRetry(
-    int machine, MessageKind kind,
-    const std::function<Status(double*)>& handler) {
+Cluster::MachineDelivery::MachineDelivery(Cluster& cluster, int machine,
+                                          MessageKind kind)
+    : cluster_(cluster),
+      machine_(machine),
+      kind_(kind),
+      backoff_(cluster.config_.retry.backoff_seconds) {
   // One delivery per machine at a time, across all routing threads. Every
   // charge below takes mu_ while this is held, never the other way round.
-  MutexLock delivery(delivery_locks_[static_cast<std::size_t>(machine)]);
-  bool dead = false;
-  {
-    MutexLock lock(mu_);
-    dead = dead_[static_cast<std::size_t>(machine)];
-  }
-  if (dead) {
+  lock_.emplace(cluster.delivery_locks_[static_cast<std::size_t>(machine)]);
+  if (cluster.IsDead(machine)) {
     // Dead is dead: a delivery from a registry snapshot taken before the
     // machine was lost fails here, before the fault injector counts it.
-    recovery_.RecordFailedDelivery();
-    return Status::Unavailable("machine " + std::to_string(machine) +
-                               " is dead");
+    cluster.recovery_.RecordFailedDelivery();
+    done_ = true;
+    status_ = Status::Unavailable("machine " + std::to_string(machine) +
+                                  " is dead");
   }
-  const RetryPolicy& retry = config_.retry;
-  double backoff = retry.backoff_seconds;
-  Status last = Status::OK();
-  for (int a = 1; a <= retry.max_attempts; ++a) {
-    if (a > 1) {
-      // Exponential backoff before every redelivery, charged as virtual
-      // driver time — the driver sits on the retry, the cluster does not
-      // wall-clock sleep.
-      ChargeDriverSeconds(backoff);
-      recovery_.RecordRetry(backoff);
-      backoff *= retry.backoff_multiplier;
-    }
-    Status status = Status::OK();
-    if (injector_ != nullptr) {
-      const FaultInjector::Outcome outcome = injector_->OnDelivery(machine, kind);
-      if (outcome.machine_lost) {
-        MarkMachineLost(machine);
-        recovery_.RecordFailedDelivery();
-        return outcome.status;  // permanent: retrying this endpoint is futile
-      }
-      if (outcome.stall_seconds > 0.0) {
-        // A stall costs virtual time whether or not the delivery survives it.
-        ChargeCompute(machine, outcome.stall_seconds);
-        recovery_.RecordStall(outcome.stall_seconds);
-        if (outcome.stall_seconds > retry.message_deadline_seconds) {
-          status = Status::DeadlineExceeded(
-              "delivery to machine " + std::to_string(machine) +
-              " stalled past the message deadline");
-        }
-      }
-      if (status.ok()) status = outcome.status;
-    }
-    if (status.ok()) {
-      double seconds = 0.0;
-      status = handler(&seconds);
-      ChargeCompute(machine, seconds);
-    }
-    if (status.code() == StatusCode::kIoError) {
-      // A transport failure (dead worker process, closed socket, corrupt
-      // frame) is indistinguishable from a crashed machine: mark it lost so
-      // routing skips it and the driver's recovery path re-provisions its
-      // partitions, exactly as for an injected crash.
-      MarkMachineLost(machine);
-      recovery_.RecordFailedDelivery();
-      return Status::Unavailable("machine " + std::to_string(machine) +
-                                 " lost: " + status.ToString());
-    }
-    if (status.ok() || !IsRetryable(status.code())) return status;
-    recovery_.RecordFailedDelivery();
-    last = status;
+}
+
+bool Cluster::MachineDelivery::Begin() {
+  if (done_) return false;
+  const RetryPolicy& retry = cluster_.config_.retry;
+  if (attempts_ > 0) {
+    // Exponential backoff before every redelivery, charged as virtual
+    // driver time — the driver sits on the retry, the cluster does not
+    // wall-clock sleep.
+    cluster_.ChargeDriverSeconds(backoff_);
+    cluster_.recovery_.RecordRetry(backoff_);
+    backoff_ *= retry.backoff_multiplier;
   }
-  return Status::Unavailable(
-      "retry budget exhausted after " + std::to_string(retry.max_attempts) +
-      " attempts (" + last.ToString() + ")");
+  ++attempts_;
+  if (cluster_.injector_ == nullptr) return true;
+  const FaultInjector::Outcome outcome =
+      cluster_.injector_->OnDelivery(machine_, kind_);
+  if (outcome.machine_lost) {
+    cluster_.MarkMachineLost(machine_);
+    cluster_.recovery_.RecordFailedDelivery();
+    done_ = true;
+    status_ = outcome.status;  // permanent: retrying this endpoint is futile
+    return false;
+  }
+  Status status = Status::OK();
+  if (outcome.stall_seconds > 0.0) {
+    // A stall costs virtual time whether or not the delivery survives it.
+    cluster_.ChargeCompute(machine_, outcome.stall_seconds);
+    cluster_.recovery_.RecordStall(outcome.stall_seconds);
+    if (outcome.stall_seconds > retry.message_deadline_seconds) {
+      status = Status::DeadlineExceeded(
+          "delivery to machine " + std::to_string(machine_) +
+          " stalled past the message deadline");
+    }
+  }
+  if (status.ok()) status = outcome.status;
+  if (status.ok()) return true;
+  Classify(status);
+  return false;
+}
+
+void Cluster::MachineDelivery::End(const Status& status,
+                                   double compute_seconds) {
+  cluster_.ChargeCompute(machine_, compute_seconds);
+  Classify(status);
+}
+
+Status Cluster::MachineDelivery::Run(
+    const std::function<Status(double*)>& call) {
+  while (!done_) {
+    if (!Begin()) continue;
+    double seconds = 0.0;
+    const Status status = call(&seconds);
+    End(status, seconds);
+  }
+  return status_;
+}
+
+void Cluster::MachineDelivery::Classify(const Status& status) {
+  if (status.code() == StatusCode::kIoError) {
+    // A transport failure (dead worker process, closed socket, corrupt
+    // frame) is indistinguishable from a crashed machine: mark it lost so
+    // routing skips it and the driver's recovery path re-provisions its
+    // partitions, exactly as for an injected crash.
+    cluster_.MarkMachineLost(machine_);
+    cluster_.recovery_.RecordFailedDelivery();
+    done_ = true;
+    status_ = Status::Unavailable("machine " + std::to_string(machine_) +
+                                  " lost: " + status.ToString());
+    return;
+  }
+  if (status.ok() || !IsRetryable(status.code())) {
+    done_ = true;
+    status_ = status;
+    return;
+  }
+  cluster_.recovery_.RecordFailedDelivery();
+  const int max_attempts = cluster_.config_.retry.max_attempts;
+  if (attempts_ >= max_attempts) {
+    done_ = true;
+    status_ = Status::Unavailable(
+        "retry budget exhausted after " + std::to_string(max_attempts) +
+        " attempts (" + status.ToString() + ")");
+  }
+}
+
+bool Cluster::IsDead(int machine) const {
+  MutexLock lock(mu_);
+  return dead_[static_cast<std::size_t>(machine)];
 }
 
 std::vector<int> Cluster::DeadMachines() const {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/mutex.h"
@@ -49,9 +50,11 @@ struct ClusterConfig {
 
 /// In-process stand-in for the Spark cluster the paper runs on.
 ///
-/// Handlers execute for real, fan-outs in parallel on a thread pool (so
-/// results are exact), while a deterministic *virtual clock* per machine
-/// records the CPU time each handler consumed. The virtual makespan
+/// Handlers execute for real (so results are exact): in-process fan-outs in
+/// parallel on a thread pool, socket fan-outs as one frame posted to every
+/// worker process before any reply is read. A deterministic *virtual clock*
+/// per machine records the CPU time each handler consumed. The virtual
+/// makespan
 ///     max_m(compute time of machine m) + driver/network time
 /// is what a real M-machine cluster would take, and is what the machine-
 /// scalability experiment (paper Fig. 7) reports. On a single-core host the
@@ -118,14 +121,14 @@ class Cluster {
   //
   // Each routing call takes a wire message from dist/messages.h, makes one
   // delivery per target machine, and returns only when every delivery has
-  // completed. Fan-outs run their deliveries on the pool, a query runs on
-  // the calling thread, and every delivery holds its machine's delivery lock
-  // from first attempt to last. So a worker's handlers are never invoked
-  // concurrently, even when several threads route at once (serving reads
-  // racing a broadcast), and because the calls block, each machine sees its
-  // deliveries in call order: the FaultInjector's per-(machine,
-  // message-kind) counters advance in that order, which is the determinism
-  // anchor.
+  // completed. In-process fan-outs run their deliveries on the pool; socket
+  // fan-outs and queries run on the calling thread, and every delivery holds
+  // its machine's delivery lock from first attempt to last. So a worker's
+  // handlers are never invoked concurrently, even when several threads
+  // route at once (serving reads racing a broadcast), and because the calls
+  // block, each machine sees its deliveries in call order: the
+  // FaultInjector's per-(machine, message-kind) counters advance in that
+  // order, which is the determinism anchor.
   //
   // Every delivery goes through the retry policy in `config().retry`:
   // retryable failures (IsRetryable — kUnavailable, kDeadlineExceeded) are
@@ -295,25 +298,69 @@ class Cluster {
   Result<std::vector<AttachedWorker>> RoutingSnapshot() const
       DBTF_EXCLUDES(mu_);
 
-  /// Delivers one `kind` message to every endpoint of `workers` in parallel
-  /// on the pool, each through DeliverWithRetry, and returns once all have
-  /// run. Per-machine statuses are combined deterministically: fatal codes
+  /// Delivers one `kind` message to every endpoint of `workers`, each as a
+  /// MachineDelivery, and returns once all have settled. When every
+  /// endpoint PostsFrames() (sockets), the calling thread encodes `frame()`
+  /// once, sends it to every machine in machine order, then reads the
+  /// replies in that order, decoding machine `slot`'s column reply into
+  /// (*replies)[slot] when `replies` is non-null; a machine whose attempt
+  /// failed retries alone, the others' replies are kept. Otherwise each
+  /// endpoint runs `handler` on the pool, where the handler is the compute.
+  /// Per-machine statuses are combined deterministically: fatal codes
   /// outrank retryable ones and ties break by snapshot (attach) order —
   /// never by thread interleaving, which would make the surfaced error (and
   /// hence the recovery path taken by the driver) depend on scheduling.
   Status FanOut(const std::vector<AttachedWorker>& workers, MessageKind kind,
-                const SlotHandler& handler) DBTF_EXCLUDES(mu_);
-
-  /// Runs one delivery to `machine` through the fault injector and the retry
-  /// policy, holding the machine's delivery lock across every attempt. A
-  /// dead machine is refused under that lock, before the injector is
-  /// consulted, so its fault counters never advance again.
-  /// `handler` invokes the endpoint and adds the worker CPU seconds it
-  /// consumed into its argument, which are charged to the machine's clock;
-  /// it runs at most once per attempt and never after a crash.
-  Status DeliverWithRetry(int machine, MessageKind kind,
-                          const std::function<Status(double*)>& handler)
+                const SlotHandler& handler,
+                const std::function<std::vector<std::uint8_t>()>& frame,
+                std::vector<CollectErrorsResponse>* replies)
       DBTF_EXCLUDES(mu_);
+
+  /// One delivery to one machine under the fault injector and the retry
+  /// policy: the single place those rules live, shared by both fan-out forms
+  /// and QueryWorker. Constructing it takes the machine's delivery lock,
+  /// held until it is destroyed, and refuses a dead machine under that lock
+  /// before the injector is consulted, so a dead machine's fault counters
+  /// never advance again. Each attempt is Begin() (backoff before a
+  /// redelivery, then the injector); when Begin() returns true, one call of
+  /// the endpoint; then End() with the call's status and the worker CPU
+  /// seconds it reported, which are charged to the machine's clock. An
+  /// attempt the injector fails never reaches the endpoint.
+  class MachineDelivery {
+   public:
+    MachineDelivery(Cluster& cluster, int machine, MessageKind kind);
+    MachineDelivery(const MachineDelivery&) = delete;
+    MachineDelivery& operator=(const MachineDelivery&) = delete;
+
+    /// Opens the next attempt. False when the delivery is done or the
+    /// injector failed this attempt (already classified by then).
+    bool Begin();
+    /// Closes the open attempt with the endpoint's result.
+    void End(const Status& status, double compute_seconds);
+    /// Runs attempts of `call` until the delivery is done; returns its
+    /// status. `call` invokes the endpoint and adds the worker CPU seconds
+    /// it consumed into its argument.
+    Status Run(const std::function<Status(double*)>& call);
+
+   private:
+    /// Decides what a failed or successful attempt means: done, or retry.
+    void Classify(const Status& status);
+
+    Cluster& cluster_;
+    const int machine_;
+    const MessageKind kind_;
+    /// The machine's delivery lock. Held through std::optional so its
+    /// lifetime is this object's, which may outlive a lexical scope (the
+    /// posted fan-out keeps one delivery per machine open at once).
+    std::optional<MutexLock> lock_;
+    int attempts_ = 0;
+    double backoff_ = 0.0;
+    bool done_ = false;
+    Status status_;
+  };
+
+  /// Whether `machine` has been lost.
+  bool IsDead(int machine) const DBTF_EXCLUDES(mu_);
 
   /// Marks `machine` permanently dead and detaches its endpoint. Idempotent.
   void MarkMachineLost(int machine) DBTF_EXCLUDES(mu_);
@@ -338,12 +385,12 @@ class Cluster {
   std::vector<double> machine_seconds_ DBTF_GUARDED_BY(mu_);
   double driver_seconds_ DBTF_GUARDED_BY(mu_) = 0.0;
 
-  /// One delivery lock per machine (index = machine), held by
-  /// DeliverWithRetry: a machine has at most one delivery in flight, which
+  /// One delivery lock per machine (index = machine), held by a
+  /// MachineDelivery: a machine has at most one delivery in flight, which
   /// keeps Worker mutex-free and gives each socket endpoint one
   /// conversation at a time. It guards the endpoint conversation, not a
   /// member, so it carries no DBTF_GUARDED_BY data. Always taken before
-  /// `mu_`.
+  /// `mu_`; a thread that holds several takes them in machine order.
   std::vector<Mutex> delivery_locks_;
 };
 

@@ -8,6 +8,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -49,14 +50,18 @@ class SocketEndpoint final : public WorkerEndpoint {
  public:
   SocketEndpoint(int machine, int fd, pid_t pid,
                  std::shared_ptr<SocketDirState> state)
-      : machine_(machine), fd_(fd), pid_(pid), state_(std::move(state)) {}
+      : machine_(machine),
+        fd_(fd),
+        reader_(fd),
+        pid_(pid),
+        state_(std::move(state)) {}
 
   ~SocketEndpoint() override {
     if (fd_ >= 0) {
       // Best-effort orderly shutdown; a dead worker just fails the write.
       ByteWriter empty;
       (void)WriteFrameTo(fd_, WireKind::kShutdown, empty);
-      (void)ReadFrameFrom(fd_);
+      (void)reader_.Next();
       (void)::close(fd_);
     }
     if (pid_ > 0) {
@@ -68,25 +73,32 @@ class SocketEndpoint final : public WorkerEndpoint {
   int machine() const override { return machine_; }
 
   Status Deliver(const FactorDelta& msg, double* compute_seconds) override {
-    ByteWriter payload;
-    EncodeFactorDelta(msg, &payload);
-    DBTF_ASSIGN_OR_RETURN(WireReply reply,
-                          Call(WireKind::kFactorDelta, payload));
-    Credit(compute_seconds, reply);
-    return reply.status;
+    DBTF_RETURN_IF_ERROR(SendFrame(EncodeFactorDeltaFrame(msg)));
+    return ReceiveReply(nullptr, compute_seconds);
   }
 
   Status RunColumn(const RunUpdateColumn& run, const CollectErrorsRequest& req,
                    CollectErrorsResponse* response,
                    double* compute_seconds) override {
-    ByteWriter payload;
-    EncodeRunUpdateColumn(run, &payload);
-    EncodeCollectErrorsRequest(req, &payload);
-    DBTF_ASSIGN_OR_RETURN(WireReply reply, Call(WireKind::kRunColumn, payload));
+    DBTF_RETURN_IF_ERROR(SendFrame(EncodeRunColumnFrame(run, req)));
+    return ReceiveReply(response, compute_seconds);
+  }
+
+  bool PostsFrames() const override { return true; }
+
+  Status SendFrame(const std::vector<std::uint8_t>& frame) override {
+    return WriteAllBytes(fd_, frame.data(), frame.size());
+  }
+
+  Status ReceiveReply(CollectErrorsResponse* response,
+                      double* compute_seconds) override {
+    DBTF_ASSIGN_OR_RETURN(WireReply reply, ReadReply());
     Credit(compute_seconds, reply);
     if (!reply.status.ok()) return reply.status;
     ByteReader reader(reply.body);
-    DBTF_ASSIGN_OR_RETURN(*response, DecodeCollectErrorsResponse(&reader));
+    if (response != nullptr) {
+      DBTF_ASSIGN_OR_RETURN(*response, DecodeCollectErrorsResponse(&reader));
+    }
     return reader.ExpectEnd();
   }
 
@@ -138,7 +150,12 @@ class SocketEndpoint final : public WorkerEndpoint {
   /// and is returned to the caller unchanged.
   Result<WireReply> Call(WireKind kind, const ByteWriter& payload) {
     DBTF_RETURN_IF_ERROR(WriteFrameTo(fd_, kind, payload));
-    DBTF_ASSIGN_OR_RETURN(FramedRead read, ReadFrameFrom(fd_));
+    return ReadReply();
+  }
+
+  /// Reads one reply frame and decodes its envelope.
+  Result<WireReply> ReadReply() {
+    DBTF_ASSIGN_OR_RETURN(FramedRead read, reader_.Next());
     if (read.eof) {
       return Status::IoError("worker process closed the connection");
     }
@@ -153,6 +170,7 @@ class SocketEndpoint final : public WorkerEndpoint {
 
   int machine_;
   int fd_;
+  FrameReader reader_;
   pid_t pid_;
   std::shared_ptr<SocketDirState> state_;
 };
@@ -268,57 +286,90 @@ Status WriteAllBytes(int fd, const std::uint8_t* data, std::size_t size) {
   return Status::OK();
 }
 
-Result<bool> ReadFullBytes(int fd, std::uint8_t* data, std::size_t size) {
-  std::size_t got = 0;
-  while (got < size) {
-    const ssize_t n = ::recv(fd, data + got, size - got, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return IoErrno("recv");
-    }
-    if (n == 0) {
-      if (got == 0) return false;  // clean EOF between frames
-      return Status::IoError("recv: connection closed mid-frame");
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 Status WriteFrameTo(int fd, WireKind kind, const ByteWriter& payload) {
   const std::vector<std::uint8_t> frame = EncodeFrame(kind, payload);
   return WriteAllBytes(fd, frame.data(), frame.size());
 }
 
-Result<FramedRead> ReadFrameFrom(int fd) {
-  FramedRead result;
-  std::uint8_t header[kFrameHeaderBytes];
-  DBTF_ASSIGN_OR_RETURN(bool have_header,
-                        ReadFullBytes(fd, header, sizeof(header)));
-  if (!have_header) {
-    result.eof = true;
-    return result;
+FrameReader::FrameReader(int fd, std::size_t buffer_bytes)
+    : FrameReader(
+          [fd](std::uint8_t* data, std::size_t size) -> Result<std::size_t> {
+            for (;;) {
+              const ssize_t n = ::recv(fd, data, size, 0);
+              if (n >= 0) return static_cast<std::size_t>(n);
+              if (errno != EINTR) return IoErrno("recv");
+            }
+          },
+          buffer_bytes) {}
+
+FrameReader::FrameReader(Source source, std::size_t buffer_bytes)
+    : source_(std::move(source)),
+      capacity_(std::max(buffer_bytes, kFrameHeaderBytes + kFrameCrcBytes)),
+      buffer_(std::make_unique_for_overwrite<std::uint8_t[]>(capacity_)) {}
+
+Status FrameReader::Fill(std::size_t size, bool* eof) {
+  if (end_ - begin_ >= size) return Status::OK();
+  if (capacity_ - begin_ < size) {
+    // Too little room behind the unread bytes: move them to the front.
+    std::memmove(buffer_.get(), buffer_.get() + begin_, end_ - begin_);
+    end_ -= begin_;
+    begin_ = 0;
   }
-  DBTF_ASSIGN_OR_RETURN(auto parsed, ParseFrameHeader(header, sizeof(header)));
-  result.frame.kind = parsed.first;
-  result.frame.payload.resize(parsed.second);
-  if (parsed.second > 0) {
+  while (end_ - begin_ < size) {
     DBTF_ASSIGN_OR_RETURN(
-        bool have_payload,
-        ReadFullBytes(fd, result.frame.payload.data(), parsed.second));
-    if (!have_payload) {
+        const std::size_t n,
+        source_(buffer_.get() + end_, capacity_ - end_));
+    if (n == 0) {
+      if (eof != nullptr && end_ == begin_) {
+        *eof = true;  // clean EOF between frames
+        return Status::OK();
+      }
       return Status::IoError("recv: connection closed mid-frame");
     }
+    end_ += n;
   }
-  std::uint8_t crc_bytes[kFrameCrcBytes];
-  DBTF_ASSIGN_OR_RETURN(bool have_crc,
-                        ReadFullBytes(fd, crc_bytes, sizeof(crc_bytes)));
-  if (!have_crc) return Status::IoError("recv: connection closed mid-frame");
-  const std::uint32_t crc = static_cast<std::uint32_t>(crc_bytes[0]) |
-                            static_cast<std::uint32_t>(crc_bytes[1]) << 8 |
-                            static_cast<std::uint32_t>(crc_bytes[2]) << 16 |
-                            static_cast<std::uint32_t>(crc_bytes[3]) << 24;
-  DBTF_RETURN_IF_ERROR(VerifyFramePayload(result.frame.payload, crc));
+  return Status::OK();
+}
+
+Result<FramedRead> FrameReader::Next() {
+  FramedRead result;
+  DBTF_RETURN_IF_ERROR(Fill(kFrameHeaderBytes, &result.eof));
+  if (result.eof) return result;
+  DBTF_ASSIGN_OR_RETURN(
+      const auto parsed,
+      ParseFrameHeader(buffer_.get() + begin_, kFrameHeaderBytes));
+  begin_ += kFrameHeaderBytes;
+  result.frame.kind = parsed.first;
+  const std::uint64_t size = parsed.second;
+  std::vector<std::uint8_t>& payload = result.frame.payload;
+  if (size + kFrameCrcBytes <= capacity_) {
+    const auto bytes = static_cast<std::size_t>(size);
+    DBTF_RETURN_IF_ERROR(Fill(bytes + kFrameCrcBytes));
+    payload.assign(buffer_.get() + begin_, buffer_.get() + begin_ + bytes);
+    begin_ += bytes;
+  } else {
+    // Larger than the buffer: take what is buffered, then read straight
+    // into the payload, growing it only as far as the bytes already read.
+    std::size_t got = std::min<std::size_t>(end_ - begin_, size);
+    payload.assign(buffer_.get() + begin_, buffer_.get() + begin_ + got);
+    begin_ += got;
+    while (got < size) {
+      if (got == payload.size()) {
+        payload.resize(static_cast<std::size_t>(std::min<std::uint64_t>(
+            size, got + std::max(got, capacity_))));
+      }
+      DBTF_ASSIGN_OR_RETURN(
+          const std::size_t n,
+          source_(payload.data() + got, payload.size() - got));
+      if (n == 0) return Status::IoError("recv: connection closed mid-frame");
+      got += n;
+    }
+  }
+  DBTF_RETURN_IF_ERROR(Fill(kFrameCrcBytes));
+  ByteReader crc_reader(buffer_.get() + begin_, kFrameCrcBytes);
+  begin_ += kFrameCrcBytes;
+  DBTF_ASSIGN_OR_RETURN(const std::uint32_t crc, crc_reader.ReadU32());
+  DBTF_RETURN_IF_ERROR(VerifyFramePayload(payload, crc));
   return result;
 }
 

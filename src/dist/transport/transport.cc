@@ -13,6 +13,14 @@ constexpr std::size_t kSocketFileBudget = sizeof("/worker-99999.sock");
 
 WorkerEndpoint::~WorkerEndpoint() = default;
 
+Status WorkerEndpoint::SendFrame(const std::vector<std::uint8_t>&) {
+  return Status::FailedPrecondition("endpoint does not post frames");
+}
+
+Status WorkerEndpoint::ReceiveReply(CollectErrorsResponse*, double*) {
+  return Status::FailedPrecondition("endpoint does not post frames");
+}
+
 const char* TransportKindName(TransportKind kind) {
   switch (kind) {
     case TransportKind::kInProcess:

@@ -86,6 +86,20 @@ class WorkerEndpoint {
                            CollectErrorsResponse* response,
                            double* compute_seconds) = 0;
 
+  /// Two-phase column or broadcast exchange, for fan-outs that post every
+  /// machine's request before reading any reply. SendFrame writes one
+  /// pre-encoded request frame (EncodeRunColumnFrame or
+  /// EncodeFactorDeltaFrame, dist/transport/wire.h); ReceiveReply reads its
+  /// reply, adds the worker CPU seconds into `*compute_seconds` when
+  /// non-null, and returns the handler's status. A column reply's body is
+  /// decoded into `*response`; with a null `response` the body must be
+  /// empty. Only endpoints whose PostsFrames() is true implement the pair;
+  /// the others keep their handler as the whole exchange.
+  virtual bool PostsFrames() const { return false; }
+  virtual Status SendFrame(const std::vector<std::uint8_t>& frame);
+  virtual Status ReceiveReply(CollectErrorsResponse* response,
+                              double* compute_seconds);
+
   /// Serving plane (Cluster::QueryWorker): answer one query against the
   /// factors resident in this machine's broadcast cache.
   virtual Status Query(const QueryRequest& msg, QueryResponse* response,

@@ -544,6 +544,20 @@ std::vector<std::uint8_t> EncodeFrame(WireKind kind,
   return frame.bytes();
 }
 
+std::vector<std::uint8_t> EncodeFactorDeltaFrame(const FactorDelta& msg) {
+  ByteWriter payload;
+  EncodeFactorDelta(msg, &payload);
+  return EncodeFrame(WireKind::kFactorDelta, payload);
+}
+
+std::vector<std::uint8_t> EncodeRunColumnFrame(
+    const RunUpdateColumn& run, const CollectErrorsRequest& req) {
+  ByteWriter payload;
+  EncodeRunUpdateColumn(run, &payload);
+  EncodeCollectErrorsRequest(req, &payload);
+  return EncodeFrame(WireKind::kRunColumn, payload);
+}
+
 Result<std::pair<WireKind, std::uint64_t>> ParseFrameHeader(
     const std::uint8_t* header, std::size_t size) {
   ByteReader reader(header, size);

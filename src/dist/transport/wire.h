@@ -111,6 +111,12 @@ constexpr std::size_t kFrameCrcBytes = 4;
 std::vector<std::uint8_t> EncodeFrame(WireKind kind,
                                       const ByteWriter& payload);
 
+/// The request frames of the two fan-outs. A fan-out encodes its frame
+/// once and writes the same bytes to every machine (and to a retry).
+std::vector<std::uint8_t> EncodeFactorDeltaFrame(const FactorDelta& msg);
+std::vector<std::uint8_t> EncodeRunColumnFrame(const RunUpdateColumn& run,
+                                               const CollectErrorsRequest& req);
+
 /// Parses a frame header, validating magic, version, kind, and a sanity
 /// bound on the payload length. Returns (kind, payload bytes).
 Result<std::pair<WireKind, std::uint64_t>> ParseFrameHeader(

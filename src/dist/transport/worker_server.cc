@@ -128,8 +128,9 @@ WireReply ServeFrame(Worker* worker, const WireFrame& frame) {
 
 Status RunWorkerServer(int fd, int machine) {
   Worker worker(machine);
+  FrameReader reader(fd);
   for (;;) {
-    DBTF_ASSIGN_OR_RETURN(FramedRead read, ReadFrameFrom(fd));
+    DBTF_ASSIGN_OR_RETURN(FramedRead read, reader.Next());
     if (read.eof) return Status::OK();
     const WireReply reply = ServeFrame(&worker, read.frame);
     ByteWriter payload;

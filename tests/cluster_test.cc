@@ -466,6 +466,235 @@ TEST(Cluster, QueriesRacingBroadcastsNeverOverlapOnAMachine) {
   (*cluster)->DetachWorkers();
 }
 
+// --- Posted fan-outs ----------------------------------------------------------
+//
+// Endpoints that post frames (sockets) are fanned out on the calling thread:
+// one encoded frame is sent to every machine in machine order, then the
+// replies are read in that order. These cases drive that form through fakes
+// in posted mode and pin it to the pool form's retry, loss and ledger rules.
+
+std::vector<std::shared_ptr<FakeEndpoint>> AttachFakes(Cluster& cluster,
+                                                       bool posts_frames,
+                                                       PhaseLog* phases) {
+  std::vector<std::shared_ptr<FakeEndpoint>> fakes;
+  for (int m = 0; m < cluster.num_machines(); ++m) {
+    fakes.push_back(
+        std::make_shared<FakeEndpoint>(m, m * 10 + 1, posts_frames));
+    if (phases != nullptr) fakes.back()->RecordPhases(phases);
+    EXPECT_TRUE(cluster.AttachEndpoint(m, fakes.back()).ok());
+  }
+  return fakes;
+}
+
+Status RunTaggedColumn(Cluster& cluster, std::int64_t column,
+                       CollectErrorsResponse* response) {
+  RunUpdateColumn run;
+  run.column = column;
+  return cluster.RunColumn(run, CollectErrorsRequest{}, response);
+}
+
+TEST(ClusterPosted, EveryFrameIsSentBeforeAnyReplyIsRead) {
+  auto cluster = Cluster::Create(SmallConfig());
+  ASSERT_TRUE(cluster.ok());
+  PhaseLog phases;
+  // Attached out of machine order: the fan-out still sends in machine
+  // order, the one order in which a thread takes several delivery locks.
+  std::vector<std::shared_ptr<FakeEndpoint>> fakes;
+  for (const int m : {2, 0, 3, 1}) {
+    fakes.push_back(std::make_shared<FakeEndpoint>(m, 4, true));
+    fakes.back()->RecordPhases(&phases);
+    ASSERT_TRUE((*cluster)->AttachEndpoint(m, fakes.back()).ok());
+  }
+  CollectErrorsResponse response;
+  ASSERT_TRUE(RunTaggedColumn(**cluster, 6, &response).ok());
+  EXPECT_EQ(phases.entries(),
+            (std::vector<std::string>{"send 0", "send 1", "send 2", "send 3",
+                                      "reply 0", "reply 1", "reply 2",
+                                      "reply 3"}));
+  for (const auto& fake : fakes) {
+    EXPECT_EQ(fake->log(), (std::vector<Delivery>{{MessageKind::kDispatch, 6}}));
+  }
+  EXPECT_EQ(response.diffs.size(), 4u);
+  const CommSnapshot snap = (*cluster)->comm().Snapshot();
+  EXPECT_EQ(snap.collect_events, 1);
+  EXPECT_EQ(snap.collect_bytes, 4 * FakeColumnReply(4).WireBytes());
+
+  ASSERT_TRUE((*cluster)->BroadcastFactors(BroadcastOfWords(3, 9)).ok());
+  for (const auto& fake : fakes) {
+    EXPECT_EQ(fake->log().back(), (Delivery{MessageKind::kBroadcast, 9}));
+  }
+  EXPECT_EQ((*cluster)->comm().Snapshot().broadcast_events, 1);
+}
+
+TEST(ClusterPosted, FailureAtSendLosesTheMachineAndChargesNothing) {
+  auto cluster = Cluster::Create(SmallConfig());
+  ASSERT_TRUE(cluster.ok());
+  auto fakes = AttachFakes(**cluster, /*posts_frames=*/true, nullptr);
+  fakes[2]->FailSend(MessageKind::kDispatch,
+                     Status::IoError("send: broken pipe"));
+  CollectErrorsResponse response;
+  const Status status = RunTaggedColumn(**cluster, 1, &response);
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
+  EXPECT_EQ((*cluster)->DeadMachines(), std::vector<int>{2});
+  EXPECT_EQ((*cluster)->EndpointOn(2), nullptr);
+  for (const auto& fake : fakes) {
+    EXPECT_EQ(fake->deliveries(MessageKind::kDispatch), 1)
+        << "a lost machine is not retried; machine " << fake->machine();
+  }
+  EXPECT_EQ((*cluster)->comm().Snapshot().collect_events, 0);
+  const RecoveryStats recovery = (*cluster)->recovery().Snapshot();
+  EXPECT_EQ(recovery.machines_lost, 1);
+  EXPECT_EQ(recovery.failed_deliveries, 1);
+  EXPECT_EQ(recovery.retries, 0);
+}
+
+TEST(ClusterPosted, FatalReplySurfacesAndChargesNothing) {
+  auto cluster = Cluster::Create(SmallConfig());
+  ASSERT_TRUE(cluster.ok());
+  auto fakes = AttachFakes(**cluster, /*posts_frames=*/true, nullptr);
+  fakes[1]->Fail(MessageKind::kDispatch, Status::Internal("boom"));
+  fakes[3]->FailReplies(MessageKind::kDispatch,
+                        Status::DeadlineExceeded("slow"), 5);
+  CollectErrorsResponse response;
+  const Status status = RunTaggedColumn(**cluster, 2, &response);
+  EXPECT_EQ(status.code(), StatusCode::kInternal)
+      << "a fatal code outranks machine 3's exhausted retries";
+  EXPECT_EQ(status.message(), "boom");
+  EXPECT_EQ(fakes[1]->deliveries(MessageKind::kDispatch), 1);
+  EXPECT_EQ(fakes[3]->deliveries(MessageKind::kDispatch), 3)
+      << "max_attempts deliveries";
+  EXPECT_EQ((*cluster)->comm().Snapshot().collect_events, 0)
+      << "a column that failed on any machine charges nothing";
+  EXPECT_TRUE((*cluster)->DeadMachines().empty());
+}
+
+TEST(ClusterPosted, FailedMachineRetriesAloneAndTheOthersRepliesAreKept) {
+  auto cluster = Cluster::Create(SmallConfig());
+  ASSERT_TRUE(cluster.ok());
+  PhaseLog phases;
+  auto fakes = AttachFakes(**cluster, /*posts_frames=*/true, &phases);
+  fakes[1]->FailReplies(MessageKind::kDispatch,
+                        Status::DeadlineExceeded("slow"), 1);
+  CollectErrorsResponse response;
+  ASSERT_TRUE(RunTaggedColumn(**cluster, 3, &response).ok());
+  EXPECT_EQ(phases.entries(),
+            (std::vector<std::string>{"send 0", "send 1", "send 2", "send 3",
+                                      "reply 0", "reply 1", "send 1",
+                                      "reply 1", "reply 2", "reply 3"}));
+  std::int64_t collect_bytes = 0;
+  for (const auto& fake : fakes) {
+    const int want = fake->machine() == 1 ? 2 : 1;
+    EXPECT_EQ(fake->deliveries(MessageKind::kDispatch), want)
+        << "machine " << fake->machine();
+    collect_bytes += FakeColumnReply(fake->machine() * 10 + 1).WireBytes();
+  }
+  EXPECT_EQ(response.diffs.size(), 31u) << "every machine's reply merged";
+  const CommSnapshot snap = (*cluster)->comm().Snapshot();
+  EXPECT_EQ(snap.collect_events, 1);
+  EXPECT_EQ(snap.collect_bytes, collect_bytes);
+  const RecoveryStats recovery = (*cluster)->recovery().Snapshot();
+  EXPECT_EQ(recovery.failed_deliveries, 1);
+  EXPECT_EQ(recovery.retries, 1);
+}
+
+// The two fan-out forms apply one set of retry rules: under the same fault
+// plan (transient faults, a stall past the deadline, a crash) they consult
+// the injector for the same (machine, kind) deliveries, fail and retry the
+// same attempts, and charge the same ledgers.
+TEST(ClusterPosted, FaultsPlayOutAsInThePoolForm) {
+  constexpr int kRounds = 8;
+  auto plan = FaultPlan::Parse(
+      "0:dispatch:transient@2,1:dispatch:transient@1x2,"
+      "2:broadcast:transient@3,3:dispatch:stall@4~0.5,2:dispatch:crash@6");
+  ASSERT_TRUE(plan.ok());
+  struct Outcome {
+    std::vector<StatusCode> codes;
+    std::vector<std::vector<Delivery>> logs;
+    std::vector<std::int64_t> counters;
+    RecoveryStats recovery;
+    CommSnapshot comm;
+    std::vector<int> dead;
+    double driver_seconds = 0.0;
+    std::vector<double> machine_seconds;
+  };
+  auto run = [&plan](bool posts_frames) {
+    ClusterConfig config = SmallConfig();
+    config.fault_plan = *plan;
+    auto cluster = Cluster::Create(config);
+    EXPECT_TRUE(cluster.ok());
+    auto fakes = AttachFakes(**cluster, posts_frames, nullptr);
+    Outcome out;
+    for (int round = 0; round < kRounds; ++round) {
+      out.codes.push_back(
+          (*cluster)->BroadcastFactors(BroadcastOfWords(4, round)).code());
+      CollectErrorsResponse response;
+      out.codes.push_back(RunTaggedColumn(**cluster, round, &response).code());
+    }
+    for (const auto& fake : fakes) out.logs.push_back(fake->log());
+    out.counters = (*cluster)->FaultDeliveryCounters();
+    out.recovery = (*cluster)->recovery().Snapshot();
+    out.comm = (*cluster)->comm().Snapshot();
+    out.dead = (*cluster)->DeadMachines();
+    out.driver_seconds = (*cluster)->DriverSeconds();
+    for (int m = 0; m < (*cluster)->num_machines(); ++m) {
+      out.machine_seconds.push_back((*cluster)->MachineComputeSeconds(m));
+    }
+    (*cluster)->DetachWorkers();
+    return out;
+  };
+  const Outcome pool = run(false);
+  const Outcome posted = run(true);
+  EXPECT_EQ(posted.codes, pool.codes);
+  EXPECT_EQ(posted.logs, pool.logs);
+  EXPECT_EQ(posted.counters, pool.counters);
+  EXPECT_EQ(posted.dead, std::vector<int>{2});
+  EXPECT_EQ(posted.dead, pool.dead);
+  EXPECT_EQ(posted.recovery.failed_deliveries, pool.recovery.failed_deliveries);
+  EXPECT_EQ(posted.recovery.retries, pool.recovery.retries);
+  EXPECT_EQ(posted.recovery.machines_lost, pool.recovery.machines_lost);
+  EXPECT_EQ(posted.recovery.recovery_seconds, pool.recovery.recovery_seconds);
+  EXPECT_EQ(posted.comm.broadcast_events, pool.comm.broadcast_events);
+  EXPECT_EQ(posted.comm.broadcast_bytes, pool.comm.broadcast_bytes);
+  EXPECT_EQ(posted.comm.collect_events, pool.comm.collect_events);
+  EXPECT_EQ(posted.comm.collect_bytes, pool.comm.collect_bytes);
+  EXPECT_EQ(posted.driver_seconds, pool.driver_seconds);
+  EXPECT_EQ(posted.machine_seconds, pool.machine_seconds);
+  EXPECT_GT(pool.recovery.retries, 0);
+}
+
+// The posted form of QueriesRacingBroadcastsNeverOverlapOnAMachine: a
+// posted broadcast holds every machine's delivery lock from its send to its
+// reply, so a query on another thread never lands in between.
+TEST(ClusterPosted, QueriesRacingPostedBroadcastsNeverOverlapOnAMachine) {
+  constexpr int kRounds = 200;
+  auto cluster = Cluster::Create(SmallConfig());
+  ASSERT_TRUE(cluster.ok());
+  auto fakes = AttachFakes(**cluster, /*posts_frames=*/true, nullptr);
+  std::vector<Status> query_statuses;
+  std::thread reader([&] {
+    for (int q = 0; q < kRounds; ++q) {
+      QueryRequest msg;
+      msg.id = static_cast<std::uint64_t>(q);
+      QueryResponse response;
+      query_statuses.push_back(
+          (*cluster)->QueryWorker(q % 4, msg, &response));
+    }
+  });
+  for (int round = 0; round < kRounds; ++round) {
+    EXPECT_TRUE((*cluster)->BroadcastFactors(BroadcastOfWords(1, round)).ok());
+  }
+  reader.join();
+  for (const Status& status : query_statuses) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+  for (const auto& fake : fakes) {
+    EXPECT_EQ(fake->max_in_flight(), 1)
+        << "overlapping exchanges on machine " << fake->machine();
+    EXPECT_EQ(fake->deliveries(MessageKind::kBroadcast), kRounds);
+  }
+  (*cluster)->DetachWorkers();
+}
+
 TEST(CommStats, SnapshotAndReset) {
   CommStats stats;
   stats.RecordShuffle(10);

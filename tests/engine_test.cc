@@ -686,7 +686,10 @@ void ExpectSameRecovery(const RecoveryStats& got, const RecoveryStats& want) {
   EXPECT_EQ(got.recovery_seconds, want.recovery_seconds);
 }
 
-void ExpectTransportEquivalent(const DbtfConfig& base) {
+/// Runs `base` on both transports and expects them equivalent; the oracle's
+/// recovery ledger goes to `*recovery` when non-null.
+void ExpectTransportEquivalent(const DbtfConfig& base,
+                               RecoveryStats* recovery = nullptr) {
   DbtfConfig inproc = base;
   inproc.cluster.transport.kind = TransportKind::kInProcess;
   DbtfConfig socket = base;
@@ -705,6 +708,7 @@ void ExpectTransportEquivalent(const DbtfConfig& base) {
   EXPECT_EQ(remote->converged, oracle->converged);
   EXPECT_EQ(remote->cache_entries, oracle->cache_entries);
   EXPECT_EQ(remote->cache_bytes, oracle->cache_bytes);
+  if (recovery != nullptr) *recovery = oracle->recovery;
 }
 
 TEST(TransportEquivalence, SocketMatchesInprocWithDeltaBroadcasts) {
@@ -730,6 +734,29 @@ TEST(TransportEquivalence, SocketMatchesInprocUnderAFaultPlan) {
   ASSERT_TRUE(plan.ok());
   config.cluster.fault_plan = *plan;
   ExpectTransportEquivalent(config);
+}
+
+/// Socket x faults on four machines: a transient broadcast fault, a column
+/// fault that fails two attempts in a row, a crash, and a stall past the
+/// message deadline. The socket fan-out posts every machine's frame before
+/// reading a reply and retries a failed machine alone; the in-process one
+/// runs each machine on the pool. Both must take the same retry and loss
+/// path, so factors, errors and both ledgers match.
+TEST(TransportEquivalence, SocketMatchesInprocUnderRetriesStallAndCrash) {
+  DbtfConfig config = SmallConfig();
+  config.cluster.num_machines = 4;
+  auto plan = FaultPlan::Parse(
+      "0:broadcast:transient@2,1:dispatch:transient@3x2,"
+      "2:dispatch:crash@5,3:dispatch:stall@7~0.5");
+  ASSERT_TRUE(plan.ok());
+  config.cluster.fault_plan = *plan;
+  RecoveryStats recovery;
+  ExpectTransportEquivalent(config, &recovery);
+  // The plan fired: three failed attempts retried, one past-deadline stall
+  // retried, one machine lost.
+  EXPECT_EQ(recovery.machines_lost, 1);
+  EXPECT_EQ(recovery.retries, 4);
+  EXPECT_GT(recovery.reprovisions, 0);
 }
 
 /// The transport is excluded from the checkpoint's config fingerprint on

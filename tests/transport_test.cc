@@ -3,11 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dbtf/config.h"
@@ -16,6 +24,8 @@
 #include "dbtf/session.h"
 #include "dist/cluster.h"
 #include "dist/provision.h"
+#include "dist/transport/socket.h"
+#include "dist/transport/wire.h"
 #include "generator/generator.h"
 #include "tensor/unfold.h"
 
@@ -75,6 +85,248 @@ TEST(TransportOptions, ClusterConfigValidatesTransport) {
   EXPECT_FALSE(Cluster::Create(config).ok());
   config.transport.socket_dir.clear();
   EXPECT_TRUE(config.Validate().ok());
+}
+
+// --- Frame reader -------------------------------------------------------------
+//
+// FrameReader is the one reader of the socket transport (driver endpoint and
+// worker loop alike). These cases feed it over a real socketpair.
+
+/// A connected stream socketpair: the test writes `writer`, the reader
+/// under test reads `reader`.
+class SocketPair {
+ public:
+  SocketPair() {
+    int fds[2] = {-1, -1};
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    reader = fds[0];
+    writer = fds[1];
+  }
+  ~SocketPair() {
+    CloseWriter();
+    if (reader >= 0) ::close(reader);
+  }
+  void Write(const std::vector<std::uint8_t>& bytes) {
+    ASSERT_TRUE(WriteAllBytes(writer, bytes.data(), bytes.size()).ok());
+  }
+  void CloseWriter() {
+    if (writer >= 0) ::close(writer);
+    writer = -1;
+  }
+
+  int reader = -1;
+  int writer = -1;
+};
+
+std::vector<std::uint8_t> FrameOf(WireKind kind, std::size_t payload_bytes,
+                                  std::uint8_t fill) {
+  ByteWriter payload;
+  for (std::size_t i = 0; i < payload_bytes; ++i) {
+    payload.WriteU8(static_cast<std::uint8_t>(fill + i));
+  }
+  return EncodeFrame(kind, payload);
+}
+
+std::vector<std::uint8_t> Concat(std::vector<std::uint8_t> a,
+                                 const std::vector<std::uint8_t>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+/// Expects `read` to hold exactly the frame `bytes` encodes.
+void ExpectFrame(const Result<FramedRead>& read,
+                 const std::vector<std::uint8_t>& bytes) {
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_FALSE(read->eof);
+  const Result<WireFrame> want = DecodeFrame(bytes);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(read->frame.kind, want->kind);
+  EXPECT_EQ(read->frame.payload, want->payload);
+}
+
+void ExpectCleanEof(const Result<FramedRead>& read) {
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_TRUE(read->eof);
+}
+
+/// A reader over `fd` that counts its reads and caps each at `max_read`
+/// bytes.
+FrameReader CountingReader(int fd, int* reads, std::size_t max_read,
+                           std::size_t buffer_bytes = kFrameReaderBufferBytes) {
+  return FrameReader(
+      [fd, reads, max_read](std::uint8_t* data,
+                            std::size_t size) -> Result<std::size_t> {
+        ++*reads;
+        const ssize_t n = ::recv(fd, data, std::min(size, max_read), 0);
+        if (n < 0) return Status::IoError("recv failed");
+        return static_cast<std::size_t>(n);
+      },
+      buffer_bytes);
+}
+
+TEST(FrameReader, AFrameThatArrivedWholeCostsOneRead) {
+  SocketPair pair;
+  const std::vector<std::uint8_t> frame = FrameOf(WireKind::kReply, 300, 1);
+  pair.Write(frame);
+  int reads = 0;
+  FrameReader reader = CountingReader(pair.reader, &reads, SIZE_MAX);
+  ExpectFrame(reader.Next(), frame);
+  EXPECT_EQ(reads, 1);
+}
+
+TEST(FrameReader, TwoFramesSentInOneWrite) {
+  SocketPair pair;
+  const std::vector<std::uint8_t> first = FrameOf(WireKind::kQuery, 40, 7);
+  const std::vector<std::uint8_t> second = FrameOf(WireKind::kReply, 0, 0);
+  pair.Write(Concat(first, second));
+  pair.CloseWriter();
+  int reads = 0;
+  FrameReader reader = CountingReader(pair.reader, &reads, SIZE_MAX);
+  ExpectFrame(reader.Next(), first);
+  ExpectFrame(reader.Next(), second);
+  EXPECT_EQ(reads, 1) << "the second frame was already buffered";
+  ExpectCleanEof(reader.Next());
+}
+
+TEST(FrameReader, AFrameDribbledOneByteAtATime) {
+  SocketPair pair;
+  const std::vector<std::uint8_t> frame = FrameOf(WireKind::kRunColumn, 25, 3);
+  pair.Write(Concat(frame, frame));
+  pair.CloseWriter();
+  int reads = 0;
+  FrameReader reader = CountingReader(pair.reader, &reads, 1);
+  ExpectFrame(reader.Next(), frame);
+  EXPECT_EQ(reads, static_cast<int>(frame.size()));
+  ExpectFrame(reader.Next(), frame);
+  ExpectCleanEof(reader.Next());
+}
+
+TEST(FrameReader, EofBetweenFramesIsClean) {
+  SocketPair pair;
+  FrameReader empty(pair.reader);
+  pair.CloseWriter();
+  ExpectCleanEof(empty.Next());
+
+  SocketPair again;
+  const std::vector<std::uint8_t> frame = FrameOf(WireKind::kShutdown, 0, 0);
+  again.Write(frame);
+  again.CloseWriter();
+  FrameReader reader(again.reader);
+  ExpectFrame(reader.Next(), frame);
+  ExpectCleanEof(reader.Next());
+  ExpectCleanEof(reader.Next());
+}
+
+TEST(FrameReader, EofInsideAFrameIsAnIoError) {
+  const std::vector<std::uint8_t> frame = FrameOf(WireKind::kReply, 20, 5);
+  // Cut inside the header, inside the payload, and inside the CRC.
+  for (const std::size_t cut : {std::size_t{5}, kFrameHeaderBytes + 7,
+                                frame.size() - 2}) {
+    SocketPair pair;
+    pair.Write(std::vector<std::uint8_t>(frame.begin(),
+                                         frame.begin() + cut));
+    pair.CloseWriter();
+    FrameReader reader(pair.reader);
+    const Result<FramedRead> read = reader.Next();
+    EXPECT_EQ(read.status().code(), StatusCode::kIoError) << "cut at " << cut;
+  }
+}
+
+TEST(FrameReader, CrcMismatchIsAnIoError) {
+  SocketPair pair;
+  std::vector<std::uint8_t> frame = FrameOf(WireKind::kReply, 20, 5);
+  frame[kFrameHeaderBytes + 3] ^= 0x40;
+  pair.Write(frame);
+  FrameReader reader(pair.reader);
+  const Result<FramedRead> read = reader.Next();
+  EXPECT_EQ(read.status().code(), StatusCode::kIoError);
+  EXPECT_NE(read.status().message().find("CRC"), std::string::npos)
+      << read.status().ToString();
+}
+
+TEST(FrameReader, PayloadLargerThanTheBuffer) {
+  // A small buffer, so the payload is read straight into the frame and the
+  // frame after it is still served from the buffer.
+  {
+    SocketPair pair;
+    const std::vector<std::uint8_t> large = FrameOf(WireKind::kReply, 5000, 9);
+    const std::vector<std::uint8_t> small = FrameOf(WireKind::kQuery, 12, 1);
+    pair.Write(Concat(large, small));
+    pair.CloseWriter();
+    FrameReader reader(pair.reader, /*buffer_bytes=*/64);
+    ExpectFrame(reader.Next(), large);
+    ExpectFrame(reader.Next(), small);
+    ExpectCleanEof(reader.Next());
+  }
+  // The default buffer against a payload several times its size, written
+  // from another thread while the reader drains it.
+  {
+    SocketPair pair;
+    const std::vector<std::uint8_t> large =
+        FrameOf(WireKind::kStorePartition, 5 * kFrameReaderBufferBytes + 17, 2);
+    std::thread writer([&pair, &large] { pair.Write(large); });
+    FrameReader reader(pair.reader);
+    ExpectFrame(reader.Next(), large);
+    writer.join();
+  }
+}
+
+/// Virtual address space this process has mapped, from /proc/self/status.
+std::uint64_t MappedBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      std::uint64_t kib = 0;
+      status >> kib;
+      return kib << 10;
+    }
+  }
+  return 0;
+}
+
+/// Regression: a 14-byte header that claims 2^33 payload bytes, then end of
+/// stream. The reader must fail promptly with kIoError, allocating in step
+/// with the bytes that arrived rather than with the claim. A reader that
+/// sized the payload from the header zero-filled 8 GiB first, or died of
+/// std::bad_alloc under an address-space limit; this case runs in a child
+/// capped at 512 MiB above what it already maps, so such a reader aborts
+/// the child (and the test) instead of eating the host's memory.
+TEST(FrameReader, HugeClaimedPayloadFailsPromptlyWithoutAllocatingIt) {
+  SocketPair pair;
+  ByteWriter header;
+  header.WriteU32(kWireMagic);
+  header.WriteU8(kWireVersion);
+  header.WriteU8(static_cast<std::uint8_t>(WireKind::kStorePartition));
+  header.WriteU64(std::uint64_t{1} << 33);
+  ASSERT_EQ(header.size(), kFrameHeaderBytes);
+  pair.Write(header.bytes());
+  pair.CloseWriter();
+
+  const std::uint64_t mapped = MappedBytes();
+  ASSERT_GT(mapped, 0u);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ::alarm(30);
+    rlimit limit;
+    limit.rlim_cur = limit.rlim_max = mapped + (std::uint64_t{512} << 20);
+    if (::setrlimit(RLIMIT_AS, &limit) != 0) ::_exit(3);
+    const auto start = std::chrono::steady_clock::now();
+    FrameReader reader(pair.reader);
+    const Result<FramedRead> read = reader.Next();
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    if (read.status().code() != StatusCode::kIoError) ::_exit(1);
+    ::_exit(seconds < 5.0 ? 0 : 2);
+  }
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(child, &wstatus, 0), child);
+  ASSERT_TRUE(WIFEXITED(wstatus))
+      << "the reader died (signal " << WTERMSIG(wstatus) << ")";
+  EXPECT_EQ(WEXITSTATUS(wstatus), 0)
+      << "1: not kIoError, 2: not prompt, 3: setrlimit failed";
 }
 
 // --- Socket endpoints, end to end -------------------------------------------

@@ -14,7 +14,9 @@ DESIGN.md, "Correctness tooling"):
                       uninstantiated templates). Intentional drops must be
                       written DBTF_IGNORE_ERROR(expr).
   lock-order          extracts the dbtf::Mutex acquisition graph (MutexLock
-                      scopes, one level of call-graph propagation) across
+                      scopes, locks a holder object keeps in a
+                      std::optional<MutexLock> for its lifetime, one level
+                      of call-graph propagation) across
                       src/dist/, src/ckpt/, and src/dbtf/ and fails on any
                       cycle, printing the witness path. A cycle is a
                       potential deadlock even if today's schedules never
@@ -718,29 +720,79 @@ def _lock_identity(expr: list[Token], qualifier: str | None) -> str:
     return ".".join(ids)
 
 
+def _optional_lock_names(tokens: list[Token]) -> set[str]:
+    """Names declared 'std::optional<MutexLock> name': a lock held for an
+    object's lifetime rather than a lexical scope."""
+    return {tokens[i + 4].text for i in range(len(tokens) - 4)
+            if tokens[i].text == "optional" and tokens[i + 1].text == "<"
+            and tokens[i + 2].text == "MutexLock"
+            and tokens[i + 3].text == ">" and tokens[i + 4].kind == "id"}
+
+
+def _emplaced_lock(toks: list[Token], i: int, optional_locks: set[str],
+                   qualifier: str | None) -> tuple[str, int] | None:
+    """(lock, index past the call) for '<name>.emplace(<mutex>)' at i, where
+    <name> is a std::optional<MutexLock>."""
+    if (_text(toks, i) in optional_locks and _text(toks, i + 1) == "."
+            and _text(toks, i + 2) == "emplace"
+            and _text(toks, i + 3) == "("):
+        close = _match_paren(toks, i + 3)
+        return _lock_identity(toks[i + 4:close], qualifier), close + 1
+    return None
+
+
 def analyze_lock_facts(files: list[SourceFile],
                        prefixes: tuple[str, ...]) -> dict[str, LockFacts]:
-    """Extracts MutexLock scopes + calls per function over selected files."""
-    facts: dict[str, LockFacts] = {}
-    for sf in files:
-        if not sf.rel.startswith(prefixes):
+    """Extracts MutexLock scopes + calls per function over selected files.
+
+    A class whose constructor emplaces a std::optional<MutexLock> member is
+    a lock holder: the lock is held for the object's lifetime, so every
+    other member function of the class runs with it held."""
+    selected = [sf for sf in files if sf.rel.startswith(prefixes)]
+    optional_locks: set[str] = set()
+    for sf in selected:
+        optional_locks |= _optional_lock_names(sf.tokens)
+    functions = [(sf, fn) for sf in selected
+                 for fn in extract_functions(sf.tokens)]
+    holders: dict[str, str] = {}
+    for _, fn in functions:
+        if fn.qualifier is None or fn.name != fn.qualifier:
             continue
-        for fn in extract_functions(sf.tokens):
-            key = f"{fn.qualifier}::{fn.name}" if fn.qualifier else fn.name
-            fact = facts.setdefault(key, LockFacts())
-            _scan_locks(sf, fn, fact)
+        for i in range(len(fn.body)):
+            hit = _emplaced_lock(fn.body, i, optional_locks, fn.qualifier)
+            if hit is not None:
+                holders[fn.qualifier] = hit[0]
+    facts: dict[str, LockFacts] = {}
+    for sf, fn in functions:
+        key = f"{fn.qualifier}::{fn.name}" if fn.qualifier else fn.name
+        fact = facts.setdefault(key, LockFacts())
+        held = None
+        if fn.qualifier in holders and fn.name != fn.qualifier:
+            held = holders[fn.qualifier]
+        _scan_locks(sf, fn, fact, optional_locks, held)
     return facts
 
 
-def _scan_locks(sf: SourceFile, fn: Function, fact: LockFacts) -> None:
+def _scan_locks(sf: SourceFile, fn: Function, fact: LockFacts,
+                optional_locks: set[str], held_throughout: str | None) -> None:
     body = fn.body
     n = len(body)
-    # held: list of (lock_name, brace_depth_at_acquisition)
-    held: list[tuple[str, int]] = []
+    # held: list of (lock_name, brace_depth_at_acquisition); a lock held
+    # throughout the function sits at depth 0 and is never released.
+    held: list[tuple[str, int]] = (
+        [(held_throughout, 0)] if held_throughout else [])
     depth = 0
     i = 0
     while i < n:
         t = body[i]
+        emplaced = _emplaced_lock(body, i, optional_locks, fn.qualifier)
+        if emplaced is not None:
+            lock, i = emplaced
+            fact.acquires.append((tuple(name for name, _ in held), lock,
+                                  t.line))
+            fact.all_locks.add(lock)
+            held.append((lock, depth))
+            continue
         if t.kind == "punct":
             if t.text == "{":
                 depth += 1

@@ -112,6 +112,14 @@ class FixtureTest(unittest.TestCase):
         self.assertIn("Worker::mu_b_", message)
         self.assertIn("Recount", message)  # the call-graph hop is named
 
+    def test_lock_holder_cycle_fixture_trips(self):
+        findings = run("lock_holder_cycle")
+        self.assertEqual(rules_in(findings), {"lock-order"})
+        self.assertEqual(len(findings), 1)
+        message = findings[0].message
+        self.assertIn("Router::mu_", message)
+        self.assertIn("router.lanes_[]", message)
+
     def test_unserialized_ckpt_field_fixture_trips(self):
         findings = run("unserialized_ckpt_field")
         self.assertEqual(rules_in(findings), {"ckpt-coverage"})
@@ -309,13 +317,17 @@ class RepoTest(unittest.TestCase):
             files, dbtf_analyze.LOCK_ORDER_PREFIXES)
         acquires = sum(len(f.acquires) for f in facts.values())
         self.assertGreater(acquires, 20)
-        # The per-machine delivery locks are one lock family, taken before
-        # any charge acquires Cluster::mu_.
-        deliver = facts["Cluster::DeliverWithRetry"]
-        self.assertIn("Cluster::delivery_locks_[]", deliver.all_locks)
-        self.assertIn(("Cluster::delivery_locks_[]",),
-                      [held for held, callee, _ in deliver.calls
-                       if callee == "ChargeCompute"])
+        # The per-machine delivery locks are one lock family, held by a
+        # MachineDelivery for its lifetime and taken before any charge
+        # acquires Cluster::mu_.
+        lock = "cluster.delivery_locks_[]"
+        opened = facts["MachineDelivery::MachineDelivery"]
+        self.assertIn(lock, opened.all_locks)
+        self.assertIn((lock,), [held for held, callee, _ in opened.calls
+                                if callee == "IsDead"])
+        begin = facts["MachineDelivery::Begin"]
+        self.assertIn((lock,), [held for held, callee, _ in begin.calls
+                                if callee == "ChargeCompute"])
 
         guard_classes = dbtf_analyze.collect_guard_classes(files)
         self.assertIn("Cluster", guard_classes)
