@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/status.h"
 #include "dist/comm_stats.h"
 #include "dist/fault.h"
@@ -39,6 +40,11 @@ struct FactorSet {
   BitMatrix c;
 };
 
+// The field lists (common/fields.h) of the embedded structs a snapshot
+// stores whole, in byte order; ckpt/format.cc lays out the blobs.
+
+inline auto Fields(FactorSet& m) { return FieldList(m.a, m.b, m.c); }
+
 /// Statistics of one distributed factor update (RunFactorUpdate).
 struct UpdateFactorStats {
   std::int64_t cache_entries = 0;      ///< entries built across partitions
@@ -47,6 +53,11 @@ struct UpdateFactorStats {
   std::int64_t final_error = 0;        ///< |X(n) - A o (Mf kr Ms)^T| after
 };
 
+inline auto Fields(UpdateFactorStats& m) {
+  return FieldList(m.cache_entries, m.cache_bytes, m.cells_changed,
+                   m.final_error);
+}
+
 /// Merged statistics of one full alternating iteration (A, B, C updates).
 struct IterationStats {
   std::int64_t error = 0;          ///< reconstruction error after the C update
@@ -54,6 +65,10 @@ struct IterationStats {
   std::int64_t cache_entries = 0;  ///< resident cache entries (all 3 modes)
   std::int64_t cache_bytes = 0;    ///< resident cache bytes (all 3 modes)
 };
+
+inline auto Fields(IterationStats& m) {
+  return FieldList(m.error, m.cells_changed, m.cache_entries, m.cache_bytes);
+}
 
 /// Resumable cursor and accumulators of one Factorize run (Algorithm 2).
 /// Session::Factorize is a loop over this struct, so a restored RunProgress
@@ -98,6 +113,10 @@ struct FactorShadowSnapshot {
   std::uint64_t generation = 0;
   BitMatrix content;
 };
+
+inline auto Fields(FactorShadowSnapshot& m) {
+  return FieldList(m.initialized, m.generation, m.content);
+}
 
 /// Everything a resumed run needs to continue bitwise-identically.
 struct CheckpointState {

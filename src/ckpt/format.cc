@@ -1,19 +1,127 @@
 #include "ckpt/format.h"
 
 #include <cstdint>
-#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/serde.h"
-#include "tensor/bit_matrix.h"
 
 namespace dbtf {
 namespace ckpt_format {
 namespace {
 
-/// Largest name a manifest entry may carry. Blob names are short constants
-/// (run.bin & co.); anything bigger is corruption, not data.
-constexpr std::uint64_t kMaxEntryNameBytes = 256;
+/// factors.bin's has-best byte, 1 exactly while best_error >= 0 (RunProgress
+/// doc). Derived, so it names no member; checked once best_error is read.
+struct HasBest {
+  static constexpr std::size_t kMembers = 0;
+  const std::int64_t& best_error;
+  bool flag = false;
+  void Encode(ByteWriter* w) const { EncodeValue(best_error >= 0, w); }
+  Status Decode(ByteReader* r) { return DecodeValue(r, &flag); }
+  Status Finish() const {
+    if (flag != (best_error >= 0)) {
+      return FieldError("has_best flag contradicts best_error");
+    }
+    return Status::OK();
+  }
+};
+
+/// Dead-machine ids: u64 count, then each id as an i64 in [0, INT32_MAX].
+/// A wider id would wrap into the cluster's range when narrowed to int and
+/// resume with the wrong machine dead.
+struct MachineIds {
+  static constexpr std::size_t kMembers = 1;
+  std::vector<int>& ids;
+  void Encode(ByteWriter* w) const {
+    w->WriteU64(ids.size());
+    for (const int id : ids) w->WriteI64(id);
+  }
+  Status Decode(ByteReader* r) {
+    DBTF_ASSIGN_OR_RETURN(const std::uint64_t count, r->ReadU64());
+    if (count > r->remaining() / 8) {
+      return FieldError("dead-machine list larger than blob");
+    }
+    ids.assign(static_cast<std::size_t>(count), 0);
+    for (int& id : ids) {
+      std::int64_t value = 0;
+      DBTF_RETURN_IF_ERROR(InRange(value, 0, INT32_MAX).Decode(r));
+      id = static_cast<int>(value);
+    }
+    return Status::OK();
+  }
+};
+
+// RunProgress is split over two blobs: one list per segment, and together
+// they name every member.
+
+auto RunCursor(RunProgress& p) {
+  return FieldList(p.iteration, p.set_index, p.mode_index, p.next_column,
+                   p.columns_done);
+}
+
+auto RunTotals(RunProgress& p) {
+  return FieldList(p.update_stats, p.iter_stats, p.iteration_errors,
+                   p.cells_changed, p.cache_entries, p.cache_bytes,
+                   p.checkpoints_written);
+}
+
+auto RunFactors(RunProgress& p) {
+  return FieldList(p.current, HasBest{p.best_error}, p.best, p.best_error);
+}
+
+using ProgressRef = RunProgress&;
+static_assert(NamesEveryMember<
+              RunProgress, decltype(RunCursor(std::declval<ProgressRef>())),
+              decltype(RunTotals(std::declval<ProgressRef>())),
+              decltype(RunFactors(std::declval<ProgressRef>()))>::value);
+
+// The four blobs, each one list over CheckpointState; together they name
+// every member. The fingerprints and the rng state interleave with the
+// RunProgress segments in run.bin.
+
+auto RunBlob(CheckpointState& s) {
+  return FieldList(s.config_fingerprint, s.tensor_fingerprint,
+                   Segment(RunCursor(s.progress)), s.rng_state,
+                   LaterSegment(RunTotals(s.progress)));
+}
+
+auto FactorsBlob(CheckpointState& s) {
+  return FieldList(LaterSegment(RunFactors(s.progress)));
+}
+
+auto BcastBlob(CheckpointState& s) { return FieldList(s.shadows); }
+
+auto DistBlob(CheckpointState& s) {
+  return FieldList(s.comm, s.recovery, s.fault_delivery_counters,
+                   MachineIds{s.dead_machines}, s.machine_seconds,
+                   s.driver_seconds);
+}
+
+using StateRef = CheckpointState&;
+static_assert(NamesEveryMember<
+              CheckpointState, decltype(RunBlob(std::declval<StateRef>())),
+              decltype(FactorsBlob(std::declval<StateRef>())),
+              decltype(BcastBlob(std::declval<StateRef>())),
+              decltype(DistBlob(std::declval<StateRef>()))>::value);
+
+/// One blob: the walk of `blob`'s list over the state (read only).
+template <typename Blob>
+std::vector<std::uint8_t> Serialize(Blob blob, const CheckpointState& state) {
+  auto list = blob(const_cast<CheckpointState&>(state));
+  ByteWriter w;
+  EncodeList(list, &w);
+  return w.bytes();
+}
+
+template <typename Blob>
+Status Parse(Blob blob, const std::vector<std::uint8_t>& bytes,
+             CheckpointState* state) {
+  auto list = blob(*state);
+  ByteReader r(bytes);
+  DBTF_RETURN_IF_ERROR(DecodeList(list, &r));
+  return r.ExpectEnd();
+}
 
 }  // namespace
 
@@ -21,13 +129,7 @@ std::vector<std::uint8_t> SerializeManifest(const Manifest& manifest) {
   ByteWriter body;
   body.WriteU32(kManifestMagic);
   body.WriteU32(kFormatVersion);
-  body.WriteI64(manifest.sequence);
-  body.WriteU64(manifest.entries.size());
-  for (const ManifestEntry& entry : manifest.entries) {
-    body.WriteString(entry.name);
-    body.WriteU64(entry.size);
-    body.WriteU32(entry.crc);
-  }
+  EncodeFields(manifest, &body);
   ByteWriter sealed;
   sealed.WriteBytes(body.bytes().data(), body.size());
   sealed.WriteU32(body.Crc());
@@ -54,213 +156,41 @@ Result<Manifest> ParseManifest(const std::vector<std::uint8_t>& bytes) {
   if (version != kFormatVersion) {
     return Status::IoError("checkpoint: unsupported format version");
   }
-  Manifest manifest;
-  DBTF_ASSIGN_OR_RETURN(manifest.sequence, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(const std::uint64_t entry_count, r.ReadU64());
-  // Each entry is at least a length-prefixed name (8) + size (8) + crc (4);
-  // bound the count by the remaining body before reserving anything. Divide
-  // rather than multiply: a hostile count times 20 wraps around u64 (found
-  // by fuzz_ckpt_manifest; the input is pinned under fuzz/crashes/).
-  if (entry_count > r.remaining() / (8 + 8 + 4)) {
-    return Status::IoError("checkpoint: manifest entry count truncated");
-  }
-  manifest.entries.reserve(static_cast<std::size_t>(entry_count));
-  for (std::uint64_t i = 0; i < entry_count; ++i) {
-    ManifestEntry entry;
-    DBTF_ASSIGN_OR_RETURN(entry.name, r.ReadString());
-    if (entry.name.empty() || entry.name.size() > kMaxEntryNameBytes) {
-      return Status::IoError("checkpoint: manifest entry name out of range");
-    }
-    DBTF_ASSIGN_OR_RETURN(entry.size, r.ReadU64());
-    DBTF_ASSIGN_OR_RETURN(entry.crc, r.ReadU32());
-    manifest.entries.push_back(std::move(entry));
-  }
+  DBTF_ASSIGN_OR_RETURN(Manifest manifest, DecodeFields<Manifest>(&r));
   DBTF_RETURN_IF_ERROR(r.ExpectEnd());
   return manifest;
 }
 
 std::vector<std::uint8_t> SerializeRun(const CheckpointState& state) {
-  const RunProgress& p = state.progress;
-  ByteWriter w;
-  w.WriteU64(state.config_fingerprint);
-  w.WriteU64(state.tensor_fingerprint);
-  w.WriteI64(p.iteration);
-  w.WriteI64(p.set_index);
-  w.WriteI64(p.mode_index);
-  w.WriteI64(p.next_column);
-  w.WriteI64(p.columns_done);
-  for (const std::uint64_t word : state.rng_state) w.WriteU64(word);
-  w.WriteI64(p.update_stats.cache_entries);
-  w.WriteI64(p.update_stats.cache_bytes);
-  w.WriteI64(p.update_stats.cells_changed);
-  w.WriteI64(p.update_stats.final_error);
-  w.WriteI64(p.iter_stats.error);
-  w.WriteI64(p.iter_stats.cells_changed);
-  w.WriteI64(p.iter_stats.cache_entries);
-  w.WriteI64(p.iter_stats.cache_bytes);
-  w.WriteI64Vector(p.iteration_errors);
-  w.WriteI64(p.cells_changed);
-  w.WriteI64(p.cache_entries);
-  w.WriteI64(p.cache_bytes);
-  w.WriteI64(p.checkpoints_written);
-  return w.bytes();
+  return Serialize(RunBlob, state);
 }
-
 Status ParseRun(const std::vector<std::uint8_t>& bytes,
                 CheckpointState* state) {
-  RunProgress& p = state->progress;
-  ByteReader r(bytes);
-  DBTF_ASSIGN_OR_RETURN(state->config_fingerprint, r.ReadU64());
-  DBTF_ASSIGN_OR_RETURN(state->tensor_fingerprint, r.ReadU64());
-  DBTF_ASSIGN_OR_RETURN(p.iteration, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(p.set_index, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(p.mode_index, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(p.next_column, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(p.columns_done, r.ReadI64());
-  for (std::uint64_t& word : state->rng_state) {
-    DBTF_ASSIGN_OR_RETURN(word, r.ReadU64());
-  }
-  DBTF_ASSIGN_OR_RETURN(p.update_stats.cache_entries, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(p.update_stats.cache_bytes, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(p.update_stats.cells_changed, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(p.update_stats.final_error, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(p.iter_stats.error, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(p.iter_stats.cells_changed, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(p.iter_stats.cache_entries, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(p.iter_stats.cache_bytes, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(p.iteration_errors, r.ReadI64Vector());
-  DBTF_ASSIGN_OR_RETURN(p.cells_changed, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(p.cache_entries, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(p.cache_bytes, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(p.checkpoints_written, r.ReadI64());
-  return r.ExpectEnd();
+  return Parse(RunBlob, bytes, state);
 }
 
 std::vector<std::uint8_t> SerializeFactors(const CheckpointState& state) {
-  const RunProgress& p = state.progress;
-  ByteWriter w;
-  WriteBitMatrix(p.current.a, &w);
-  WriteBitMatrix(p.current.b, &w);
-  WriteBitMatrix(p.current.c, &w);
-  // The has-best flag byte is implied by best_error (RunProgress doc).
-  w.WriteU8(p.best_error >= 0 ? 1 : 0);
-  WriteBitMatrix(p.best.a, &w);
-  WriteBitMatrix(p.best.b, &w);
-  WriteBitMatrix(p.best.c, &w);
-  w.WriteI64(p.best_error);
-  return w.bytes();
+  return Serialize(FactorsBlob, state);
 }
-
 Status ParseFactors(const std::vector<std::uint8_t>& bytes,
                     CheckpointState* state) {
-  RunProgress& p = state->progress;
-  ByteReader r(bytes);
-  DBTF_ASSIGN_OR_RETURN(p.current.a, ReadBitMatrix(&r));
-  DBTF_ASSIGN_OR_RETURN(p.current.b, ReadBitMatrix(&r));
-  DBTF_ASSIGN_OR_RETURN(p.current.c, ReadBitMatrix(&r));
-  DBTF_ASSIGN_OR_RETURN(const std::uint8_t has_best, r.ReadU8());
-  if (has_best > 1) return Status::IoError("checkpoint: bad has_best flag");
-  DBTF_ASSIGN_OR_RETURN(p.best.a, ReadBitMatrix(&r));
-  DBTF_ASSIGN_OR_RETURN(p.best.b, ReadBitMatrix(&r));
-  DBTF_ASSIGN_OR_RETURN(p.best.c, ReadBitMatrix(&r));
-  DBTF_ASSIGN_OR_RETURN(p.best_error, r.ReadI64());
-  if ((has_best != 0) != (p.best_error >= 0)) {
-    return Status::IoError("checkpoint: has_best flag contradicts best_error");
-  }
-  return r.ExpectEnd();
+  return Parse(FactorsBlob, bytes, state);
 }
 
 std::vector<std::uint8_t> SerializeBcast(const CheckpointState& state) {
-  ByteWriter w;
-  for (const FactorShadowSnapshot& shadow : state.shadows) {
-    w.WriteU8(shadow.initialized ? 1 : 0);
-    w.WriteU64(shadow.generation);
-    WriteBitMatrix(shadow.content, &w);
-  }
-  return w.bytes();
+  return Serialize(BcastBlob, state);
 }
-
 Status ParseBcast(const std::vector<std::uint8_t>& bytes,
                   CheckpointState* state) {
-  ByteReader r(bytes);
-  for (FactorShadowSnapshot& shadow : state->shadows) {
-    DBTF_ASSIGN_OR_RETURN(const std::uint8_t initialized, r.ReadU8());
-    if (initialized > 1) {
-      return Status::IoError("checkpoint: bad shadow flag");
-    }
-    shadow.initialized = initialized != 0;
-    DBTF_ASSIGN_OR_RETURN(shadow.generation, r.ReadU64());
-    DBTF_ASSIGN_OR_RETURN(shadow.content, ReadBitMatrix(&r));
-  }
-  return r.ExpectEnd();
+  return Parse(BcastBlob, bytes, state);
 }
 
 std::vector<std::uint8_t> SerializeDist(const CheckpointState& state) {
-  ByteWriter w;
-  w.WriteI64(state.comm.shuffle_bytes);
-  w.WriteI64(state.comm.broadcast_bytes);
-  w.WriteI64(state.comm.collect_bytes);
-  w.WriteI64(state.comm.query_bytes);
-  w.WriteI64(state.comm.shuffle_events);
-  w.WriteI64(state.comm.broadcast_events);
-  w.WriteI64(state.comm.collect_events);
-  w.WriteI64(state.comm.query_events);
-  w.WriteI64(state.recovery.failed_deliveries);
-  w.WriteI64(state.recovery.retries);
-  w.WriteI64(state.recovery.machines_lost);
-  w.WriteI64(state.recovery.reprovisions);
-  w.WriteI64(state.recovery.reshipped_bytes);
-  w.WriteDouble(state.recovery.recovery_seconds);
-  w.WriteI64Vector(state.fault_delivery_counters);
-  w.WriteU64(state.dead_machines.size());
-  for (const int machine : state.dead_machines) {
-    w.WriteI64(machine);
-  }
-  w.WriteU64(state.machine_seconds.size());
-  for (const double seconds : state.machine_seconds) {
-    w.WriteDouble(seconds);
-  }
-  w.WriteDouble(state.driver_seconds);
-  return w.bytes();
+  return Serialize(DistBlob, state);
 }
-
 Status ParseDist(const std::vector<std::uint8_t>& bytes,
                  CheckpointState* state) {
-  ByteReader r(bytes);
-  DBTF_ASSIGN_OR_RETURN(state->comm.shuffle_bytes, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->comm.broadcast_bytes, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->comm.collect_bytes, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->comm.query_bytes, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->comm.shuffle_events, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->comm.broadcast_events, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->comm.collect_events, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->comm.query_events, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->recovery.failed_deliveries, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->recovery.retries, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->recovery.machines_lost, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->recovery.reprovisions, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->recovery.reshipped_bytes, r.ReadI64());
-  DBTF_ASSIGN_OR_RETURN(state->recovery.recovery_seconds, r.ReadDouble());
-  DBTF_ASSIGN_OR_RETURN(state->fault_delivery_counters, r.ReadI64Vector());
-  DBTF_ASSIGN_OR_RETURN(const std::uint64_t dead_count, r.ReadU64());
-  if (dead_count > r.remaining() / 8) {
-    return Status::IoError("checkpoint: dead-machine list larger than blob");
-  }
-  state->dead_machines.resize(static_cast<std::size_t>(dead_count));
-  for (int& machine : state->dead_machines) {
-    DBTF_ASSIGN_OR_RETURN(const std::int64_t value, r.ReadI64());
-    machine = static_cast<int>(value);
-  }
-  DBTF_ASSIGN_OR_RETURN(const std::uint64_t clock_count, r.ReadU64());
-  if (clock_count > r.remaining() / 8) {
-    return Status::IoError("checkpoint: clock list larger than blob");
-  }
-  state->machine_seconds.resize(static_cast<std::size_t>(clock_count));
-  for (double& seconds : state->machine_seconds) {
-    DBTF_ASSIGN_OR_RETURN(seconds, r.ReadDouble());
-  }
-  DBTF_ASSIGN_OR_RETURN(state->driver_seconds, r.ReadDouble());
-  return r.ExpectEnd();
+  return Parse(DistBlob, bytes, state);
 }
 
 }  // namespace ckpt_format

@@ -1,11 +1,13 @@
 #ifndef DBTF_CKPT_FORMAT_H_
 #define DBTF_CKPT_FORMAT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "ckpt/checkpoint.h"
+#include "common/fields.h"
 #include "common/status.h"
 
 namespace dbtf {
@@ -43,12 +45,31 @@ struct ManifestEntry {
   std::uint32_t crc = 0;
 };
 
+/// Largest name a manifest entry may carry. Blob names are short constants
+/// (run.bin & co.); anything bigger is corruption, not data.
+inline constexpr std::size_t kMaxEntryNameBytes = 256;
+
+inline auto Fields(ManifestEntry& m) {
+  return FieldList(m.name, m.size, m.crc, Check{[&m] {
+    return !m.name.empty() && m.name.size() <= kMaxEntryNameBytes;
+  }, "manifest entry name out of range"});
+}
+
 /// Parsed manifest body. The sequence is informational (the snapshot
 /// directory name is authoritative).
 struct Manifest {
   std::int64_t sequence = 0;
   std::vector<ManifestEntry> entries;
 };
+
+/// Each entry is at least a length-prefixed name (8) + size (8) + crc (4),
+/// which bounds the entry count by the remaining body (a division: a
+/// hostile count times 20 wraps u64, found by fuzz_ckpt_manifest and pinned
+/// under fuzz/crashes/).
+inline auto Fields(Manifest& m) {
+  return FieldList(m.sequence,
+                   ListOf<ManifestEntry>{m.entries, UINT64_MAX, 8 + 8 + 4});
+}
 
 /// Serializes magic | version | sequence | entry list, sealed with a
 /// trailing CRC-32 of the body.
@@ -61,11 +82,13 @@ Result<Manifest> ParseManifest(const std::vector<std::uint8_t>& bytes);
 
 // --- State blobs ------------------------------------------------------------
 //
-// Each Serialize*/Parse* pair covers a disjoint slice of CheckpointState;
-// tools/dbtf_analyze.py's ckpt-coverage rule proves the four pairs jointly
-// write and read every field of CheckpointState and of every struct it
-// embeds (RunProgress, FactorSet, ...), so a field added to any of them
-// without a codec change (or a version bump) fails the build.
+// Each blob is the walk of one field list over CheckpointState (format.cc),
+// and the four lists together name every member of CheckpointState; the
+// structs it embeds are walked through their own lists (checkpoint.h), and
+// RunProgress, split over run.bin and factors.bin, through one list per
+// segment. The compiler checks that the lists name every member, so a
+// member added to any of these structs without a codec change (and a
+// version bump) does not compile. Each parse must consume its blob exactly.
 
 std::vector<std::uint8_t> SerializeRun(const CheckpointState& state);
 Status ParseRun(const std::vector<std::uint8_t>& bytes, CheckpointState* state);

@@ -114,11 +114,6 @@ void ByteWriter::WriteString(const std::string& value) {
   WriteBytes(value.data(), value.size());
 }
 
-void ByteWriter::WriteI64Vector(const std::vector<std::int64_t>& values) {
-  WriteU64(values.size());
-  for (const std::int64_t value : values) WriteI64(value);
-}
-
 void ByteWriter::WriteBytes(const void* data, std::size_t size) {
   const auto* bytes = static_cast<const std::uint8_t*>(data);
   bytes_.insert(bytes_.end(), bytes, bytes + size);
@@ -190,20 +185,6 @@ Result<std::string> ByteReader::ReadString() {
                     static_cast<std::size_t>(length));
   offset_ += static_cast<std::size_t>(length);
   return value;
-}
-
-Result<std::vector<std::int64_t>> ByteReader::ReadI64Vector() {
-  DBTF_ASSIGN_OR_RETURN(const std::uint64_t count, ReadU64());
-  // Division, not multiplication: count * 8 wraps u64 on hostile counts
-  // (found by fuzz_wire_frame; the input is pinned under fuzz/crashes/).
-  if (count > remaining() / 8) {
-    return Status::IoError("serde: int64 vector exceeds remaining buffer");
-  }
-  std::vector<std::int64_t> values(static_cast<std::size_t>(count));
-  for (std::int64_t& value : values) {
-    DBTF_ASSIGN_OR_RETURN(value, ReadI64());
-  }
-  return values;
 }
 
 Status ByteReader::ReadBytes(void* out, std::size_t size) {

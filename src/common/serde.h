@@ -58,8 +58,6 @@ class ByteWriter {
   void WriteVarint(std::uint64_t value);
   /// Length-prefixed (u64) byte string.
   void WriteString(const std::string& value);
-  /// Count-prefixed (u64) vector of i64 values.
-  void WriteI64Vector(const std::vector<std::int64_t>& values);
   void WriteBytes(const void* data, std::size_t size);
 
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
@@ -95,9 +93,6 @@ class ByteReader {
   /// Length-prefixed (u64) byte string; the length is validated against the
   /// remaining buffer before any allocation.
   Result<std::string> ReadString();
-  /// Inverse of ByteWriter::WriteI64Vector; the count is validated against
-  /// the remaining buffer before any allocation.
-  Result<std::vector<std::int64_t>> ReadI64Vector();
   /// Copies `size` raw bytes into `out`.
   Status ReadBytes(void* out, std::size_t size);
 

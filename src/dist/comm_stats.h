@@ -3,7 +3,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
+
+#include "common/fields.h"
 
 namespace dbtf {
 
@@ -24,35 +27,29 @@ struct CommSnapshot {
 
   /// Field-wise difference this - begin, where `begin` is an earlier
   /// snapshot of the same ledger: the traffic between the two snapshots.
-  CommSnapshot Since(const CommSnapshot& begin) const {
-    CommSnapshot d;
-    d.shuffle_bytes = shuffle_bytes - begin.shuffle_bytes;
-    d.broadcast_bytes = broadcast_bytes - begin.broadcast_bytes;
-    d.collect_bytes = collect_bytes - begin.collect_bytes;
-    d.query_bytes = query_bytes - begin.query_bytes;
-    d.shuffle_events = shuffle_events - begin.shuffle_events;
-    d.broadcast_events = broadcast_events - begin.broadcast_events;
-    d.collect_events = collect_events - begin.collect_events;
-    d.query_events = query_events - begin.query_events;
-    return d;
-  }
+  CommSnapshot Since(const CommSnapshot& begin) const;
 
   /// Field-wise sum (e.g. attributing a session's one-off shuffle to a run).
-  CommSnapshot Plus(const CommSnapshot& other) const {
-    CommSnapshot s;
-    s.shuffle_bytes = shuffle_bytes + other.shuffle_bytes;
-    s.broadcast_bytes = broadcast_bytes + other.broadcast_bytes;
-    s.collect_bytes = collect_bytes + other.collect_bytes;
-    s.query_bytes = query_bytes + other.query_bytes;
-    s.shuffle_events = shuffle_events + other.shuffle_events;
-    s.broadcast_events = broadcast_events + other.broadcast_events;
-    s.collect_events = collect_events + other.collect_events;
-    s.query_events = query_events + other.query_events;
-    return s;
-  }
+  CommSnapshot Plus(const CommSnapshot& other) const;
 
   std::string ToString() const;
 };
+
+/// The ledger's fields, in declaration order: Since and Plus walk them, and
+/// the checkpoint's dist blob stores each as an i64.
+inline auto Fields(CommSnapshot& m) {
+  return FieldList(m.shuffle_bytes, m.broadcast_bytes, m.collect_bytes,
+                   m.query_bytes, m.shuffle_events, m.broadcast_events,
+                   m.collect_events, m.query_events);
+}
+
+inline CommSnapshot CommSnapshot::Since(const CommSnapshot& begin) const {
+  return ZipFields(*this, begin, std::minus<>());
+}
+
+inline CommSnapshot CommSnapshot::Plus(const CommSnapshot& other) const {
+  return ZipFields(*this, other, std::plus<>());
+}
 
 /// Thread-safe ledger of the bytes a real cluster would move over the
 /// network. DBTF charges it exactly the volumes analyzed in Lemmas 6 and 7

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <utility>
 
@@ -311,25 +312,11 @@ Status RetryPolicy::Validate() const {
 }
 
 RecoveryStats RecoveryStats::Since(const RecoveryStats& begin) const {
-  RecoveryStats delta;
-  delta.failed_deliveries = failed_deliveries - begin.failed_deliveries;
-  delta.retries = retries - begin.retries;
-  delta.machines_lost = machines_lost - begin.machines_lost;
-  delta.reprovisions = reprovisions - begin.reprovisions;
-  delta.reshipped_bytes = reshipped_bytes - begin.reshipped_bytes;
-  delta.recovery_seconds = recovery_seconds - begin.recovery_seconds;
-  return delta;
+  return ZipFields(*this, begin, std::minus<>());
 }
 
 RecoveryStats RecoveryStats::Plus(const RecoveryStats& other) const {
-  RecoveryStats sum;
-  sum.failed_deliveries = failed_deliveries + other.failed_deliveries;
-  sum.retries = retries + other.retries;
-  sum.machines_lost = machines_lost + other.machines_lost;
-  sum.reprovisions = reprovisions + other.reprovisions;
-  sum.reshipped_bytes = reshipped_bytes + other.reshipped_bytes;
-  sum.recovery_seconds = recovery_seconds + other.recovery_seconds;
-  return sum;
+  return ZipFields(*this, other, std::plus<>());
 }
 
 std::string RecoveryStats::ToString() const {

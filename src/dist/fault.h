@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -106,6 +107,13 @@ struct RecoveryStats {
   RecoveryStats Plus(const RecoveryStats& other) const;
   std::string ToString() const;
 };
+
+/// The ledger's fields, in declaration order: Since and Plus walk them, and
+/// the checkpoint's dist blob stores them (five i64, one f64).
+inline auto Fields(RecoveryStats& m) {
+  return FieldList(m.failed_deliveries, m.retries, m.machines_lost,
+                   m.reprovisions, m.reshipped_bytes, m.recovery_seconds);
+}
 
 /// Thread-safe ledger behind RecoveryStats. Within src/, only Cluster's
 /// charging layer (src/dist/cluster.cc) may call the Record* mutators —

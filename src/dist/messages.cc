@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "common/serde.h"
-
 namespace dbtf {
 
 MatrixDelta MatrixDelta::Full(int slot, std::uint64_t generation,
@@ -46,18 +44,6 @@ void CollectErrorsResponse::MergeFrom(const CollectErrorsResponse& other) {
   cache_bytes += other.cache_bytes;
 }
 
-std::int64_t CollectErrorsResponse::WireBytes() const {
-  // Row count, diff-block length, the block of zigzag varints, then the
-  // three zigzag scalars — the layout of EncodeCollectErrorsResponse.
-  std::uint64_t block = 0;
-  for (const std::int64_t d : diffs) block += VarintBytes(ZigZagEncode(d));
-  return VarintBytes(diffs.size()) + VarintBytes(block) +
-         static_cast<std::int64_t>(block) +
-         VarintBytes(ZigZagEncode(base_error)) +
-         VarintBytes(ZigZagEncode(cache_entries)) +
-         VarintBytes(ZigZagEncode(cache_bytes));
-}
-
 std::int64_t StorePartitionRequest::WireBytes() const {
   std::int64_t bytes = 0;
   for (const PartitionBlock& block : partition.blocks) {
@@ -65,24 +51,6 @@ std::int64_t StorePartitionRequest::WireBytes() const {
              static_cast<std::int64_t>(sizeof(BitWord));
   }
   return bytes;
-}
-
-std::int64_t QueryRequest::WireBytes() const {
-  // kind + id + mode + three coordinates + top_r + slice length prefix,
-  // plus the packed slice words.
-  return 1 + 8 + 1 + 3 * 8 + 8 + 8 +
-         static_cast<std::int64_t>(slice_bits.size()) *
-             static_cast<std::int64_t>(sizeof(BitWord));
-}
-
-std::int64_t QueryResponse::WireBytes() const {
-  // id + member + explain mask + fiber length prefix + two ranked-list
-  // length prefixes + the three generations, plus the variable payloads.
-  return 8 + 1 + 8 + 8 + 8 + 8 + 3 * 8 +
-         static_cast<std::int64_t>(fiber_bits.size()) *
-             static_cast<std::int64_t>(sizeof(BitWord)) +
-         static_cast<std::int64_t>(concept_ids.size()) * 8 +
-         static_cast<std::int64_t>(concept_scores.size()) * 8;
 }
 
 }  // namespace dbtf

@@ -18,7 +18,8 @@ namespace dbtf {
 // (dist/transport/wire.h), or re-delivered by the retry policy without any
 // lifetime coupling to the driver's state. Each request is routed through
 // exactly one Cluster primitive, so the Lemma 6–7 ledger charging happens at
-// the routing layer instead of at call sites:
+// the routing layer instead of at call sites. Each message's byte layout is
+// one field list in dist/transport/wire.cc.
 //
 //   FactorDelta          -> Cluster::BroadcastFactors   (charged per machine)
 //   RunUpdateColumn +    -> Cluster::RunColumn          (one exchange per
@@ -56,8 +57,9 @@ struct MatrixDelta {
   static MatrixDelta Full(int slot, std::uint64_t generation,
                           BitMatrix matrix);
 
-  /// Packed bytes one machine receives: the full matrix, or per changed
-  /// column an 8-byte index plus the packed column bits.
+  /// Lemma 7's model of what one machine receives, not the encoded size:
+  /// the packed full matrix, or per changed column an 8-byte index plus the
+  /// packed column bits.
   std::int64_t WireBytes() const;
 };
 
@@ -88,7 +90,8 @@ struct FactorDelta {
   /// nor rebuilt, and the mf/ms slots need not be resident.
   bool apply_only = false;
 
-  /// Packed bytes of all shipped updates: what one machine receives.
+  /// Lemma 7's model of what one machine receives, not the encoded size:
+  /// the updates' MatrixDelta::WireBytes().
   std::int64_t WireBytes() const;
 };
 
@@ -143,8 +146,8 @@ struct CollectErrorsResponse {
   /// the merge order across machines does not affect the result.
   void MergeFrom(const CollectErrorsResponse& other);
 
-  /// Exact size of this response's wire encoding (EncodeCollectErrorsResponse,
-  /// varint diffs): what one machine's reply costs on Lemma 7's collect
+  /// Exact size of this response's wire encoding (FieldBytes of its field
+  /// list in wire.cc): what one machine's reply costs on Lemma 7's collect
   /// term, computed from the message so both transports charge the same.
   std::int64_t WireBytes() const;
 };
@@ -158,8 +161,9 @@ struct StorePartitionRequest {
   UnfoldShape shape{0, 0, 0};
   Partition partition;
 
-  /// Packed bytes of the partition's block rows — what shipping it costs on
-  /// the wire (the recovery ledger's re-shipment accounting).
+  /// Lemma 6's model of shipping the partition, not the encoded size: the
+  /// packed bytes of its block rows (the recovery ledger's re-shipment
+  /// accounting).
   std::int64_t WireBytes() const;
 };
 
@@ -196,7 +200,8 @@ struct QueryRequest {
   std::int64_t slice_len = 0;       ///< logical bits in slice_bits
   std::int64_t top_r = 0;           ///< top-R: how many concepts to return
 
-  /// Packed request bytes (what routing one query costs on the wire).
+  /// Exact size of the request's wire encoding: what routing one query
+  /// costs on the wire.
   std::int64_t WireBytes() const;
 };
 
@@ -213,7 +218,8 @@ struct QueryResponse {
   std::vector<std::int64_t> concept_scores;   ///< top-R: overlap popcounts
   std::vector<std::uint64_t> generations;     ///< factor generations (A,B,C)
 
-  /// Packed response bytes (the collect side of the query's ledger charge).
+  /// Exact size of the response's wire encoding: the collect side of the
+  /// query's ledger charge.
   std::int64_t WireBytes() const;
 };
 

@@ -1,10 +1,11 @@
 #include "dist/transport/wire.h"
 
 #include <bit>
-#include <cstring>
+#include <string>
 #include <utility>
 
 #include "common/bitspan.h"
+#include "common/fields.h"
 #include "common/rank.h"
 #include "tensor/bit_matrix.h"
 
@@ -38,496 +39,337 @@ bool IsWireKind(std::uint8_t kind) {
   return false;
 }
 
-void EncodeMode(Mode mode, ByteWriter* writer) {
-  writer->WriteU8(static_cast<std::uint8_t>(mode));
-}
+// --- The special encodings ----------------------------------------------------
 
-Result<Mode> DecodeMode(ByteReader* reader) {
-  DBTF_ASSIGN_OR_RETURN(const std::uint8_t raw, reader->ReadU8());
-  if (raw < 1 || raw > 3) return Corrupt("mode out of range");
-  return static_cast<Mode>(raw);
-}
-
-Result<bool> DecodeBool(ByteReader* reader) {
-  DBTF_ASSIGN_OR_RETURN(const std::uint8_t raw, reader->ReadU8());
-  if (raw > 1) return Corrupt("boolean flag out of range");
-  return raw != 0;
-}
-
-void EncodeMatrixDelta(const MatrixDelta& d, ByteWriter* writer) {
-  writer->WriteU8(static_cast<std::uint8_t>(d.slot));
-  writer->WriteU64(d.generation);
-  writer->WriteU64(d.base_generation);
-  writer->WriteU8(d.full ? 1 : 0);
-  writer->WriteI64(d.rows);
-  writer->WriteI64(d.cols);
-  if (d.full) {
-    WriteBitMatrix(d.dense, writer);
-    return;
-  }
-  writer->WriteU64(d.columns.size());
-  const std::size_t words_per_column =
-      static_cast<std::size_t>((d.rows + 63) / 64);
-  for (std::size_t i = 0; i < d.columns.size(); ++i) {
-    writer->WriteI64(d.columns[i]);
-    for (std::size_t w = 0; w < words_per_column; ++w) {
-      writer->WriteU64(d.column_bits[i][w]);
+/// A delta's payload: the full matrix, or the changed columns: u64 count (at
+/// most `cols`), then per column its i64 index and `rows` packed bits.
+struct DeltaPayload {
+  static constexpr std::size_t kMembers = 3;
+  const bool& full;
+  BitMatrix& dense;
+  std::vector<std::int64_t>& columns;
+  std::vector<std::vector<BitWord>>& bits;
+  const std::int64_t& rows;
+  const std::int64_t& cols;
+  void Encode(ByteWriter* w) const {
+    if (full) return CodecFor(dense).Encode(w);
+    w->WriteU64(columns.size());
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+      w->WriteI64(columns[i]);
+      WritePackedWords(bits[i], static_cast<std::size_t>(rows), w);
     }
   }
-}
+  Status Decode(ByteReader* r) {
+    if (full) return CodecFor(dense).Decode(r);
+    DBTF_ASSIGN_OR_RETURN(const std::uint64_t count, r->ReadU64());
+    // rows <= kMaxWireDim and count <= cols <= kMaxRank: no product wraps.
+    const std::uint64_t per_column =
+        8 + WordsForBits(static_cast<std::size_t>(rows)) * 8;
+    if (count > static_cast<std::uint64_t>(cols) ||
+        count * per_column > r->remaining()) {
+      return Corrupt("column-delta count truncated");
+    }
+    columns.assign(static_cast<std::size_t>(count), 0);
+    bits.assign(static_cast<std::size_t>(count), {});
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+      DBTF_RETURN_IF_ERROR(InRange(columns[i], 0, cols - 1).Decode(r));
+      DBTF_RETURN_IF_ERROR(
+          ReadPackedWords(r, static_cast<std::size_t>(rows), &bits[i]));
+    }
+    return Status::OK();
+  }
+};
 
-Result<MatrixDelta> DecodeMatrixDelta(ByteReader* reader) {
-  MatrixDelta d;
-  DBTF_ASSIGN_OR_RETURN(const std::uint8_t slot, reader->ReadU8());
-  if (slot > 2) return Corrupt("factor slot out of range");
-  d.slot = slot;
-  DBTF_ASSIGN_OR_RETURN(d.generation, reader->ReadU64());
-  DBTF_ASSIGN_OR_RETURN(d.base_generation, reader->ReadU64());
-  DBTF_ASSIGN_OR_RETURN(d.full, DecodeBool(reader));
-  DBTF_ASSIGN_OR_RETURN(d.rows, reader->ReadI64());
-  DBTF_ASSIGN_OR_RETURN(d.cols, reader->ReadI64());
-  if (d.rows < 0 || d.cols < 0 || d.rows > kMaxWireDim || d.cols > kMaxRank) {
-    return Corrupt("matrix-delta shape out of range");
-  }
-  if (d.full) {
-    DBTF_ASSIGN_OR_RETURN(d.dense, ReadBitMatrix(reader));
-    if (d.dense.rows() != d.rows || d.dense.cols() != d.cols) {
-      return Corrupt("full payload does not match the delta's shape");
+/// Row masks as bit planes: u8 width, then `width` planes of `rows` packed
+/// bits, plane b holding bit b of every mask. The width is the bit width of
+/// the OR of all masks, at most kMaxRank, so the top plane is never empty.
+struct BitPlanes {
+  static constexpr std::size_t kMembers = 1;
+  std::vector<std::uint64_t>& masks;
+  const std::int64_t& rows;
+  void Encode(ByteWriter* w) const {
+    DBTF_DCHECK(static_cast<std::int64_t>(masks.size()) == rows,
+                "RunUpdateColumn row masks do not match its row count");
+    std::uint64_t used = 0;
+    for (const std::uint64_t mask : masks) used |= mask;
+    const int width = std::bit_width(used);
+    w->WriteU8(static_cast<std::uint8_t>(width));
+    // Transpose the masks into bit planes: row r's bit b lands at position
+    // r of plane b.
+    const std::size_t n = masks.size();
+    const std::size_t words = WordsForBits(n);
+    std::vector<BitWord> planes(static_cast<std::size_t>(width) * words, 0);
+    for (std::size_t r = 0; r < n; ++r) {
+      ForEachSetBit(BitSpan(&masks[r], kBitsPerWord), [&](std::size_t b) {
+        MutableBitSpan(planes.data() + b * words, n).Set(r, true);
+      });
     }
-    return d;
+    for (const BitWord word : planes) w->WriteU64(word);
   }
-  DBTF_ASSIGN_OR_RETURN(const std::uint64_t count, reader->ReadU64());
-  const std::uint64_t words_per_column =
-      static_cast<std::uint64_t>((d.rows + 63) / 64);
-  const std::uint64_t per_column = 8 + words_per_column * 8;
-  if (count > static_cast<std::uint64_t>(d.cols) ||
-      count * per_column > reader->remaining()) {
-    return Corrupt("column-delta count truncated");
-  }
-  d.columns.reserve(static_cast<std::size_t>(count));
-  d.column_bits.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    DBTF_ASSIGN_OR_RETURN(const std::int64_t column, reader->ReadI64());
-    if (column < 0 || column >= d.cols) {
-      return Corrupt("changed column index out of range");
+  Status Decode(ByteReader* r) {
+    DBTF_ASSIGN_OR_RETURN(const std::uint8_t width, r->ReadU8());
+    if (width > kMaxRank) {
+      return Corrupt("row-mask plane width exceeds the rank cap");
     }
-    std::vector<BitWord> bits(static_cast<std::size_t>(words_per_column), 0);
-    for (std::uint64_t w = 0; w < words_per_column; ++w) {
-      DBTF_ASSIGN_OR_RETURN(bits[static_cast<std::size_t>(w)],
-                            reader->ReadU64());
+    const std::size_t n = static_cast<std::size_t>(rows);
+    if (width * WordsForBits(n) > r->remaining() / 8) {
+      return Corrupt("row-mask planes truncated");
     }
-    d.columns.push_back(column);
-    d.column_bits.push_back(std::move(bits));
+    masks.assign(n, 0);
+    std::vector<BitWord> plane;
+    for (int b = 0; b < width; ++b) {
+      DBTF_RETURN_IF_ERROR(ReadPackedWords(r, n, &plane));
+      bool empty = true;
+      ForEachSetBit(BitSpan(plane.data(), n), [&](std::size_t row) {
+        masks[row] |= std::uint64_t{1} << b;
+        empty = false;
+      });
+      if (empty && b == width - 1) return Corrupt("top row-mask plane empty");
+    }
+    return Status::OK();
   }
-  return d;
-}
+};
+
+/// The diffs as one block: varint rows, varint block bytes, then `rows`
+/// zigzag varints. The block length bounds the row count before anything
+/// is allocated and rejects a block holding more or fewer diffs than rows.
+struct DiffBlock {
+  static constexpr std::size_t kMembers = 1;
+  std::vector<std::int64_t>& diffs;
+  std::uint64_t BlockBytes() const {
+    std::uint64_t block = 0;
+    for (const std::int64_t d : diffs) block += VarintBytes(ZigZagEncode(d));
+    return block;
+  }
+  void Encode(ByteWriter* w) const {
+    w->WriteVarint(diffs.size());
+    w->WriteVarint(BlockBytes());
+    for (const std::int64_t d : diffs) w->WriteVarint(ZigZagEncode(d));
+  }
+  Status Decode(ByteReader* r) {
+    DBTF_ASSIGN_OR_RETURN(const std::uint64_t n, r->ReadVarint());
+    DBTF_ASSIGN_OR_RETURN(const std::uint64_t block, r->ReadVarint());
+    // Every varint takes at least one byte: the block bounds the row count
+    // and the buffer bounds the block.
+    if (block > r->remaining()) return Corrupt("diff block truncated");
+    if (n > block) return Corrupt("diff block holds fewer diffs than rows");
+    diffs.assign(static_cast<std::size_t>(n), 0);
+    const std::size_t begin = r->offset();
+    for (std::int64_t& d : diffs) DBTF_RETURN_IF_ERROR(ZigZag{d}.Decode(r));
+    if (r->offset() - begin != block) {
+      return Corrupt("diff block does not hold exactly one diff per row");
+    }
+    return Status::OK();
+  }
+  std::int64_t Bytes() const {
+    const std::uint64_t block = BlockBytes();
+    return VarintBytes(diffs.size()) + VarintBytes(block) +
+           static_cast<std::int64_t>(block);
+  }
+};
+
+/// A handler's Status: u32 code (at most kUnavailable), then its message.
+struct ReplyStatus {
+  static constexpr std::size_t kMembers = 1;
+  Status& status;
+  void Encode(ByteWriter* w) const {
+    w->WriteU32(static_cast<std::uint32_t>(status.code()));
+    w->WriteString(status.message());
+  }
+  Status Decode(ByteReader* r) {
+    DBTF_ASSIGN_OR_RETURN(const std::uint32_t code, r->ReadU32());
+    if (code > static_cast<std::uint32_t>(StatusCode::kUnavailable)) {
+      return Corrupt("status code out of range");
+    }
+    DBTF_ASSIGN_OR_RETURN(std::string message, r->ReadString());
+    status = Status(static_cast<StatusCode>(code), std::move(message));
+    return Status::OK();
+  }
+};
 
 }  // namespace
 
-void EncodeFactorDelta(const FactorDelta& msg, ByteWriter* writer) {
-  EncodeMode(msg.mode, writer);
-  writer->WriteI64(msg.rows);
-  writer->WriteU8(static_cast<std::uint8_t>(msg.mf_slot));
-  writer->WriteU8(static_cast<std::uint8_t>(msg.ms_slot));
-  writer->WriteU32(static_cast<std::uint32_t>(msg.cache_group_size));
-  writer->WriteU8(msg.enable_caching ? 1 : 0);
-  writer->WriteU8(msg.apply_only ? 1 : 0);
-  writer->WriteU64(msg.updates.size());
-  for (const MatrixDelta& d : msg.updates) EncodeMatrixDelta(d, writer);
+// --- The field lists: every message's bytes, in order -------------------------
+//
+// A value no encoder writes is rejected as the list is read (a bounded
+// field) or right after it (one Check per message): one encoding each.
+
+/// One byte, 1..3.
+static Bounded<std::uint8_t, Mode> CodecFor(Mode& mode) {
+  return ByteIn(mode, 1, 3);
 }
 
+static auto Fields(MatrixDelta& m) {
+  return FieldList(
+      ByteIn(m.slot, 0, 2), m.generation, m.base_generation, m.full,
+      InRange(m.rows, 0, kMaxWireDim), InRange(m.cols, 0, kMaxRank),
+      DeltaPayload{m.full, m.dense, m.columns, m.column_bits, m.rows, m.cols},
+      Check{[&m] {
+              return !m.full ||
+                     (m.dense.rows() == m.rows && m.dense.cols() == m.cols);
+            },
+            "full payload does not match the delta's shape"});
+}
+
+static auto Fields(FactorDelta& m) {
+  return FieldList(m.mode, InRange(m.rows, 0, kMaxWireDim),
+                   ByteIn(m.mf_slot, 0, 2), ByteIn(m.ms_slot, 0, 2),
+                   m.cache_group_size, m.enable_caching, m.apply_only,
+                   ListOf<MatrixDelta>{m.updates, 3, 0});
+}
+
+static auto Fields(RunUpdateColumn& m) {
+  return FieldList(m.mode, InRange(m.column, 0, kMaxRank - 1),
+                   InRange(m.rows, 0, kMaxWireDim),
+                   BitPlanes{m.row_masks, m.rows});
+}
+
+static auto Fields(CollectErrorsRequest& m) {
+  return FieldList(m.mode, InRange(m.rows, 0, kMaxWireDim), m.want_stats);
+}
+
+static auto Fields(CollectErrorsResponse& m) {
+  return FieldList(DiffBlock{m.diffs}, ZigZag{m.base_error},
+                   ZigZag{m.cache_entries}, ZigZag{m.cache_bytes});
+}
+
+static auto Fields(UnfoldShape& m) {
+  return FieldList(InRange(m.rows, 0, kMaxWireDim),
+                   InRange(m.blocks, 0, kMaxWireDim),
+                   InRange(m.within, 0, kMaxWireDim));
+}
+
+static auto Fields(PartitionBlock& m) {
+  return FieldList(m.block_index, m.within_begin, m.within_end, m.word_begin,
+                   m.last_word_mask,
+                   ByteIn(m.type, 0, static_cast<int>(BlockType::kInterior)),
+                   m.rows, m.row_nnz);
+}
+
+/// A block is at least its fixed fields, an empty matrix and an empty
+/// non-zero list.
+static auto Fields(Partition& m) {
+  return FieldList(m.col_begin, m.col_end,
+                   ListOf<PartitionBlock>{m.blocks, UINT64_MAX,
+                                          5 * 8 + 1 + 2 * 8 + 8});
+}
+
+static auto Fields(StorePartitionRequest& m) {
+  return FieldList(m.mode, InRange(m.index, 0, INT64_MAX), m.shape,
+                   m.partition);
+}
+
+/// Coordinates are validated against the factor shapes by the worker; the
+/// decoder only rejects values no tensor can reach.
+static auto Fields(QueryRequest& m) {
+  return FieldList(ByteIn(m.kind, 1, 3), m.id, m.mode,
+                   InRange(m.i, 0, kMaxWireDim), InRange(m.j, 0, kMaxWireDim),
+                   InRange(m.k, 0, kMaxWireDim), InRange(m.top_r, 0, kMaxRank),
+                   PackedBits{m.slice_bits, m.slice_len, kMaxWireDim});
+}
+
+/// The worker always answers with the three factor-slot generations: a
+/// different count is a framing error, not a smaller cluster.
+static auto Fields(QueryResponse& m) {
+  return FieldList(
+      m.id, m.member, m.explain_mask,
+      PackedBits{m.fiber_bits, m.fiber_len, kMaxWireDim}, m.concept_ids,
+      m.concept_scores, m.generations,
+      Check{[&m] {
+              for (const std::int64_t id : m.concept_ids) {
+                if (id < 0 || id >= kMaxRank) return false;
+              }
+              return m.concept_ids.size() == m.concept_scores.size() &&
+                     m.generations.size() == 3;
+            },
+            "ranked concepts or generations out of range"});
+}
+
+static auto Fields(WireReply& m) {
+  return FieldList(ReplyStatus{m.status}, m.compute_seconds, m.body);
+}
+
+std::int64_t CollectErrorsResponse::WireBytes() const {
+  return FieldBytes(*this);
+}
+std::int64_t QueryRequest::WireBytes() const { return FieldBytes(*this); }
+std::int64_t QueryResponse::WireBytes() const { return FieldBytes(*this); }
+
+// --- Message payload codecs ---------------------------------------------------
+
+void EncodeFactorDelta(const FactorDelta& msg, ByteWriter* writer) {
+  EncodeFields(msg, writer);
+}
 Result<FactorDelta> DecodeFactorDelta(ByteReader* reader) {
-  FactorDelta msg;
-  DBTF_ASSIGN_OR_RETURN(msg.mode, DecodeMode(reader));
-  DBTF_ASSIGN_OR_RETURN(msg.rows, reader->ReadI64());
-  if (msg.rows < 0 || msg.rows > kMaxWireDim) {
-    return Corrupt("factor rows out of range");
-  }
-  DBTF_ASSIGN_OR_RETURN(const std::uint8_t mf_slot, reader->ReadU8());
-  DBTF_ASSIGN_OR_RETURN(const std::uint8_t ms_slot, reader->ReadU8());
-  if (mf_slot > 2 || ms_slot > 2) return Corrupt("operand slot out of range");
-  msg.mf_slot = mf_slot;
-  msg.ms_slot = ms_slot;
-  DBTF_ASSIGN_OR_RETURN(const std::uint32_t group, reader->ReadU32());
-  msg.cache_group_size = static_cast<int>(group);
-  DBTF_ASSIGN_OR_RETURN(msg.enable_caching, DecodeBool(reader));
-  DBTF_ASSIGN_OR_RETURN(msg.apply_only, DecodeBool(reader));
-  DBTF_ASSIGN_OR_RETURN(const std::uint64_t count, reader->ReadU64());
-  if (count > 3) return Corrupt("operand update count out of range");
-  for (std::uint64_t i = 0; i < count; ++i) {
-    DBTF_ASSIGN_OR_RETURN(MatrixDelta d, DecodeMatrixDelta(reader));
-    msg.updates.push_back(std::move(d));
-  }
-  return msg;
+  return DecodeFields<FactorDelta>(reader);
 }
 
 void EncodeRunUpdateColumn(const RunUpdateColumn& msg, ByteWriter* writer) {
-  DBTF_DCHECK(static_cast<std::int64_t>(msg.row_masks.size()) == msg.rows,
-              "RunUpdateColumn row masks do not match its row count");
-  EncodeMode(msg.mode, writer);
-  writer->WriteI64(msg.column);
-  writer->WriteI64(msg.rows);
-  std::uint64_t used = 0;
-  for (const std::uint64_t mask : msg.row_masks) used |= mask;
-  const int width = std::bit_width(used);
-  writer->WriteU8(static_cast<std::uint8_t>(width));
-  // Transpose the masks into bit planes: row r's bit b lands at position r
-  // of plane b.
-  const std::size_t rows = msg.row_masks.size();
-  const std::size_t words = WordsForBits(rows);
-  std::vector<BitWord> planes(static_cast<std::size_t>(width) * words, 0);
-  for (std::size_t r = 0; r < rows; ++r) {
-    ForEachSetBit(BitSpan(&msg.row_masks[r], kBitsPerWord),
-                  [&](std::size_t b) {
-                    MutableBitSpan(planes.data() + b * words, rows)
-                        .Set(r, true);
-                  });
-  }
-  for (const BitWord w : planes) writer->WriteU64(w);
+  EncodeFields(msg, writer);
 }
-
 Result<RunUpdateColumn> DecodeRunUpdateColumn(ByteReader* reader) {
-  RunUpdateColumn msg;
-  DBTF_ASSIGN_OR_RETURN(msg.mode, DecodeMode(reader));
-  DBTF_ASSIGN_OR_RETURN(msg.column, reader->ReadI64());
-  DBTF_ASSIGN_OR_RETURN(msg.rows, reader->ReadI64());
-  if (msg.column < 0 || msg.column >= kMaxRank || msg.rows < 0 ||
-      msg.rows > kMaxWireDim) {
-    return Corrupt("run-update-column header out of range");
-  }
-  DBTF_ASSIGN_OR_RETURN(const std::uint8_t width, reader->ReadU8());
-  if (width > kMaxRank) {
-    return Corrupt("row-mask plane width exceeds the rank cap");
-  }
-  const std::size_t rows = static_cast<std::size_t>(msg.rows);
-  const std::size_t words = WordsForBits(rows);
-  if (width * words > reader->remaining() / 8) {
-    return Corrupt("row-mask planes truncated");
-  }
-  msg.row_masks.assign(rows, 0);
-  std::vector<BitWord> plane(words, 0);
-  for (int b = 0; b < width; ++b) {
-    for (std::size_t w = 0; w < words; ++w) {
-      DBTF_ASSIGN_OR_RETURN(plane[w], reader->ReadU64());
-    }
-    const BitSpan bits(plane.data(), rows);
-    if (!TailPaddingZero(bits)) {
-      return Corrupt("row-mask plane padding bits set");
-    }
-    ForEachSetBit(bits, [&](std::size_t r) {
-      msg.row_masks[r] |= std::uint64_t{1} << b;
-    });
-  }
-  return msg;
+  return DecodeFields<RunUpdateColumn>(reader);
 }
 
 void EncodeCollectErrorsRequest(const CollectErrorsRequest& msg,
                                 ByteWriter* writer) {
-  EncodeMode(msg.mode, writer);
-  writer->WriteI64(msg.rows);
-  writer->WriteU8(msg.want_stats ? 1 : 0);
+  EncodeFields(msg, writer);
 }
-
 Result<CollectErrorsRequest> DecodeCollectErrorsRequest(ByteReader* reader) {
-  CollectErrorsRequest msg;
-  DBTF_ASSIGN_OR_RETURN(msg.mode, DecodeMode(reader));
-  DBTF_ASSIGN_OR_RETURN(msg.rows, reader->ReadI64());
-  if (msg.rows < 0 || msg.rows > kMaxWireDim) {
-    return Corrupt("collect-errors rows out of range");
-  }
-  DBTF_ASSIGN_OR_RETURN(msg.want_stats, DecodeBool(reader));
-  return msg;
+  return DecodeFields<CollectErrorsRequest>(reader);
 }
-
-namespace {
-
-/// Packed bit string: logical length prefix, then exactly WordsForBits(len)
-/// storage words. The vector must be sized to the length.
-void EncodePackedBits(const std::vector<BitWord>& words, std::int64_t bits,
-                      ByteWriter* writer) {
-  DBTF_DCHECK(words.size() == WordsForBits(static_cast<std::size_t>(bits)),
-              "packed bit vector does not match its logical length");
-  writer->WriteI64(bits);
-  for (const BitWord w : words) writer->WriteU64(w);
-}
-
-struct PackedBits {
-  std::vector<BitWord> words;
-  std::int64_t bits = 0;
-};
-
-Result<PackedBits> DecodePackedBits(ByteReader* reader) {
-  PackedBits packed;
-  DBTF_ASSIGN_OR_RETURN(packed.bits, reader->ReadI64());
-  if (packed.bits < 0 || packed.bits > kMaxWireDim) {
-    return Corrupt("packed bit length out of range");
-  }
-  const std::uint64_t nwords =
-      WordsForBits(static_cast<std::size_t>(packed.bits));
-  if (nwords > reader->remaining() / 8) {
-    return Corrupt("packed bit vector truncated");
-  }
-  packed.words.assign(static_cast<std::size_t>(nwords), 0);
-  for (std::uint64_t w = 0; w < nwords; ++w) {
-    DBTF_ASSIGN_OR_RETURN(packed.words[static_cast<std::size_t>(w)],
-                          reader->ReadU64());
-  }
-  if (!TailPaddingZero(BitSpan(packed.words.data(),
-                               static_cast<std::size_t>(packed.bits)))) {
-    return Corrupt("packed bit padding set");
-  }
-  return packed;
-}
-
-void WriteZigZag(std::int64_t value, ByteWriter* writer) {
-  writer->WriteVarint(ZigZagEncode(value));
-}
-
-Result<std::int64_t> ReadZigZag(ByteReader* reader) {
-  DBTF_ASSIGN_OR_RETURN(const std::uint64_t raw, reader->ReadVarint());
-  return ZigZagDecode(raw);
-}
-
-}  // namespace
-
 
 void EncodeCollectErrorsResponse(const CollectErrorsResponse& msg,
                                  ByteWriter* writer) {
-  std::uint64_t block = 0;
-  for (const std::int64_t d : msg.diffs) block += VarintBytes(ZigZagEncode(d));
-  writer->WriteVarint(msg.diffs.size());
-  writer->WriteVarint(block);
-  for (const std::int64_t d : msg.diffs) WriteZigZag(d, writer);
-  WriteZigZag(msg.base_error, writer);
-  WriteZigZag(msg.cache_entries, writer);
-  WriteZigZag(msg.cache_bytes, writer);
+  EncodeFields(msg, writer);
 }
-
 Result<CollectErrorsResponse> DecodeCollectErrorsResponse(ByteReader* reader) {
-  CollectErrorsResponse msg;
-  DBTF_ASSIGN_OR_RETURN(const std::uint64_t rows, reader->ReadVarint());
-  DBTF_ASSIGN_OR_RETURN(const std::uint64_t block, reader->ReadVarint());
-  // Every varint takes at least one byte: the block bounds the row count
-  // and the buffer bounds the block, both before anything is allocated.
-  if (block > reader->remaining()) return Corrupt("diff block truncated");
-  if (rows > block) return Corrupt("diff block holds fewer diffs than rows");
-  msg.diffs.assign(static_cast<std::size_t>(rows), 0);
-  const std::size_t begin = reader->offset();
-  for (std::int64_t& d : msg.diffs) {
-    DBTF_ASSIGN_OR_RETURN(d, ReadZigZag(reader));
-  }
-  if (reader->offset() - begin != block) {
-    return Corrupt("diff block does not hold exactly one diff per row");
-  }
-  DBTF_ASSIGN_OR_RETURN(msg.base_error, ReadZigZag(reader));
-  DBTF_ASSIGN_OR_RETURN(msg.cache_entries, ReadZigZag(reader));
-  DBTF_ASSIGN_OR_RETURN(msg.cache_bytes, ReadZigZag(reader));
-  return msg;
+  return DecodeFields<CollectErrorsResponse>(reader);
 }
 
 void EncodeStorePartitionRequest(const StorePartitionRequest& msg,
                                  ByteWriter* writer) {
-  EncodeMode(msg.mode, writer);
-  writer->WriteI64(msg.index);
-  writer->WriteI64(msg.shape.rows);
-  writer->WriteI64(msg.shape.blocks);
-  writer->WriteI64(msg.shape.within);
-  writer->WriteI64(msg.partition.col_begin);
-  writer->WriteI64(msg.partition.col_end);
-  writer->WriteU64(msg.partition.blocks.size());
-  for (const PartitionBlock& block : msg.partition.blocks) {
-    writer->WriteI64(block.block_index);
-    writer->WriteI64(block.within_begin);
-    writer->WriteI64(block.within_end);
-    writer->WriteI64(block.word_begin);
-    writer->WriteU64(block.last_word_mask);
-    writer->WriteU8(static_cast<std::uint8_t>(block.type));
-    WriteBitMatrix(block.rows, writer);
-    writer->WriteU64(block.row_nnz.size());
-    for (const std::int32_t nnz : block.row_nnz) {
-      writer->WriteU32(static_cast<std::uint32_t>(nnz));
-    }
-  }
+  EncodeFields(msg, writer);
 }
-
 Result<StorePartitionRequest> DecodeStorePartitionRequest(ByteReader* reader) {
-  StorePartitionRequest msg;
-  DBTF_ASSIGN_OR_RETURN(msg.mode, DecodeMode(reader));
-  DBTF_ASSIGN_OR_RETURN(msg.index, reader->ReadI64());
-  DBTF_ASSIGN_OR_RETURN(msg.shape.rows, reader->ReadI64());
-  DBTF_ASSIGN_OR_RETURN(msg.shape.blocks, reader->ReadI64());
-  DBTF_ASSIGN_OR_RETURN(msg.shape.within, reader->ReadI64());
-  DBTF_ASSIGN_OR_RETURN(msg.partition.col_begin, reader->ReadI64());
-  DBTF_ASSIGN_OR_RETURN(msg.partition.col_end, reader->ReadI64());
-  if (msg.index < 0 || msg.shape.rows < 0 || msg.shape.blocks < 0 ||
-      msg.shape.within < 0 || msg.shape.rows > kMaxWireDim ||
-      msg.shape.blocks > kMaxWireDim || msg.shape.within > kMaxWireDim) {
-    return Corrupt("partition header out of range");
-  }
-  DBTF_ASSIGN_OR_RETURN(const std::uint64_t block_count, reader->ReadU64());
-  // Each block carries at least its fixed-size fields; bound the count by
-  // the remaining buffer before reserving anything.
-  if (block_count * (5 * 8 + 1 + 2 * 8 + 8) > reader->remaining()) {
-    return Corrupt("partition block count truncated");
-  }
-  msg.partition.blocks.reserve(static_cast<std::size_t>(block_count));
-  for (std::uint64_t i = 0; i < block_count; ++i) {
-    PartitionBlock block;
-    DBTF_ASSIGN_OR_RETURN(block.block_index, reader->ReadI64());
-    DBTF_ASSIGN_OR_RETURN(block.within_begin, reader->ReadI64());
-    DBTF_ASSIGN_OR_RETURN(block.within_end, reader->ReadI64());
-    DBTF_ASSIGN_OR_RETURN(block.word_begin, reader->ReadI64());
-    DBTF_ASSIGN_OR_RETURN(block.last_word_mask, reader->ReadU64());
-    DBTF_ASSIGN_OR_RETURN(const std::uint8_t type, reader->ReadU8());
-    if (type > static_cast<std::uint8_t>(BlockType::kInterior)) {
-      return Corrupt("block type out of range");
-    }
-    block.type = static_cast<BlockType>(type);
-    DBTF_ASSIGN_OR_RETURN(block.rows, ReadBitMatrix(reader));
-    DBTF_ASSIGN_OR_RETURN(const std::uint64_t nnz_count, reader->ReadU64());
-    if (nnz_count * 4 > reader->remaining()) {
-      return Corrupt("row-nnz vector truncated");
-    }
-    block.row_nnz.resize(static_cast<std::size_t>(nnz_count), 0);
-    for (std::uint64_t n = 0; n < nnz_count; ++n) {
-      DBTF_ASSIGN_OR_RETURN(const std::uint32_t nnz, reader->ReadU32());
-      block.row_nnz[static_cast<std::size_t>(n)] =
-          static_cast<std::int32_t>(nnz);
-    }
-    msg.partition.blocks.push_back(std::move(block));
-  }
-  return msg;
+  return DecodeFields<StorePartitionRequest>(reader);
 }
 
 void EncodeListPartitionsRequest(Mode mode, ByteWriter* writer) {
-  EncodeMode(mode, writer);
+  EncodeValue(mode, writer);
 }
-
 Result<Mode> DecodeListPartitionsRequest(ByteReader* reader) {
-  return DecodeMode(reader);
+  return DecodeValue<Mode>(reader);
 }
 
 void EncodeListPartitionsResponse(const std::vector<std::int64_t>& indexes,
                                   ByteWriter* writer) {
-  writer->WriteI64Vector(indexes);
+  EncodeValue(indexes, writer);
 }
-
 Result<std::vector<std::int64_t>> DecodeListPartitionsResponse(
     ByteReader* reader) {
-  return reader->ReadI64Vector();
+  return DecodeValue<std::vector<std::int64_t>>(reader);
 }
 
 void EncodeQueryRequest(const QueryRequest& msg, ByteWriter* writer) {
-  writer->WriteU8(static_cast<std::uint8_t>(msg.kind));
-  writer->WriteU64(msg.id);
-  EncodeMode(msg.mode, writer);
-  writer->WriteI64(msg.i);
-  writer->WriteI64(msg.j);
-  writer->WriteI64(msg.k);
-  writer->WriteI64(msg.top_r);
-  EncodePackedBits(msg.slice_bits, msg.slice_len, writer);
+  EncodeFields(msg, writer);
 }
-
 Result<QueryRequest> DecodeQueryRequest(ByteReader* reader) {
-  QueryRequest msg;
-  DBTF_ASSIGN_OR_RETURN(const std::uint8_t kind, reader->ReadU8());
-  if (kind < static_cast<std::uint8_t>(QueryKind::kMembership) ||
-      kind > static_cast<std::uint8_t>(QueryKind::kTopConcepts)) {
-    return Corrupt("query kind out of range");
-  }
-  msg.kind = static_cast<QueryKind>(kind);
-  DBTF_ASSIGN_OR_RETURN(msg.id, reader->ReadU64());
-  DBTF_ASSIGN_OR_RETURN(msg.mode, DecodeMode(reader));
-  DBTF_ASSIGN_OR_RETURN(msg.i, reader->ReadI64());
-  DBTF_ASSIGN_OR_RETURN(msg.j, reader->ReadI64());
-  DBTF_ASSIGN_OR_RETURN(msg.k, reader->ReadI64());
-  DBTF_ASSIGN_OR_RETURN(msg.top_r, reader->ReadI64());
-  // Coordinates are validated against the factor shapes by the worker; the
-  // decoder only rejects values no tensor can reach. top_r is bounded by the
-  // rank cap shared with MatrixDelta.
-  if (msg.i < 0 || msg.j < 0 || msg.k < 0 || msg.i > kMaxWireDim ||
-      msg.j > kMaxWireDim || msg.k > kMaxWireDim || msg.top_r < 0 ||
-      msg.top_r > kMaxRank) {
-    return Corrupt("query header out of range");
-  }
-  DBTF_ASSIGN_OR_RETURN(PackedBits slice, DecodePackedBits(reader));
-  msg.slice_bits = std::move(slice.words);
-  msg.slice_len = slice.bits;
-  return msg;
+  return DecodeFields<QueryRequest>(reader);
 }
 
 void EncodeQueryResponse(const QueryResponse& msg, ByteWriter* writer) {
-  writer->WriteU64(msg.id);
-  writer->WriteU8(msg.member ? 1 : 0);
-  writer->WriteU64(msg.explain_mask);
-  EncodePackedBits(msg.fiber_bits, msg.fiber_len, writer);
-  writer->WriteI64Vector(msg.concept_ids);
-  writer->WriteI64Vector(msg.concept_scores);
-  writer->WriteU64(msg.generations.size());
-  for (const std::uint64_t g : msg.generations) writer->WriteU64(g);
+  EncodeFields(msg, writer);
 }
-
 Result<QueryResponse> DecodeQueryResponse(ByteReader* reader) {
-  QueryResponse msg;
-  DBTF_ASSIGN_OR_RETURN(msg.id, reader->ReadU64());
-  DBTF_ASSIGN_OR_RETURN(msg.member, DecodeBool(reader));
-  DBTF_ASSIGN_OR_RETURN(msg.explain_mask, reader->ReadU64());
-  DBTF_ASSIGN_OR_RETURN(PackedBits fiber, DecodePackedBits(reader));
-  msg.fiber_bits = std::move(fiber.words);
-  msg.fiber_len = fiber.bits;
-  DBTF_ASSIGN_OR_RETURN(msg.concept_ids, reader->ReadI64Vector());
-  DBTF_ASSIGN_OR_RETURN(msg.concept_scores, reader->ReadI64Vector());
-  if (msg.concept_ids.size() != msg.concept_scores.size()) {
-    return Corrupt("ranked concept lists disagree on length");
-  }
-  for (const std::int64_t concept_id : msg.concept_ids) {
-    if (concept_id < 0 || concept_id >= kMaxRank) {
-      return Corrupt("ranked concept id out of range");
-    }
-  }
-  DBTF_ASSIGN_OR_RETURN(const std::uint64_t gen_count, reader->ReadU64());
-  // The worker always answers with the three factor-slot generations; a
-  // different count is a framing error, not a smaller cluster.
-  if (gen_count != 3 || gen_count > reader->remaining() / 8) {
-    return Corrupt("generation vector out of range");
-  }
-  msg.generations.assign(static_cast<std::size_t>(gen_count), 0);
-  for (std::uint64_t g = 0; g < gen_count; ++g) {
-    DBTF_ASSIGN_OR_RETURN(msg.generations[static_cast<std::size_t>(g)],
-                          reader->ReadU64());
-  }
-  return msg;
+  return DecodeFields<QueryResponse>(reader);
 }
 
 void EncodeReply(const WireReply& reply, ByteWriter* writer) {
-  writer->WriteU32(static_cast<std::uint32_t>(reply.status.code()));
-  writer->WriteString(reply.status.message());
-  writer->WriteDouble(reply.compute_seconds);
-  writer->WriteU64(reply.body.size());
-  if (!reply.body.empty()) {
-    writer->WriteBytes(reply.body.data(), reply.body.size());
-  }
+  EncodeFields(reply, writer);
 }
-
 Result<WireReply> DecodeReply(ByteReader* reader) {
-  WireReply reply;
-  DBTF_ASSIGN_OR_RETURN(const std::uint32_t code, reader->ReadU32());
-  if (code > static_cast<std::uint32_t>(StatusCode::kUnavailable)) {
-    return Corrupt("status code out of range");
-  }
-  DBTF_ASSIGN_OR_RETURN(std::string message, reader->ReadString());
-  reply.status = Status(static_cast<StatusCode>(code), std::move(message));
-  DBTF_ASSIGN_OR_RETURN(reply.compute_seconds, reader->ReadDouble());
-  DBTF_ASSIGN_OR_RETURN(const std::uint64_t body_bytes, reader->ReadU64());
-  if (body_bytes > reader->remaining()) {
-    return Corrupt("reply body truncated");
-  }
-  reply.body.resize(static_cast<std::size_t>(body_bytes));
-  if (body_bytes > 0) {
-    DBTF_RETURN_IF_ERROR(reader->ReadBytes(
-        reply.body.data(), static_cast<std::size_t>(body_bytes)));
-  }
-  return reply;
+  return DecodeFields<WireReply>(reader);
 }
 
 std::vector<std::uint8_t> EncodeFrame(WireKind kind,

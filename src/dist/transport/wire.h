@@ -13,9 +13,11 @@
 namespace dbtf {
 
 // Wire codecs of the socket transport: every typed message of
-// dist/messages.h has a deterministic little-endian encoding over the
-// common/serde.h primitives, so encode -> decode -> encode is byte-stable
-// and a snapshot of the wire traffic parses on any host. Decoding is
+// dist/messages.h has a deterministic little-endian encoding, the walk of
+// its one field list in wire.cc (common/fields.h), so encode -> decode ->
+// encode is byte-stable and a snapshot of the wire traffic parses on any
+// host. Each message has exactly one encoding: the decoders reject every
+// byte string the encoder cannot produce. Decoding is
 // defensive throughout — every count and shape is validated against the
 // remaining buffer *before* any allocation, truncation and corruption fail
 // with kIoError (never UB) — because the bytes arrive from another process.
@@ -36,14 +38,12 @@ enum class WireKind : std::uint8_t {
 };
 
 // --- Message payload codecs -------------------------------------------------
+//
+// Each pair walks the message's field list in wire.cc, which is its layout.
 
 void EncodeFactorDelta(const FactorDelta& msg, ByteWriter* writer);
 Result<FactorDelta> DecodeFactorDelta(ByteReader* reader);
 
-/// u8 mode | i64 column | i64 rows | u8 width | width bit planes. Plane b
-/// packs bit b of every row mask, rows 64 to a word (WordsForBits(rows)
-/// words, padding zero); width is the bit width of the OR of all masks, at
-/// most kMaxRank. `row_masks` must hold exactly `rows` masks.
 void EncodeRunUpdateColumn(const RunUpdateColumn& msg, ByteWriter* writer);
 Result<RunUpdateColumn> DecodeRunUpdateColumn(ByteReader* reader);
 
@@ -51,10 +51,6 @@ void EncodeCollectErrorsRequest(const CollectErrorsRequest& msg,
                                 ByteWriter* writer);
 Result<CollectErrorsRequest> DecodeCollectErrorsRequest(ByteReader* reader);
 
-/// varint rows | varint block bytes | block: `rows` zigzag-varint diffs |
-/// zigzag-varint base_error, cache_entries, cache_bytes. The block length
-/// lets the decoder bound the row count before allocating and reject a
-/// block holding more or fewer diffs than `rows`.
 void EncodeCollectErrorsResponse(const CollectErrorsResponse& msg,
                                  ByteWriter* writer);
 Result<CollectErrorsResponse> DecodeCollectErrorsResponse(ByteReader* reader);
@@ -63,9 +59,11 @@ void EncodeStorePartitionRequest(const StorePartitionRequest& msg,
                                  ByteWriter* writer);
 Result<StorePartitionRequest> DecodeStorePartitionRequest(ByteReader* reader);
 
+/// One mode byte.
 void EncodeListPartitionsRequest(Mode mode, ByteWriter* writer);
 Result<Mode> DecodeListPartitionsRequest(ByteReader* reader);
 
+/// u64 count | the i64 indexes.
 void EncodeListPartitionsResponse(const std::vector<std::int64_t>& indexes,
                                   ByteWriter* writer);
 Result<std::vector<std::int64_t>> DecodeListPartitionsResponse(

@@ -1,5 +1,7 @@
 #include "tensor/bit_matrix.h"
 
+#include <utility>
+
 #include "common/check.h"
 #include "common/serde.h"
 
@@ -102,7 +104,8 @@ std::string BitMatrix::ToString() const {
   return out;
 }
 
-void WriteBitMatrix(const BitMatrix& m, ByteWriter* writer) {
+void BitMatrixCodec::Encode(ByteWriter* writer) const {
+  const BitMatrix& m = matrix;
   writer->WriteI64(m.rows());
   writer->WriteI64(m.cols());
   for (std::int64_t r = 0; r < m.rows(); ++r) {
@@ -113,7 +116,7 @@ void WriteBitMatrix(const BitMatrix& m, ByteWriter* writer) {
   }
 }
 
-Result<BitMatrix> ReadBitMatrix(ByteReader* reader) {
+Status BitMatrixCodec::Decode(ByteReader* reader) {
   // The dimension cap keeps every size computation below inside u64; the
   // byte bound is a division because rows * words_per_row * 8 wraps u64 on
   // hostile shapes (fuzz_ckpt_manifest found a wild write through a matrix
@@ -140,7 +143,8 @@ Result<BitMatrix> ReadBitMatrix(ByteReader* reader) {
       return Status::IoError("bit matrix: padding bits set");
     }
   }
-  return m;
+  matrix = std::move(m);
+  return Status::OK();
 }
 
 }  // namespace dbtf

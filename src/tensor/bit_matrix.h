@@ -119,15 +119,18 @@ class BitMatrix {
   std::vector<BitWord> data_;
 };
 
-/// The one byte codec of a BitMatrix, shared by the wire (dist/transport/
-/// wire.cc) and checkpoint blobs (ckpt/format.cc): rows and cols as i64,
-/// then every row's words as u64, padding bits included.
-void WriteBitMatrix(const BitMatrix& m, ByteWriter* writer);
+/// The one byte codec of a BitMatrix, a field codec (common/fields.h):
+/// rows and cols as i64, then every row's words as u64. Decoding fails with
+/// kIoError on a shape outside [0, 2^32], a payload shorter than the shape
+/// needs, or a set padding bit.
+struct BitMatrixCodec {
+  static constexpr std::size_t kMembers = 1;
+  BitMatrix& matrix;
+  void Encode(ByteWriter* writer) const;
+  Status Decode(ByteReader* reader);
+};
 
-/// Inverse of WriteBitMatrix for untrusted bytes. Fails with kIoError on a
-/// shape outside [0, 2^32], a payload shorter than the shape needs, or a set
-/// padding bit — the invariant behind whole-word row ops and operator==.
-Result<BitMatrix> ReadBitMatrix(ByteReader* reader);
+inline BitMatrixCodec CodecFor(BitMatrix& matrix) { return {matrix}; }
 
 }  // namespace dbtf
 

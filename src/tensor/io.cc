@@ -109,7 +109,7 @@ Result<BitMatrix> ReadMatrixText(const std::string& path) {
 }
 
 Result<BitMatrix> ParseMatrixText(std::istream& in, const std::string& source) {
-  // Each side stays within 2^32, as in ReadBitMatrix, so the shape's size
+  // Each side stays within 2^32, as in BitMatrixCodec, so the shape's size
   // computations fit 64 bits.
   constexpr std::int64_t kMaxDim = std::int64_t{1} << 32;
   std::int64_t rows = 0;

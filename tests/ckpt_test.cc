@@ -363,6 +363,35 @@ TEST(CheckpointFormatTest, HasBestFlagMustAgreeWithBestError) {
             StatusCode::kIoError);
 }
 
+TEST(CheckpointFormatTest, DeadMachineIdsMustFitAnInt) {
+  // Dead-machine ids are stored as i64. One that does not fit an int would
+  // wrap into range when narrowed (2^32 + 1 becomes machine 1) and resume
+  // with the wrong machine dead.
+  CheckpointState state = MakeState(0);
+  state.dead_machines = {2};
+  const std::vector<std::uint8_t> bytes = ckpt_format::SerializeDist(state);
+  CheckpointState parsed;
+  ASSERT_TRUE(ckpt_format::ParseDist(bytes, &parsed).ok());
+  EXPECT_EQ(parsed.dead_machines, std::vector<int>{2});
+
+  // The id follows the ledgers (8 + 6 words), the fault counters and the
+  // dead-machine count.
+  const std::size_t id_at =
+      (8 + 6 + 1 + state.fault_delivery_counters.size() + 1) * 8;
+  for (const std::int64_t id : {(std::int64_t{1} << 32) + 1,
+                                std::int64_t{INT32_MAX} + 1,
+                                std::int64_t{-1}}) {
+    std::vector<std::uint8_t> hostile = bytes;
+    for (int b = 0; b < 8; ++b) {
+      hostile[id_at + b] =
+          static_cast<std::uint8_t>(static_cast<std::uint64_t>(id) >> (8 * b));
+    }
+    EXPECT_EQ(ckpt_format::ParseDist(hostile, &parsed).code(),
+              StatusCode::kIoError)
+        << "id " << id;
+  }
+}
+
 TEST(CheckpointFormatTest, MatrixWithPaddingBitsSetIsRejected) {
   // A 4-column matrix uses 4 bits of its row word; the other 60 are padding
   // and must stay zero, or whole-word row ops and operator== would see

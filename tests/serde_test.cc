@@ -432,6 +432,30 @@ TEST(WireCodec, RunUpdateColumnRejectsBadPlanes) {
   }
 }
 
+TEST(WireCodec, RunUpdateColumnRejectsAnEmptyTopPlane) {
+  // The width is the bit width of the OR of all masks, so the top plane the
+  // encoder sends always has a set bit. One more, all-zero plane would
+  // decode to the same masks and re-encode 8 bytes shorter.
+  ByteWriter w;
+  EncodeRunUpdateColumn(TestRunUpdateColumn(5, 3), &w);
+  std::vector<std::uint8_t> bytes = w.bytes();
+  bytes[kRunHeaderBytes - 1] = 4;
+  bytes.resize(bytes.size() + 8, 0);  // plane 3: one word for 5 rows
+  ByteReader reader(bytes);
+  EXPECT_EQ(DecodeRunUpdateColumn(&reader).status().code(),
+            StatusCode::kIoError);
+
+  // With no rows every plane is empty: the only encoding has width 0.
+  ByteWriter empty;
+  EncodeRunUpdateColumn(TestRunUpdateColumn(0, 0), &empty);
+  bytes = empty.bytes();
+  ASSERT_EQ(bytes.size(), kRunHeaderBytes);
+  bytes[kRunHeaderBytes - 1] = 1;
+  ByteReader empty_reader(bytes);
+  EXPECT_EQ(DecodeRunUpdateColumn(&empty_reader).status().code(),
+            StatusCode::kIoError);
+}
+
 TEST(WireCodec, CollectErrorsRequestRoundTripsByteStable) {
   CollectErrorsRequest msg;
   msg.mode = Mode::kTwo;
@@ -515,6 +539,30 @@ TEST(WireCodec, MergeSumsDifferencesAndScalars) {
   EXPECT_EQ(a.cache_bytes, 8);
 }
 
+TEST(WireCodec, ColumnDeltaBitsPastTheRowsAreRejected) {
+  // A 4-row column uses 4 bits of its word; like every other packed-bit
+  // field, a column whose padding is set has no encoder that produces it.
+  FactorDelta msg;
+  msg.rows = 4;
+  MatrixDelta delta;
+  delta.slot = 1;
+  delta.generation = 2;
+  delta.base_generation = 1;
+  delta.full = false;
+  delta.rows = 4;
+  delta.cols = 3;
+  delta.columns = {2};
+  delta.column_bits = {{0x5ull}};
+  msg.updates.push_back(delta);
+  ExpectWireRoundTrip(msg, EncodeFactorDelta, DecodeFactorDelta);
+
+  msg.updates[0].column_bits[0][0] |= std::uint64_t{1} << 10;
+  ByteWriter w;
+  EncodeFactorDelta(msg, &w);
+  ByteReader reader(w.bytes());
+  EXPECT_EQ(DecodeFactorDelta(&reader).status().code(), StatusCode::kIoError);
+}
+
 TEST(WireCodec, StorePartitionRequestRoundTripsByteStable) {
   const StorePartitionRequest msg = TestStoreRequest();
   ExpectWireRoundTrip(msg, EncodeStorePartitionRequest,
@@ -559,6 +607,75 @@ TEST(WireCodec, ReplyRoundTripsByteStable) {
   ByteWriter w;
   EncodeReply(reply, &w);
   ExpectEveryTruncationRejected(w.bytes(), DecodeReply);
+}
+
+/// One request of each query kind, as the serving engine builds them.
+std::vector<QueryRequest> TestQueries() {
+  QueryRequest membership;
+  membership.kind = QueryKind::kMembership;
+  membership.id = 1;
+  membership.i = 3;
+  membership.j = 1;
+  membership.k = 4;
+  QueryRequest fiber;
+  fiber.kind = QueryKind::kFiber;
+  fiber.id = 2;
+  fiber.mode = Mode::kTwo;
+  fiber.k = 2;
+  fiber.i = 5;
+  QueryRequest top;
+  top.kind = QueryKind::kTopConcepts;
+  top.id = 3;
+  top.mode = Mode::kThree;
+  top.slice_bits = {0xF0F0F0F0F0F0F0F0ull, 0x3ull};
+  top.slice_len = 66;
+  top.top_r = 4;
+  return {membership, fiber, top};
+}
+
+/// One answer of each query kind, tagged with the three generations.
+std::vector<QueryResponse> TestAnswers() {
+  QueryResponse membership;
+  membership.id = 1;
+  membership.member = true;
+  membership.explain_mask = 0x9;
+  membership.generations = {21, 22, 23};
+  QueryResponse fiber;
+  fiber.id = 2;
+  fiber.fiber_bits = {0x0FF0ull};
+  fiber.fiber_len = 12;
+  fiber.generations = {21, 22, 23};
+  QueryResponse top;
+  top.id = 3;
+  top.concept_ids = {0, 3, 7};
+  top.concept_scores = {6, 2, 2};
+  top.generations = {21, 22, 23};
+  return {membership, fiber, top};
+}
+
+TEST(WireCodec, QueriesArePricedAtTheirEncodedSize) {
+  // The query ledger charges request.WireBytes() + response.WireBytes():
+  // both must be the exact size of the encoding, or every query is
+  // mispriced.
+  for (const QueryRequest& msg : TestQueries()) {
+    SCOPED_TRACE("request kind " + std::to_string(static_cast<int>(msg.kind)));
+    ExpectWireRoundTrip(msg, EncodeQueryRequest, DecodeQueryRequest);
+    ByteWriter w;
+    EncodeQueryRequest(msg, &w);
+    EXPECT_EQ(static_cast<std::int64_t>(w.size()), msg.WireBytes());
+    ExpectEveryTruncationRejected(w.bytes(), DecodeQueryRequest);
+  }
+  for (const QueryResponse& msg : TestAnswers()) {
+    SCOPED_TRACE("answer " + std::to_string(msg.id));
+    ExpectWireRoundTrip(msg, EncodeQueryResponse, DecodeQueryResponse);
+    ByteWriter w;
+    EncodeQueryResponse(msg, &w);
+    EXPECT_EQ(static_cast<std::int64_t>(w.size()), msg.WireBytes());
+    ExpectEveryTruncationRejected(w.bytes(), DecodeQueryResponse);
+  }
+  // id, member, mask, fiber length, two empty ranked lists, and the three
+  // generations behind their count.
+  EXPECT_EQ(TestAnswers()[0].WireBytes(), 8 + 1 + 8 + 8 + 8 + 8 + 8 + 3 * 8);
 }
 
 TEST(WireCodec, InvalidModeIsRejectedNotUb) {

@@ -21,23 +21,6 @@ DESIGN.md, "Correctness tooling"):
                       cycle, printing the witness path. A cycle is a
                       potential deadlock even if today's schedules never
                       interleave it.
-  ckpt-coverage       every field of every checkpointed struct — CheckpointState
-                      plus each struct of ckpt/checkpoint.h it embeds,
-                      directly or transitively (RunProgress, FactorSet,
-                      FactorShadowSnapshot, ...) — must be serialized by a
-                      ckpt_format::Serialize* blob codec and parsed by a
-                      ckpt_format::Parse* codec. The session and the
-                      broadcast state run on those same structs, so the
-                      codecs are the only place a field can be forgotten.
-                      Adding a field without serializing it (or bumping
-                      kFormatVersion) is a build-time failure, not a silent
-                      resume corruption.
-  wire-coverage       every field of every message struct in dist/messages.h
-                      must be referenced by both its Encode* and Decode*
-                      codec in dist/transport/wire.cc, and both codecs must
-                      exist. A field that never crosses the wire would
-                      desynchronize the socket transport from the in-process
-                      oracle.
   guarded-by          a class data member assigned or mutated while a
                       MutexLock holds one of the class's mutexes must carry
                       a DBTF_GUARDED_BY annotation, so Clang's thread-safety
@@ -59,6 +42,10 @@ thread-construction, comm-stats-mutation, fault-handling,
 recovery-stats-mutation, filesystem-write, transport-syscalls and
 async-seam. Each confines a token pattern to the files that own its seam;
 the SEAMS table below gives the owners, DESIGN.md the reasons.
+
+Struct field coverage is not a rule here: every wire message and
+checkpoint blob declares its fields once (common/fields.h), and the
+compiler rejects a member its field list does not name.
 
 The whole analysis is a built-in C++ lexer + structural parser with no
 dependencies beyond the standard library, so every host and CI runs the
@@ -83,11 +70,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-RULES = ("discarded-status", "lock-order", "ckpt-coverage", "wire-coverage",
-         "guarded-by", "kernel-confinement", "worker-include", "naked-mutex",
-         "thread-construction", "comm-stats-mutation", "fault-handling",
-         "recovery-stats-mutation", "filesystem-write", "transport-syscalls",
-         "async-seam")
+RULES = ("discarded-status", "lock-order", "guarded-by", "kernel-confinement",
+         "worker-include", "naked-mutex", "thread-construction",
+         "comm-stats-mutation", "fault-handling", "recovery-stats-mutation",
+         "filesystem-write", "transport-syscalls", "async-seam")
 
 # ---------------------------------------------------------------------------
 # Lexer
@@ -914,115 +900,7 @@ def check_lock_order(files: list[SourceFile],
 
 
 # ---------------------------------------------------------------------------
-# Rules 3a/3b: schema coverage
-# ---------------------------------------------------------------------------
-
-def _member_tokens(body: list[Token]) -> set[str]:
-    """Identifiers appearing as member accesses (after '.', '->') or as
-    designated initializers / bare identifiers — the superset is fine for
-    coverage checking."""
-    return {t.text for t in body if t.kind == "id"}
-
-
-def checkpointed_structs(header: SourceFile) -> list[ClassInfo]:
-    """CheckpointState plus every struct of the header it embeds, directly
-    or through another embedded struct, in discovery order."""
-    classes = {cls.name: cls for cls in extract_classes(header.tokens)}
-    found: list[str] = []
-    pending = ["CheckpointState"]
-    while pending:
-        name = pending.pop(0)
-        if name in found or name not in classes:
-            continue
-        found.append(name)
-        for _, _, decl in extract_members(classes[name].body):
-            pending.extend(tok for tok in decl.split() if tok in classes)
-    return [classes[name] for name in found]
-
-
-def check_ckpt_coverage(by_rel: dict[str, SourceFile]) -> list[Finding]:
-    header = by_rel.get("src/ckpt/checkpoint.h")
-    fmt = by_rel.get("src/ckpt/format.cc")
-    if header is None or fmt is None:
-        return []
-    ser_tokens: set[str] = set()
-    par_tokens: set[str] = set()
-    for fn in extract_functions(fmt.tokens):
-        if fn.name.startswith("Serialize"):
-            ser_tokens |= _member_tokens(fn.body)
-        elif fn.name.startswith("Parse"):
-            par_tokens |= _member_tokens(fn.body)
-    consumers = [
-        (ser_tokens, "any ckpt_format::Serialize* blob codec (field never "
-                     "serialized — add it to a blob and bump "
-                     "kFormatVersion)"),
-        (par_tokens, "any ckpt_format::Parse* blob codec (field never "
-                     "parsed — a snapshot would restore it to its "
-                     "default)"),
-    ]
-
-    findings: list[Finding] = []
-    for cls in checkpointed_structs(header):
-        for fld, line, _ in extract_members(cls.body):
-            if header.suppressed(line, "ckpt-coverage"):
-                continue
-            for tokens, description in consumers:
-                if fld not in tokens:
-                    findings.append(Finding(
-                        "src/ckpt/checkpoint.h", line, "ckpt-coverage",
-                        f"{cls.name}::{fld} is not referenced by "
-                        f"{description}"))
-    return findings
-
-
-# Messages whose codecs live in wire.cc under Encode<Name>/Decode<Name>.
-WIRE_MESSAGE_SUFFIXES = ("", "Request", "Response")
-
-
-def check_wire_coverage(by_rel: dict[str, SourceFile]) -> list[Finding]:
-    header = by_rel.get("src/dist/messages.h")
-    wire = by_rel.get("src/dist/transport/wire.cc")
-    if header is None or wire is None:
-        return []
-    findings: list[Finding] = []
-    wire_functions = {fn.name: fn for fn in extract_functions(wire.tokens)}
-
-    for cls in extract_classes(header.tokens):
-        fields = extract_members(cls.body)
-        if not fields:
-            continue
-        encode = wire_functions.get(f"Encode{cls.name}")
-        decode = wire_functions.get(f"Decode{cls.name}")
-        if encode is None or decode is None:
-            findings.append(Finding(
-                "src/dist/messages.h", cls.line, "wire-coverage",
-                f"message {cls.name} has no "
-                f"{'Encode' if encode is None else 'Decode'}{cls.name} in "
-                f"src/dist/transport/wire.cc — every wire message needs "
-                f"both codecs"))
-            continue
-        enc_tokens = _member_tokens(encode.body)
-        dec_tokens = _member_tokens(decode.body)
-        for fld, line, _ in fields:
-            if header.suppressed(line, "wire-coverage"):
-                continue
-            if fld not in enc_tokens:
-                findings.append(Finding(
-                    "src/dist/messages.h", line, "wire-coverage",
-                    f"{cls.name}::{fld} is never encoded by "
-                    f"Encode{cls.name} — the socket transport would drop "
-                    f"it (add it to the codec and bump kWireVersion)"))
-            if fld not in dec_tokens:
-                findings.append(Finding(
-                    "src/dist/messages.h", line, "wire-coverage",
-                    f"{cls.name}::{fld} is never decoded by "
-                    f"Decode{cls.name} — a decoded message would hold the "
-                    f"field's default instead of the sender's value"))
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# Rule 4: guarded-by
+# Rule 3: guarded-by
 # ---------------------------------------------------------------------------
 
 MUTEX_TYPES = {"Mutex"}
@@ -1157,7 +1035,7 @@ def _mutations_under_lock(fn: Function,
 
 
 # ---------------------------------------------------------------------------
-# Rule 5: kernel-confinement
+# Rule 4: kernel-confinement
 # ---------------------------------------------------------------------------
 
 # The only places allowed to iterate BitWord arrays by hand: the kernel
@@ -1563,10 +1441,6 @@ def analyze(root: Path, rules: list[str]) -> list[Finding]:
         findings.extend(check_discarded_status(files, status_names))
     if "lock-order" in rules:
         findings.extend(check_lock_order(files, LOCK_ORDER_PREFIXES))
-    if "ckpt-coverage" in rules:
-        findings.extend(check_ckpt_coverage(by_rel))
-    if "wire-coverage" in rules:
-        findings.extend(check_wire_coverage(by_rel))
     if "guarded-by" in rules:
         findings.extend(check_guarded_by(files))
     if "kernel-confinement" in rules:
